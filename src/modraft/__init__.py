@@ -5,7 +5,7 @@ set as its primary data and a fully derived geometric part that is
 regenerated — deterministically, to the byte — whenever a property changes.
 On top of the kernel sit prototype libraries, specification aggregation
 across drawing files, electronic-catalog ingestion, lightning-protection
-zone computation, content signatures and a zone-culled SVG renderer.
+zone computation, content signatures and a viewport SVG renderer.
 """
 
 from .canon import canonical_dumps, canonical_encode
@@ -18,9 +18,8 @@ from .errors import (CatalogError, FileFormatError, GenerationError,
                      OutOfMethodRange, SchemaViolation)
 from .geometry import (Arc, Circle, Element, LineStyle, LineType, Point,
                        Polyline, Rect, Segment, Text, Transform, ZoneGrid,
-                       ZoneMask, apply_transform, compute_zone_mask,
-                       element_bbox, element_from_json, element_to_json,
-                       norm_deg, offset_path, snap_points)
+                       apply_transform, element_bbox, element_from_json,
+                       element_to_json, norm_deg, offset_path, snap_points)
 from .integrity import (SignatureStatus, compute_digest, sign_drawing,
                         signature_mac, validate_signer_fields,
                         verify_signatures)
@@ -44,8 +43,8 @@ __all__ = [
     "__version__", "FORMAT_VERSION",
     # geometry
     "Point", "Transform", "LineType", "LineStyle", "Segment", "Polyline",
-    "Arc", "Circle", "Text", "Element", "Rect", "ZoneGrid", "ZoneMask",
-    "norm_deg", "element_bbox", "apply_transform", "compute_zone_mask",
+    "Arc", "Circle", "Text", "Element", "Rect", "ZoneGrid",
+    "norm_deg", "element_bbox", "apply_transform",
     "snap_points", "offset_path", "element_to_json", "element_from_json",
     # properties and modules
     "Axis", "ModuleType", "PropKind", "PropSpec", "schema_for",

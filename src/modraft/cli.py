@@ -53,7 +53,7 @@ def _point_arg(text: str) -> Point:
 
 def _grid_arg(text: str) -> tuple[int, int]:
     parts = text.split(",")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdigit() and int(p) > 0 for p in parts):
         raise argparse.ArgumentTypeError("grid needs NX,NY positive integers")
     return int(parts[0]), int(parts[1])
 
@@ -127,8 +127,11 @@ def cmd_new(args) -> int:
     if args.grid:
         nx, ny = args.grid
         extent = args.extent
-        grid = ZoneGrid(extent.min, max(extent.width, 1e-6) / nx,
-                        max(extent.height, 1e-6) / ny, nx, ny)
+        try:
+            grid = ZoneGrid(extent.min, max(extent.width, 1e-6) / nx,
+                            max(extent.height, 1e-6) / ny, nx, ny)
+        except ValueError as exc:
+            raise KernelError(str(exc)) from exc
     d = Drawing.new(args.extent, grid)
     save_drawing_file(d, args.drawing)
     return 0
@@ -159,13 +162,13 @@ def cmd_edit(args) -> int:
     m = d.module(args.id)
     if args.move is not None:
         dx, dy = args.move
-        m = move_module(m, dx, dy, grid=d.zone_grid)
+        m = move_module(m, dx, dy)
     elif args.rotate is not None:
         cx, cy, angle = args.rotate
-        m = rotate_module(m, angle, Point(cx, cy), grid=d.zone_grid)
+        m = rotate_module(m, angle, Point(cx, cy))
     else:
         x0, y0, axis_angle = args.mirror
-        m = mirror_module(m, Point(x0, y0), axis_angle, grid=d.zone_grid)
+        m = mirror_module(m, Point(x0, y0), axis_angle)
     d.replace_module(m)
     save_drawing_file(d, _out_path(args))
     return 0
@@ -189,7 +192,7 @@ def cmd_list(args) -> int:
 
 def cmd_render(args) -> int:
     d = load_drawing_file(args.drawing)
-    svg = render_svg(d, args.viewport, cull=args.cull)
+    svg = render_svg(d, args.viewport)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0
 
@@ -274,8 +277,7 @@ def cmd_proto_load(args) -> int:
 def cmd_catalog_apply(args) -> int:
     d = load_drawing_file(args.drawing)
     catalog = load_catalog_file(args.catalog)
-    m = apply_catalog_entry(d.module(args.id), catalog, args.entry,
-                            grid=d.zone_grid)
+    m = apply_catalog_entry(d.module(args.id), catalog, args.entry)
     d.replace_module(m)
     save_drawing_file(d, _out_path(args))
     return 0
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--viewport", type=_rect_arg, metavar="X0,Y0,X1,Y1")
     p.add_argument("--cull", action="store_true",
-                   help="prefilter modules through the zone grid")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("spec", help="aggregate specification rows")

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from .canon import canonical_encode
 from .errors import GenerationError
-from .geometry import (Element, Point, Rect, Transform, ZoneGrid, ZoneMask,
-                       apply_transform, compute_zone_mask, element_bbox,
-                       element_to_json)
+from .geometry import (Element, Point, Rect, Transform, ZoneGrid,
+                       apply_transform, element_bbox, element_to_json)
 from .properties import Axis, ModuleType, validate_props
 
 __all__ = [
@@ -36,7 +35,6 @@ class Module:
     geometry: tuple[Element, ...]
     layer: int
     bbox: Rect
-    zone_mask: "ZoneMask | None" = None
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
     """Validate properties, generate geometry, place it, derive extents.
 
     Deterministic: the same type and properties always yield byte-identical
-    geometry.
+    geometry. ``grid`` is accepted for compatibility and has no effect.
     """
     from .generators import generate_local
 
@@ -101,17 +99,19 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
     bbox = element_bbox(geometry[0])
     for e in geometry[1:]:
         bbox = bbox.union(element_bbox(e))
-    mask = compute_zone_mask(bbox, grid) if grid is not None else None
-    return Module(int(module_id), mtype, norm, geometry, norm["layer"], bbox, mask)
+    return Module(int(module_id), mtype, norm, geometry, norm["layer"], bbox)
 
 
 def set_properties(m: Module, updates: dict, *, grid: "ZoneGrid | None" = None) -> Module:
-    """Merge property updates and regenerate; equivalent to a fresh create."""
+    """Merge property updates and regenerate; equivalent to a fresh create.
+
+    ``grid`` is accepted for compatibility and has no effect.
+    """
     merged = {**m.props, **updates}
-    return create_module(m.type, merged, module_id=m.id, grid=grid)
+    return create_module(m.type, merged, module_id=m.id)
 
 
-def _apply_rigid(m: Module, edit: Transform, grid: "ZoneGrid | None") -> Module:
+def _apply_rigid(m: Module, edit: Transform) -> Module:
     if edit.is_identity():
         return m
     q = edit.compose(_placement_part(m.props))
@@ -119,34 +119,46 @@ def _apply_rigid(m: Module, edit: Transform, grid: "ZoneGrid | None") -> Module:
         "origin": Point(q.tx, q.ty),
         "angle_deg": q.rotation_deg,
         "mirrored": q.mirrored,
-    }, grid=grid)
+    })
 
 
 def move_module(m: Module, dx: float, dy: float, *,
                 grid: "ZoneGrid | None" = None) -> Module:
-    """Translate a module by rewriting its placement origin."""
+    """Translate a module by rewriting its placement origin.
+
+    ``grid`` is accepted for compatibility and has no effect.
+    """
     if dx == 0.0 and dy == 0.0:
         return m
     origin = m.props["origin"]
-    return set_properties(m, {"origin": Point(origin.x + dx, origin.y + dy)}, grid=grid)
+    return set_properties(m, {"origin": Point(origin.x + dx, origin.y + dy)})
 
 
 def rotate_module(m: Module, angle_deg: float, about: Point, *,
                   grid: "ZoneGrid | None" = None) -> Module:
-    """Rotate a module's placement about a paper-space point."""
-    return _apply_rigid(m, Transform.rotation(angle_deg, about), grid)
+    """Rotate a module's placement about a paper-space point.
+
+    ``grid`` is accepted for compatibility and has no effect.
+    """
+    return _apply_rigid(m, Transform.rotation(angle_deg, about))
 
 
 def mirror_module(m: Module, axis_origin: Point, axis_angle_deg: float, *,
                   grid: "ZoneGrid | None" = None) -> Module:
-    """Mirror a module's placement across a paper-space axis."""
-    return _apply_rigid(m, Transform.mirror(axis_origin, axis_angle_deg), grid)
+    """Mirror a module's placement across a paper-space axis.
+
+    ``grid`` is accepted for compatibility and has no effect.
+    """
+    return _apply_rigid(m, Transform.mirror(axis_origin, axis_angle_deg))
 
 
 def align_by_attach(m: Module, own_axis_index: int, target: Axis, *,
                     grid: "ZoneGrid | None" = None) -> Module:
     """Rigidly move the module so one of its attach axes coincides with
-    ``target`` (same origin, same direction)."""
+    ``target`` (same origin, same direction).
+
+    ``grid`` is accepted for compatibility and has no effect.
+    """
     axes = m.props.get("attach")
     if not axes or not 0 <= own_axis_index < len(axes):
         raise ValueError(f"module {m.id} has no attach axis {own_axis_index}")
@@ -157,7 +169,7 @@ def align_by_attach(m: Module, own_axis_index: int, target: Axis, *,
     spin = Transform.rotation(target.angle_deg - world_angle, world_origin)
     shift = Transform.translation(target.origin.x - world_origin.x,
                                   target.origin.y - world_origin.y)
-    return _apply_rigid(m, shift.compose(spin), grid)
+    return _apply_rigid(m, shift.compose(spin))
 
 
 def spawn_working_modules(m: Module, list_name: str) -> list[WorkingModule]:

@@ -1,8 +1,8 @@
 """2D drafting primitives.
 
 Points, conformal transforms, drawable elements (segments, polylines, arcs,
-circles, texts), axis-aligned extents, the drawing zone grid with its bit
-masks, snap points and polyline offsetting.
+circles, texts), axis-aligned extents, the drawing zone grid, snap points
+and polyline offsetting.
 
 Conventions: coordinates are millimetres in paper space with y up, angles are
 degrees counter-clockwise normalised to [0, 360), and every type here is an
@@ -22,8 +22,8 @@ from .errors import GenerationError
 __all__ = [
     "Point", "Transform", "LineType", "LineStyle",
     "Segment", "Polyline", "Arc", "Circle", "Text", "Element",
-    "Rect", "ZoneGrid", "ZoneMask",
-    "norm_deg", "element_bbox", "apply_transform", "compute_zone_mask",
+    "Rect", "ZoneGrid",
+    "norm_deg", "element_bbox", "apply_transform",
     "snap_points", "offset_path", "element_to_json", "element_from_json",
 ]
 
@@ -401,7 +401,10 @@ class Rect:
 
 @dataclass(frozen=True)
 class ZoneGrid:
-    """Uniform grid of rectangular zones laid over a drawing."""
+    """Uniform grid of rectangular zones laid over a drawing.
+
+    Stored in every drawing file (format v1) and round-tripped unchanged.
+    """
 
     origin: Point
     cell_w: float
@@ -411,53 +414,21 @@ class ZoneGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", _as_point(self.origin))
-        object.__setattr__(self, "cell_w", float(self.cell_w))
-        object.__setattr__(self, "cell_h", float(self.cell_h))
-        if self.cell_w <= 0.0 or self.cell_h <= 0.0:
-            raise ValueError("zone cells must have positive size")
+        for name in ("cell_w", "cell_h"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"zone grid {name} must be a number")
+            object.__setattr__(self, name, float(value))
+        for name in ("nx", "ny"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"zone grid {name} must be an integer")
+        if not (0.0 < self.cell_w < math.inf and 0.0 < self.cell_h < math.inf):
+            raise ValueError("zone cells must have positive finite size")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("zone grid needs at least one cell per axis")
         if self.nx * self.ny > 4096:
             raise ValueError("zone grid exceeds 4096 cells")
-
-    @property
-    def cell_count(self) -> int:
-        return self.nx * self.ny
-
-    def cell_rect(self, i: int, j: int) -> Rect:
-        x0 = self.origin.x + i * self.cell_w
-        y0 = self.origin.y + j * self.cell_h
-        return Rect(Point(x0, y0), Point(x0 + self.cell_w, y0 + self.cell_h))
-
-
-@dataclass(frozen=True)
-class ZoneMask:
-    """Row-major bit set over a zone grid's cells (bit j*nx + i)."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("mask length must be non-negative")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("mask bits out of range for its length")
-
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
-    def test(self, index: int) -> bool:
-        if not 0 <= index < self.length:
-            raise IndexError("mask index out of range")
-        return bool(self.bits >> index & 1)
-
-    def intersects(self, other: "ZoneMask") -> bool:
-        if self.length != other.length:
-            raise ValueError("mask lengths differ")
-        return (self.bits & other.bits) != 0
-
-    def indices(self) -> list[int]:
-        return [i for i in range(self.length) if self.bits >> i & 1]
 
 
 def _angle_in_sweep(angle: float, start: float, sweep: float) -> bool:
@@ -516,29 +487,6 @@ def apply_transform(element: Element, t: Transform) -> Element:
                     t.map_direction_deg(element.angle_deg), element.content,
                     element.style)
     raise TypeError(f"not an element: {element!r}")
-
-
-def compute_zone_mask(bbox: Rect, grid: ZoneGrid) -> ZoneMask:
-    """Bit set of every grid cell whose closed rectangle touches ``bbox``."""
-    ox, oy = grid.origin.x, grid.origin.y
-    cw, ch = grid.cell_w, grid.cell_h
-    i0 = max(0, int(math.floor((bbox.min.x - ox) / cw)) - 1)
-    i1 = min(grid.nx - 1, int(math.ceil((bbox.max.x - ox) / cw)) + 1)
-    j0 = max(0, int(math.floor((bbox.min.y - oy) / ch)) - 1)
-    j1 = min(grid.ny - 1, int(math.ceil((bbox.max.y - oy) / ch)) + 1)
-    bits = 0
-    for j in range(j0, j1 + 1):
-        y_lo = oy + j * ch
-        y_hi = oy + (j + 1) * ch
-        if not (y_lo <= bbox.max.y and bbox.min.y <= y_hi):
-            continue
-        row_base = j * grid.nx
-        for i in range(i0, i1 + 1):
-            x_lo = ox + i * cw
-            x_hi = ox + (i + 1) * cw
-            if x_lo <= bbox.max.x and bbox.min.x <= x_hi:
-                bits |= 1 << (row_base + i)
-    return ZoneMask(grid.cell_count, bits)
 
 
 def snap_points(element: Element) -> list[Point]:

@@ -79,7 +79,7 @@ class Drawing:
         raise KernelError(f"no module with id {module_id}")
 
     def add_module(self, mtype: ModuleType, props: dict) -> Module:
-        m = create_module(mtype, props, module_id=self.next_id, grid=self.zone_grid)
+        m = create_module(mtype, props, module_id=self.next_id)
         self.next_id += 1
         self.items.append(m)
         return m
@@ -88,20 +88,15 @@ class Drawing:
         self.items.append(element)
 
     def replace_module(self, replacement: Module) -> Module:
-        """Swap in a module with the same id, recomputing its zone mask."""
+        """Swap in a module with the same id."""
         for i, item in enumerate(self.items):
             if isinstance(item, Module) and item.id == replacement.id:
-                if replacement.zone_mask is None or \
-                        replacement.zone_mask.length != self.zone_grid.cell_count:
-                    replacement = create_module(replacement.type, replacement.props,
-                                                module_id=replacement.id,
-                                                grid=self.zone_grid)
                 self.items[i] = replacement
                 return replacement
         raise KernelError(f"no module with id {replacement.id}")
 
     def set_module_properties(self, module_id: int, updates: dict) -> Module:
-        m = set_properties(self.module(module_id), updates, grid=self.zone_grid)
+        m = set_properties(self.module(module_id), updates)
         return self.replace_module(m)
 
     def remove_module(self, module_id: int) -> None:
@@ -164,7 +159,11 @@ def save_drawing(d: Drawing) -> bytes:
 
 
 def _parse_json(data: "bytes | str") -> object:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -235,7 +234,7 @@ def load_drawing(data: "bytes | str") -> Drawing:
             if module_id in seen_ids:
                 raise FileFormatError(f"duplicate module id {module_id}")
             seen_ids.add(module_id)
-            m = create_module(mtype, props, module_id=module_id, grid=grid)
+            m = create_module(mtype, props, module_id=module_id)
             if geometry_bytes(stored) != geometry_bytes(m.geometry):
                 raise IntegrityMismatch(
                     f"module {module_id} geometry does not match its properties")

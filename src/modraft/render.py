@@ -1,11 +1,9 @@
-"""SVG rendering with zone-mask culling.
+"""SVG rendering of drawing viewports.
 
 The renderer draws a rectangular viewport of a drawing to standalone SVG,
-one millimetre per SVG unit. Modules are pre-filtered by their zone masks:
-a module whose mask shares no zone with the viewport's mask cannot overlap
-the viewport and is skipped without touching its geometry. The mask test is
-conservative, so a bounding-box check decides the final visible set — the
-result is always exactly the set of items whose extent meets the viewport.
+one millimetre per SVG unit. Only items whose closed bounding box meets the
+viewport are emitted; a module is tested by its stored bbox without touching
+its geometry.
 
 Drawing coordinates are y-up; SVG is y-down, so the viewport is flipped
 vertically and arc sweeps and text rotations change sign.
@@ -17,7 +15,7 @@ import json
 from importlib import resources
 
 from .geometry import (Arc, Circle, Element, LineType, Polyline, Rect,
-                       Segment, Text, compute_zone_mask, element_bbox)
+                       Segment, Text, element_bbox)
 from .persistence import Drawing, DrawingItem
 from .core import Module
 
@@ -46,27 +44,13 @@ def palette() -> list[str]:
 
 
 def visible_items(d: Drawing, viewport: Rect, cull: bool = True) -> list[DrawingItem]:
-    """Items whose extent intersects the viewport, in drawing order.
+    """Items whose closed extent intersects the viewport, in drawing order.
 
-    With cull on, modules go through the zone grid first: when both the
-    module's mask and the viewport's mask are non-empty and share no zone,
-    the module is provably outside the viewport and its geometry is never
-    examined. Whatever survives is confirmed by a closed bounding-box test,
-    so the output is identical with culling on or off.
+    ``cull`` is accepted for compatibility and has no effect.
     """
-    vp_mask = compute_zone_mask(viewport, d.zone_grid) if cull else None
-    out: list[DrawingItem] = []
-    for item in d.items:
-        if isinstance(item, Module):
-            mask = item.zone_mask
-            if (vp_mask is not None and mask is not None and not mask.is_empty()
-                    and not vp_mask.is_empty() and not mask.intersects(vp_mask)):
-                continue
-            if item.bbox.intersects(viewport):
-                out.append(item)
-        elif element_bbox(item).intersects(viewport):
-            out.append(item)
-    return out
+    return [item for item in d.items
+            if (item.bbox if isinstance(item, Module)
+                else element_bbox(item)).intersects(viewport)]
 
 
 def _fmt(value: float) -> str:
@@ -153,8 +137,7 @@ def render_svg(d: Drawing, viewport: "Rect | None" = None,
                cull: bool = True) -> str:
     """Render a drawing viewport (default: the full extent) to SVG text.
 
-    The emitted element set never depends on ``cull``; the flag only decides
-    whether the zone-mask prefilter runs.
+    ``cull`` is accepted for compatibility and has no effect.
     """
     vp = viewport if viewport is not None else d.extent
     mapper = _Mapper(vp)
@@ -164,7 +147,7 @@ def render_svg(d: Drawing, viewport: "Rect | None" = None,
         f'height="{_fmt(vp.height)}mm" '
         f'viewBox="0 0 {_fmt(vp.width)} {_fmt(vp.height)}">',
     ]
-    for item in visible_items(d, vp, cull):
+    for item in visible_items(d, vp):
         if isinstance(item, Module):
             lines.append(f'<g data-module-id="{item.id}" '
                          f'data-module-type="{item.type.value}">')

@@ -243,7 +243,11 @@ def fill_table_module(d: Drawing, table_id: int, rows: Iterable[SpecRow],
 
 def load_catalog(data: "bytes | str") -> Catalog:
     """Parse a catalog file: {"entries": {id: {the seven fields}}}."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise CatalogError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
     def reject_duplicates(pairs):
         keys = [k for k, _ in pairs]
@@ -293,7 +297,8 @@ def apply_catalog_entry(m: Module, catalog: Catalog, entry_id: str,
 
     Valve and instrument modules receive the fields on their same-named
     schema keys; posdes modules receive them inside the spec_props record.
-    Idempotent: applying the same entry twice changes nothing.
+    Idempotent: applying the same entry twice changes nothing. ``grid`` is
+    accepted for compatibility and has no effect.
     """
     from .core import set_properties
     from .properties import schema_for
@@ -302,9 +307,9 @@ def apply_catalog_entry(m: Module, catalog: Catalog, entry_id: str,
     if m.type is ModuleType.POSDES:
         rec = dict(m.props["spec_props"] or {})
         rec.update(entry)
-        return set_properties(m, {"spec_props": rec}, grid=grid)
+        return set_properties(m, {"spec_props": rec})
     schema = schema_for(m.type)
     updates = {name: value for name, value in entry.items() if name in schema}
     if not updates:
         raise CatalogError(f"module type {m.type.value} has no catalog fields")
-    return set_properties(m, updates, grid=grid)
+    return set_properties(m, updates)

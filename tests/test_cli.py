@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from modraft import (ModuleType, load_drawing_file, load_prototypes,
@@ -10,10 +14,21 @@ from modraft import (ModuleType, load_drawing_file, load_prototypes,
 from modraft.cli import main
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run(capsys, *argv) -> "tuple[int, str, str]":
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -m modraft`` in a child, to see what reaches stderr."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "modraft", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture()
@@ -55,6 +70,18 @@ def test_new_with_grid(tmp_path, capsys):
     assert code == 0
     d = load_drawing_file(path)
     assert (d.zone_grid.nx, d.zone_grid.ny) == (4, 2)
+
+
+@pytest.mark.parametrize("grid, code", [("0,5", 2), ("5,0", 2), ("100,100", 1)])
+def test_new_bad_grid_exits_cleanly(tmp_path, grid, code):
+    path = tmp_path / "g.json"
+    proc = run_process("new", str(path), "--extent", "0,0,100,100",
+                       "--grid", grid)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert not path.exists()
+    if code == 1:
+        assert proc.stderr.startswith("error: ")
 
 
 def test_add_parses_typed_props(drawing, capsys):
@@ -145,6 +172,15 @@ def test_list_output(drawing, capsys):
     assert lines[0] == ("module 1 valve layer=0 origin=(10,20) angle=0 "
                         "mirrored=false elements=2")
     assert lines[1].startswith("module 2 instrument ")
+
+
+def test_list_non_utf8_file_exits_1(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff")
+    proc = run_process("list", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_render_writes_svg(drawing, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Geometry kernel: points, transforms, extents, zone masks, snapping."""
+"""Geometry kernel: points, transforms, extents, zone grids, snapping."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from modraft import (Arc, Circle, LineStyle, LineType, Point, Polyline, Rect,
                      Segment, Text, Transform, ZoneGrid, apply_transform,
-                     compute_zone_mask, element_bbox, element_from_json,
-                     element_to_json, norm_deg, snap_points)
+                     element_bbox, element_from_json, element_to_json,
+                     norm_deg, snap_points)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -215,41 +215,29 @@ def test_text_transform_scales_height_and_maps_angle():
     assert image.anchor == Point(0, 2)
 
 
-# --- zone grid masks ----------------------------------------------------------
-
-def _brute_mask_bits(bbox: Rect, grid: ZoneGrid) -> int:
-    bits = 0
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            if grid.cell_rect(i, j).intersects(bbox):
-                bits |= 1 << (j * grid.nx + i)
-    return bits
-
-
-def test_zone_mask_against_brute_force():
-    rng = random.Random(5)
-    for _ in range(300):
-        grid = ZoneGrid(Point(rng.uniform(-50, 0), rng.uniform(-50, 0)),
-                        rng.uniform(1, 20), rng.uniform(1, 20),
-                        rng.randrange(1, 12), rng.randrange(1, 12))
-        x0, y0 = rng.uniform(-100, 150), rng.uniform(-100, 150)
-        bbox = Rect.from_bounds(x0, y0, x0 + rng.uniform(0, 80),
-                                y0 + rng.uniform(0, 80))
-        mask = compute_zone_mask(bbox, grid)
-        assert mask.bits == _brute_mask_bits(bbox, grid)
-        assert mask.length == grid.cell_count
-
-
-def test_zone_mask_cell_boundary_is_closed():
-    grid = ZoneGrid(Point(0, 0), 10.0, 10.0, 4, 4)
-    # box exactly on the boundary between columns 0 and 1
-    mask = compute_zone_mask(Rect.from_bounds(10, 0, 10, 10), grid)
-    assert mask.test(0) and mask.test(1)
-
+# --- zone grid ----------------------------------------------------------------
 
 def test_zone_grid_rejects_oversized():
     with pytest.raises(ValueError):
         ZoneGrid(Point(0, 0), 1, 1, 65, 64)
+
+
+@pytest.mark.parametrize("fields", [
+    {"nx": 2.5}, {"ny": True}, {"nx": "4"},
+    {"cell_w": "10"}, {"cell_w": True}, {"cell_h": None},
+    {"cell_w": math.inf}, {"cell_h": math.nan},
+])
+def test_zone_grid_rejects_bad_field_types(fields):
+    args = {"origin": Point(0, 0), "cell_w": 10.0, "cell_h": 10.0,
+            "nx": 4, "ny": 4, **fields}
+    with pytest.raises(ValueError):
+        ZoneGrid(**args)
+
+
+def test_zone_grid_accepts_int_cell_sizes():
+    grid = ZoneGrid(Point(0, 0), 10, 5, 4, 4)
+    assert (grid.cell_w, grid.cell_h) == (10.0, 5.0)
+    assert isinstance(grid.cell_w, float)
 
 
 # --- snap points ---------------------------------------------------------------

@@ -28,9 +28,6 @@ def test_create_module_populates_everything():
     assert m.layer == 2
     assert len(m.geometry) == 2  # two triangles of the symbol
     assert m.bbox.intersects(m.bbox)
-    assert m.zone_mask is not None
-    assert m.zone_mask.length == GRID.cell_count
-    assert not m.zone_mask.is_empty()
 
 
 def test_instrument_symbol_shape():

@@ -37,7 +37,6 @@ def test_round_trip_is_byte_identical():
         assert [m.id for m in d2.modules()] == [m.id for m in d.modules()]
         for a, b in zip(d.modules(), d2.modules()):
             assert geometry_bytes(a.geometry) == geometry_bytes(b.geometry)
-            assert a.zone_mask == b.zone_mask
 
 
 def test_file_round_trip(tmp_path):
@@ -211,7 +210,6 @@ def test_drawing_container_operations():
     assert d.module(2) is m2
     changed = d.set_module_properties(1, {"origin": (5, 5)})
     assert d.module(1) is changed
-    assert changed.zone_mask is not None
     d.remove_module(1)
     from modraft import KernelError
     with pytest.raises(KernelError):
@@ -225,4 +223,20 @@ def test_grid_override_is_persisted():
     d.add_module(ModuleType.VALVE, {"origin": (150, 150)})
     d2 = load_drawing(save_drawing(d))
     assert d2.zone_grid == grid
-    assert d2.modules()[0].zone_mask.length == 16
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nx", 2.5), ("ny", True), ("cell_w", "10"), ("cell_w", True),
+])
+def test_bad_zone_grid_field_types_rejected(field, value):
+    doc = json.loads(save_drawing(_random_drawing(4)))
+    doc["zone_grid"][field] = value
+    with pytest.raises(FileFormatError, match="zone grid"):
+        load_drawing(json.dumps(doc))
+
+
+def test_non_utf8_input_is_a_format_error():
+    with pytest.raises(FileFormatError, match="UTF-8"):
+        load_drawing(b"\xff")
+    with pytest.raises(FileFormatError, match="UTF-8"):
+        load_prototypes(b"\xff")

@@ -333,3 +333,8 @@ def test_apply_catalog_needs_spec_capable_module():
     m = create_module(ModuleType.FRAME, {"format": "A4"})
     with pytest.raises(CatalogError):
         apply_catalog_entry(m, cat, "V-100")
+
+
+def test_load_catalog_rejects_non_utf8():
+    with pytest.raises(CatalogError, match="UTF-8"):
+        load_catalog(b"\xff")
