@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -458,8 +459,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a list of comma-separated numbers. argparse reads
+# a value such as "-3.5,2" as an option name, so main() joins it to its
+# option ("--move=-3.5,2") before parsing.
+_NUMBER_LIST_OPTIONS = frozenset({"--move", "--rotate", "--mirror", "--at",
+                                  "--extent", "--viewport"})
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: "list[str]") -> "list[str]":
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _NUMBER_LIST_OPTIONS
+                and _NEGATIVE_NUMBER.match(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (KernelError, OSError) as exc:

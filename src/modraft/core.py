@@ -94,8 +94,11 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
     mtype = ModuleType(mtype)
     norm = validate_props(mtype, props)
     placement = placement_transform(mtype, norm)
-    local = generate_local(mtype, norm)
-    geometry = tuple(apply_transform(e, placement) for e in local)
+    try:
+        local = generate_local(mtype, norm)
+        geometry = tuple(apply_transform(e, placement) for e in local)
+    except ValueError as exc:  # e.g. coordinates that overflow to inf
+        raise GenerationError(f"{mtype.value} module: {exc}") from exc
     bbox = element_bbox(geometry[0])
     for e in geometry[1:]:
         bbox = bbox.union(element_bbox(e))

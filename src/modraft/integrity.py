@@ -83,19 +83,12 @@ class SignatureStatus:
         return self.integrity == "valid" and self.authenticity != "broken"
 
 
-def verify_signature_module(d: Drawing, module, password: "str | None") -> SignatureStatus:
-    """Check one signature module against the drawing's current content.
-
-    The stored digest is compared with the recomputed one (integrity); with
-    a password the MAC is recomputed over the STORED digest and compared
-    too (authenticity), so a wrong password is detected even on intact
-    content, and tampered content with a genuine signature still reports
-    authenticity valid alongside broken integrity.
-    """
+def _status(module, digest: str, password: "str | None") -> SignatureStatus:
+    """Verdicts for one signature module against an already computed digest."""
     props = module.props
     person, position = props["person"], props["position"]
     date, time = props["date"], props["time"]
-    integrity = "valid" if props["digest"] == compute_digest(d) else "broken"
+    integrity = "valid" if props["digest"] == digest else "broken"
     if password is None:
         authenticity = "unchecked"
     elif props["mac"] == signature_mac(props["digest"], person, position,
@@ -107,6 +100,18 @@ def verify_signature_module(d: Drawing, module, password: "str | None") -> Signa
                            integrity, authenticity)
 
 
+def verify_signature_module(d: Drawing, module, password: "str | None") -> SignatureStatus:
+    """Check one signature module against the drawing's current content.
+
+    The stored digest is compared with the recomputed one (integrity); with
+    a password the MAC is recomputed over the STORED digest and compared
+    too (authenticity), so a wrong password is detected even on intact
+    content, and tampered content with a genuine signature still reports
+    authenticity valid alongside broken integrity.
+    """
+    return _status(module, compute_digest(d), password)
+
+
 def verify_signatures(
     d: Drawing,
     passwords: "str | Mapping[str, str] | None" = None,
@@ -116,17 +121,23 @@ def verify_signatures(
     ``passwords`` may be one password applied to every signature, or a
     mapping from signer person to that signer's password (signers absent
     from the mapping stay unchecked), or None for integrity-only checks.
+
+    The content digest is computed once per call, and only when the drawing
+    holds a signature; every signature is checked against that one digest,
+    so the cost of a verify does not grow with the number of signatures.
     """
     from .properties import ModuleType
+    signatures = [m for m in d.modules() if m.type is ModuleType.SIGNATURE]
+    if not signatures:
+        return []
+    digest = compute_digest(d)
     statuses = []
-    for m in d.modules():
-        if m.type is not ModuleType.SIGNATURE:
-            continue
+    for m in signatures:
         if isinstance(passwords, Mapping):
             password = passwords.get(m.props["person"])
         else:
             password = passwords
-        statuses.append(verify_signature_module(d, m, password))
+        statuses.append(_status(m, digest, password))
     return statuses
 
 

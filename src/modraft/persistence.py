@@ -24,7 +24,8 @@ from .core import Module, create_module, geometry_bytes, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Point, Rect, ZoneGrid, element_from_json,
                        element_to_json)
-from .properties import ModuleType, props_from_json, props_to_json, validate_props
+from .properties import (ModuleType, props_from_json, props_to_json,
+                         schema_for, validate_props)
 
 __all__ = [
     "FORMAT_VERSION", "Drawing", "DrawingItem",
@@ -170,6 +171,8 @@ def _parse_json(data: "bytes | str") -> object:
         raise FileFormatError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FileFormatError("JSON nested too deeply") from exc
 
 
 def _parse_point(doc: object, what: str) -> Point:
@@ -212,36 +215,82 @@ def load_drawing(data: "bytes | str") -> Drawing:
 
     d = Drawing(extent, grid, next_id)
     seen_ids: set[int] = set()
-    for item_doc in items_doc:
-        if not isinstance(item_doc, dict):
-            raise FileFormatError("items must be objects")
-        kind = item_doc.get("kind")
-        if kind == "element":
-            try:
-                d.items.append(element_from_json(item_doc["element"]))
-            except (KeyError, ValueError) as exc:
-                raise FileFormatError(f"bad free element: {exc}") from exc
-        elif kind == "module":
-            try:
-                module_id = item_doc["id"]
-                mtype = ModuleType(item_doc["type"])
-                props = props_from_json(item_doc["props"])
-                stored = tuple(element_from_json(e) for e in item_doc["geometry"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FileFormatError(f"bad module record: {exc}") from exc
-            if not (isinstance(module_id, int) and 1 <= module_id < next_id):
-                raise FileFormatError(f"module id {module_id!r} out of range")
-            if module_id in seen_ids:
-                raise FileFormatError(f"duplicate module id {module_id}")
-            seen_ids.add(module_id)
-            m = create_module(mtype, props, module_id=module_id)
-            if geometry_bytes(stored) != geometry_bytes(m.geometry):
-                raise IntegrityMismatch(
-                    f"module {module_id} geometry does not match its properties")
-            d.items.append(m)
-        else:
-            raise FileFormatError(f"unknown item kind {kind!r}")
+    for index, item_doc in enumerate(items_doc):
+        try:
+            d.items.append(_load_item(item_doc, next_id, seen_ids))
+        except RecursionError as exc:
+            raise FileFormatError(
+                f"{_spot(index, item_doc)}: nested too deeply") from exc
+        except KernelError as exc:
+            exc.args = (f"{_spot(index, item_doc)}: {exc}",)
+            raise
     return d
+
+
+def _spot(index: int, item_doc: object) -> str:
+    """Where a load error happened: the item index, plus the module id."""
+    if isinstance(item_doc, dict) and item_doc.get("kind") == "module":
+        return f"item {index} (module {item_doc.get('id')!r})"
+    return f"item {index}"
+
+
+def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
+    if not isinstance(item_doc, dict):
+        raise FileFormatError("items must be objects")
+    kind = item_doc.get("kind")
+    if kind == "element":
+        try:
+            return element_from_json(item_doc["element"])
+        except (KeyError, ValueError) as exc:
+            raise FileFormatError(f"bad free element: {exc}") from exc
+    if kind != "module":
+        raise FileFormatError(f"unknown item kind {kind!r}")
+    try:
+        module_id = item_doc["id"]
+        mtype = ModuleType(item_doc["type"])
+        props = _typed_props(mtype, item_doc["props"])
+        stored = tuple(element_from_json(e) for e in item_doc["geometry"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad module record: {exc}") from exc
+    if not (isinstance(module_id, int) and 1 <= module_id < next_id):
+        raise FileFormatError(f"module id {module_id!r} out of range")
+    if module_id in seen_ids:
+        raise FileFormatError(f"duplicate module id {module_id}")
+    seen_ids.add(module_id)
+    m = create_module(mtype, props, module_id=module_id)
+    if geometry_bytes(stored) != geometry_bytes(m.geometry):
+        raise _mismatch(stored, m.geometry)
+    return m
+
+
+def _typed_props(mtype: ModuleType, doc: object) -> dict:
+    """Kind-tagged properties, each tag checked against the type's schema."""
+    if isinstance(doc, dict):  # JSON objects parse to dicts
+        schema = schema_for(mtype)
+        for key, value in doc.items():
+            spec = schema.get(key)
+            if (spec is not None and isinstance(value, dict)
+                    and value.get("kind", spec.kind) != spec.kind):
+                raise FileFormatError(
+                    f"property {key!r}: kind {value['kind']!r} does not match "
+                    f"the schema kind {spec.kind.value!r}")
+    return props_from_json(doc)
+
+
+def _clip(text: str, limit: int = 120) -> str:
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+def _mismatch(stored: tuple, regenerated: tuple) -> IntegrityMismatch:
+    """Name the first element where stored and regenerated geometry differ."""
+    for i in range(max(len(stored), len(regenerated))):
+        pair = [canonical_encode(element_to_json(g[i])).decode("utf-8")
+                if i < len(g) else "nothing" for g in (stored, regenerated)]
+        if pair[0] != pair[1]:
+            break
+    return IntegrityMismatch(
+        f"geometry does not match its properties: element {i} is stored as "
+        f"{_clip(pair[0])} but regenerates as {_clip(pair[1])}")
 
 
 def save_drawing_file(d: Drawing, path: "str | Path") -> None:
@@ -300,9 +349,11 @@ def load_prototypes(
                 raise FileFormatError("prototype entries must be objects")
             name = str(entry.get("name", name))
             mtype = ModuleType(entry["type"])
-            props = props_from_json(entry["props"])
+            props = _typed_props(mtype, entry["props"])
             loaded.append((name, create_module(mtype, props,
                                                module_id=len(loaded) + 1)))
+        except RecursionError:
+            errors.append((name, "nested too deeply"))
         except (KernelError, KeyError, TypeError, ValueError) as exc:
             errors.append((name, str(exc)))
     return loaded, errors

@@ -260,6 +260,8 @@ def load_catalog(data: "bytes | str") -> Catalog:
         doc = json.loads(text, object_pairs_hook=reject_duplicates)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"not valid JSON: {exc.msg} at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise CatalogError("JSON nested too deeply") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise CatalogError("catalog must be an object with an 'entries' map")
     entries: dict[str, dict] = {}

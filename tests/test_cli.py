@@ -144,6 +144,28 @@ def test_edit_move_rotate_mirror(drawing, capsys):
     assert load_drawing_file(drawing).module(1).props["mirrored"] is True
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--move", "-3.5,2"), ("--rotate", "-10,-20,-30"), ("--mirror", "-5,0,-45"),
+])
+def test_edit_accepts_negative_values(drawing, tmp_path, capsys, option, value):
+    run(capsys, "add", drawing, "--type", "valve", "--props", "origin=(10,10)")
+    spaced, joined = str(tmp_path / "spaced.json"), str(tmp_path / "joined.json")
+    assert run(capsys, "edit", drawing, "--id", "1", option, value,
+               "--out", spaced)[0] == 0
+    assert run(capsys, "edit", drawing, "--id", "1", f"{option}={value}",
+               "--out", joined)[0] == 0
+    assert Path(spaced).read_bytes() == Path(joined).read_bytes()
+    assert Path(spaced).read_bytes() != Path(drawing).read_bytes()
+
+
+def test_negative_extent_and_viewport(tmp_path, capsys):
+    path, svg = str(tmp_path / "d.json"), str(tmp_path / "v.svg")
+    assert run(capsys, "new", path, "--extent", "-100,-50,100,50")[0] == 0
+    assert load_drawing_file(path).extent.min.x == -100.0
+    assert run(capsys, "render", path, "--out", svg,
+               "--viewport", "-10,-10,10,10")[0] == 0
+
+
 def test_edit_requires_exactly_one_action(drawing, capsys):
     run(capsys, "add", drawing, "--type", "valve")
     code, _, err = run(capsys, "edit", drawing, "--id", "1")
@@ -180,6 +202,27 @@ def test_list_non_utf8_file_exits_1(tmp_path):
     proc = run_process("list", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_file_exits_1(drawing, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 100000 + b"]" * 100000)
+    for argv in (["list", str(path)],
+                 ["catalog-apply", drawing, "--id", "1", "--catalog",
+                  str(path), "--entry", "x"]):
+        proc = run_process(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: JSON nested too deeply\n"
+
+
+def test_overflowing_user_module_exits_1(drawing):
+    proc = run_process(
+        "add", drawing, "--type", "user", "--props", "scale=1e10",
+        "elements=[{'kind': 'segment', 'p1': [1e308, 0.0], 'p2': [0.0, 0.0], "
+        "'style': {'color': 0, 'line_type': 'solid'}}]")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: user module: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import random
 
 import pytest
-from modraft import (Drawing, ModuleType, Rect, compute_digest, sign_drawing,
-                     signature_mac, validate_signer_fields, verify_signatures)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from modraft import (Drawing, ModuleType, Rect, compute_digest, integrity,
+                     move_module, sign_drawing, signature_mac,
+                     validate_signer_fields, verify_signatures)
+from modraft.integrity import verify_signature_module
+
+from propgen import PROP_MAKERS, random_props
 
 EXTENT = Rect.from_bounds(0, 0, 400, 300)
 
@@ -195,3 +202,62 @@ def test_sign_rejects_bad_fields_without_touching_drawing():
                      time="12:00", password="pw")
     assert len(d.modules()) == 2
     assert d.next_id == 3
+
+
+# --- one digest per verify ----------------------------------------------------
+
+_CONTENT_TYPES = [t for t in PROP_MAKERS if t is not ModuleType.SIGNATURE]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_sequential_signatures_stay_valid(seed, n_signers):
+    """A new signature never invalidates an earlier one, verify_signatures
+    agrees with per-module checks, and any content edit breaks them all."""
+    rng = random.Random(seed)
+    d = Drawing.new(Rect.from_bounds(-500, -500, 1500, 1500))
+    for _ in range(rng.randrange(1, 6)):
+        mtype = rng.choice(_CONTENT_TYPES)
+        d.add_module(mtype, random_props(rng, mtype))
+    passwords = {f"signer {k}": f"pw {k}" for k in range(n_signers)}
+    for k, (person, password) in enumerate(passwords.items()):
+        sign_drawing(d, person, "инженер", "2024-05-01", "14:05", password)
+        verdicts = [(s.integrity, s.authenticity)
+                    for s in verify_signatures(d, passwords)]
+        assert verdicts == [("valid", "valid")] * (k + 1)
+
+    signatures = [m for m in d.modules() if m.type is ModuleType.SIGNATURE]
+    for given_passwords, password_for in [
+            ("pw 0", lambda m: "pw 0"),
+            (passwords, lambda m: passwords.get(m.props["person"])),
+            (None, lambda m: None)]:
+        assert verify_signatures(d, given_passwords) == [
+            verify_signature_module(d, m, password_for(m)) for m in signatures]
+
+    before = verify_signatures(d, passwords)
+    target = rng.choice([m for m in d.modules()
+                         if m.type is not ModuleType.SIGNATURE])
+    d.replace_module(move_module(target, 0.001, 0.0))
+    after = verify_signatures(d, passwords)
+    assert [s.integrity for s in after] == ["broken"] * n_signers
+    assert [s.authenticity for s in after] == [s.authenticity for s in before]
+
+
+def test_verify_computes_the_digest_once(monkeypatch):
+    calls = []
+    real = integrity.compute_digest
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(integrity, "compute_digest", counting)
+    d = _drawing()
+    assert verify_signatures(d, "pw") == []
+    assert calls == []
+    for k in range(3):
+        sign_drawing(d, f"signer {k}", "инженер", "2024-05-01", "14:05", "pw")
+    calls.clear()
+    statuses = verify_signatures(d, "pw")
+    assert [s.ok for s in statuses] == [True] * 3
+    assert len(calls) == 1

@@ -6,8 +6,9 @@ import json
 import random
 
 import pytest
-from modraft import (Drawing, FileFormatError, IntegrityMismatch, LineStyle,
-                     ModuleType, Point, Rect, Segment, ZoneGrid,
+from modraft import (Drawing, FileFormatError, GenerationError,
+                     IntegrityMismatch, LineStyle, ModuleType, Point, Rect,
+                     SchemaViolation, Segment, ZoneGrid,
                      create_module, geometry_bytes, load_drawing,
                      load_drawing_file, load_prototypes, save_drawing,
                      save_drawing_file, save_prototypes)
@@ -240,3 +241,122 @@ def test_non_utf8_input_is_a_format_error():
         load_drawing(b"\xff")
     with pytest.raises(FileFormatError, match="UTF-8"):
         load_prototypes(b"\xff")
+
+
+# --- hostile input and located errors -----------------------------------------
+
+DEEPLY_NESTED = b"[" * 100000 + b"]" * 100000
+
+
+def test_deeply_nested_json_is_a_format_error():
+    with pytest.raises(FileFormatError, match="nested too deeply"):
+        load_drawing(DEEPLY_NESTED)
+    with pytest.raises(FileFormatError, match="nested too deeply"):
+        load_prototypes(DEEPLY_NESTED)
+
+
+def test_deeply_nested_record_property_is_a_format_error():
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                     "position_text": "1"})
+    doc = json.loads(save_drawing(d))
+    nested = json.loads("[" * 500 + "]" * 500)
+    doc["items"][0]["props"]["spec_props"]["value"] = {"a": nested}
+    with pytest.raises(FileFormatError, match=r"item 0 \(module 1\): nested"):
+        load_drawing(json.dumps(doc))
+    m = d.modules()[0]
+    doc = json.loads(save_prototypes([m], ["p"]))
+    doc["entries"][0]["props"]["spec_props"]["value"] = {"a": nested}
+    assert load_prototypes(json.dumps(doc)) == ([], [("p", "nested too deeply")])
+
+
+OVERFLOWING_USER = {
+    "elements": [{"kind": "segment", "p1": [1e308, 0.0], "p2": [0.0, 0.0],
+                  "style": {"color": 0, "line_type": "solid"}}],
+    "scale": 1e10,
+}
+
+
+def test_overflowing_user_module_is_a_generation_error():
+    with pytest.raises(GenerationError, match="finite"):
+        create_module(ModuleType.USER, OVERFLOWING_USER)
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.USER, {**OVERFLOWING_USER, "scale": 1.0})
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["scale"]["value"] = 1e10
+    with pytest.raises(GenerationError, match=r"item 0 \(module 1\)"):
+        load_drawing(json.dumps(doc))
+
+
+def test_kind_tag_must_match_schema():
+    doc = _valid_doc()
+    doc["items"][0]["props"]["origin"]["kind"] = "text"
+    _expect_format_error(doc, "property 'origin': kind 'text' does not match "
+                              "the schema kind 'point'")
+    m = create_module(ModuleType.VALVE, {})
+    doc = json.loads(save_prototypes([m], ["v"]))
+    doc["entries"][0]["props"]["mass"]["kind"] = "integer"
+    loaded, errors = load_prototypes(json.dumps(doc))
+    assert loaded == []
+    assert errors == [("v", "property 'mass': kind 'integer' does not match "
+                            "the schema kind 'real'")]
+
+
+def _two_frames_doc() -> dict:
+    d = Drawing.new(EXTENT)
+    d.add_element(Segment(Point(0, 0), Point(1, 1), LineStyle()))
+    d.add_module(ModuleType.FRAME, {"format": "A4"})
+    d.add_module(ModuleType.FRAME, {"format": "A3"})
+    return json.loads(save_drawing(d))
+
+
+def test_schema_violation_names_item_and_module():
+    doc = _two_frames_doc()
+    doc["items"][2]["props"]["format"]["value"] = "A9"
+    with pytest.raises(SchemaViolation) as info:
+        load_drawing(json.dumps(doc))
+    assert str(info.value).startswith(
+        "item 2 (module 2): property 'format': value 'A9' not one of")
+    assert info.value.key == "format"
+
+
+def test_format_error_names_item_and_module():
+    doc = _two_frames_doc()
+    doc["items"][1]["id"] = 9
+    _expect_format_error(doc, r"^item 1 \(module 9\): module id 9 out of range$")
+    doc = _two_frames_doc()
+    doc["items"][0]["element"] = {"kind": "blob"}
+    _expect_format_error(doc, r"^item 0: bad free element")
+
+
+def test_integrity_mismatch_names_first_differing_element():
+    doc = _two_frames_doc()
+    geometry = doc["items"][2]["geometry"]
+    geometry[3]["p1"][0] += 0.5
+    geometry[4]["p1"][0] += 0.5
+    with pytest.raises(IntegrityMismatch) as info:
+        load_drawing(json.dumps(doc))
+    message = str(info.value)
+    assert message.startswith("item 2 (module 2): geometry does not match "
+                              "its properties: element 3 is stored as ")
+    stored = json.dumps(geometry[3], sort_keys=True, separators=(",", ":"))
+    assert stored in message
+    doc = _two_frames_doc()
+    del doc["items"][2]["geometry"][4:]
+    with pytest.raises(IntegrityMismatch, match="element 4 is stored as "
+                                                "nothing but regenerates as"):
+        load_drawing(json.dumps(doc))
+
+
+def test_integrity_mismatch_truncates_long_records():
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                     "position_text": "x" * 500})
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["geometry"][2]["content"] = "y" * 500
+    with pytest.raises(IntegrityMismatch) as info:
+        load_drawing(json.dumps(doc))
+    message = str(info.value)
+    assert "element 2 is stored as" in message
+    assert "yyy..." in message and "xxx..." in message
+    assert len(message) < 400

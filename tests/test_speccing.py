@@ -338,3 +338,8 @@ def test_apply_catalog_needs_spec_capable_module():
 def test_load_catalog_rejects_non_utf8():
     with pytest.raises(CatalogError, match="UTF-8"):
         load_catalog(b"\xff")
+
+
+def test_load_catalog_rejects_deeply_nested_json():
+    with pytest.raises(CatalogError, match="nested too deeply"):
+        load_catalog(b"[" * 100000 + b"]" * 100000)
