@@ -86,11 +86,15 @@ def _column_map_arg(text: str) -> dict:
     return out
 
 
-def _prop_value(text: str):
+def _prop_value(key: str, text: str):
     """Parse a property value: Python literal syntax, else raw text."""
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, RecursionError) as exc:
+        # past the parser's nesting limit the literal is not raw text
+        if isinstance(exc, RecursionError) or "too many nested" in str(exc):
+            raise KernelError(
+                f"property {key!r}: value is nested too deeply") from exc
         if text == "true":
             return True
         if text == "false":
@@ -111,7 +115,7 @@ def _props_arg(tokens: "list[str]", mtype: ModuleType) -> dict:
         if spec is not None and spec.kind is PropKind.TEXT:
             props[key] = value
         else:
-            props[key] = _prop_value(value)
+            props[key] = _prop_value(key, value)
     return props
 
 

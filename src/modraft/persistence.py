@@ -7,19 +7,24 @@ prototype libraries, ``.cat.json`` for catalogs.
 
 A drawing stores each module's properties AND generated geometry; loading
 regenerates every module from its properties and rejects the file with
-:class:`IntegrityMismatch` when the stored geometry disagrees. Prototype
-libraries store (name, type, properties) only — no geometry records — with
-placement reset to identity.
+:class:`IntegrityMismatch` when the stored geometry records, as canonical
+JSON, differ from what saving writes for the regenerated geometry — so a
+malformed, incomplete or integer-for-real record is a mismatch too. Free
+element records must be canonical as well. Property values are normalised
+on load (an integer for a real is saved as a real), so load∘save is the
+identity on canonical files. Prototype libraries store (name, type,
+properties) only — no geometry records — with placement reset to identity.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Union
 
-from .canon import canonical_encode
+from .canon import canonical_dumps, canonical_encode
 from .core import Module, create_module, geometry_bytes, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Point, Rect, ZoneGrid, element_from_json,
@@ -240,16 +245,25 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
     kind = item_doc.get("kind")
     if kind == "element":
         try:
-            return element_from_json(item_doc["element"])
+            record = item_doc["element"]
+            element = element_from_json(record)
+            stored, saved = map(canonical_dumps, (record, element_to_json(element)))
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad free element: {exc}") from exc
+        if stored != saved:
+            raise FileFormatError(f"free element is not canonical: stored as "
+                                  f"{_clip(stored)} but saves as {_clip(saved)}")
+        return element
     if kind != "module":
         raise FileFormatError(f"unknown item kind {kind!r}")
     try:
         module_id = item_doc["id"]
         mtype = ModuleType(item_doc["type"])
         props = _typed_props(mtype, item_doc["props"])
-        stored = tuple(element_from_json(e) for e in item_doc["geometry"])
+        stored = item_doc["geometry"]
+        if not isinstance(stored, list):
+            raise TypeError("geometry must be a list")
+        stored_bytes = canonical_encode(stored)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad module record: {exc}") from exc
     if not (isinstance(module_id, int) and 1 <= module_id < next_id):
@@ -258,8 +272,8 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
         raise FileFormatError(f"duplicate module id {module_id}")
     seen_ids.add(module_id)
     m = create_module(mtype, props, module_id=module_id)
-    if geometry_bytes(stored) != geometry_bytes(m.geometry):
-        raise _mismatch(stored, m.geometry)
+    if stored_bytes != geometry_bytes(m.geometry):
+        raise _mismatch(stored, [element_to_json(e) for e in m.geometry])
     return m
 
 
@@ -281,16 +295,14 @@ def _clip(text: str, limit: int = 120) -> str:
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
-def _mismatch(stored: tuple, regenerated: tuple) -> IntegrityMismatch:
-    """Name the first element where stored and regenerated geometry differ."""
-    for i in range(max(len(stored), len(regenerated))):
-        pair = [canonical_encode(element_to_json(g[i])).decode("utf-8")
-                if i < len(g) else "nothing" for g in (stored, regenerated)]
-        if pair[0] != pair[1]:
-            break
+def _mismatch(stored: list, regenerated: list) -> IntegrityMismatch:
+    """Name the first record where stored and regenerated geometry differ."""
+    pairs = zip_longest(map(canonical_dumps, stored),
+                        map(canonical_dumps, regenerated), fillvalue="nothing")
+    i, (was, now) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
     return IntegrityMismatch(
         f"geometry does not match its properties: element {i} is stored as "
-        f"{_clip(pair[0])} but regenerates as {_clip(pair[1])}")
+        f"{_clip(was)} but regenerates as {_clip(now)}")
 
 
 def save_drawing_file(d: Drawing, path: "str | Path") -> None:

@@ -428,3 +428,58 @@ def test_second_signature_keeps_first(drawing, capsys):
     assert code == 0
     assert out.splitlines()[0] == "integrity: valid"
     assert out.count("integrity valid") == 2
+
+
+def test_over_nested_props_literal_exits_1(drawing, capsys):
+    deep = "[" * 250 + "]" * 250
+    posdes = ["--type", "posdes", "--props", "leader_from=(0,0)",
+              "shelf_at=(30,20)", "position_text=1"]
+    assert run(capsys, "add", drawing, *posdes)[0] == 0
+    for argv in (["add", drawing, *posdes, f"spec_props={{'a': {deep}}}"],
+                 ["set", drawing, "--id", "1", "--props",
+                  f"spec_props={{'a': {deep}}}"],
+                 ["set", drawing, "--id", "1", "--props",
+                  "shelf_at=" + "-" * 5000 + "1"]):
+        proc = run_process(*argv)
+        assert proc.returncode == 1
+        key = argv[-1].partition("=")[0]
+        assert proc.stderr == (f"error: property {key!r}: "
+                               "value is nested too deeply\n")
+
+
+def _doc_with_free_segment(drawing) -> dict:
+    assert main(["add", drawing, "--type", "valve", "--props",
+                 "origin=(10,10)"]) == 0
+    doc = json.loads(Path(drawing).read_text(encoding="utf-8"))
+    doc["items"].append({"kind": "element", "element": {
+        "kind": "segment", "p1": [0.0, 0.0], "p2": [1.0, 1.0],
+        "style": {"color": 0, "line_type": "solid"}}})
+    return doc
+
+
+def _first_point(doc: dict) -> list:
+    return doc["items"][0]["geometry"][0]["points"][0]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: _first_point(doc).__setitem__(0, float("nan")),
+     "item 0 (module 1): bad module record: "),
+    (lambda doc: doc["items"][0].__setitem__("geometry", {}),
+     "item 0 (module 1): bad module record: geometry must be a list"),
+    (lambda doc: _first_point(doc).__setitem__(0, int(_first_point(doc)[0])),
+     "item 0 (module 1): geometry does not match its properties: "),
+    (lambda doc: doc["items"][0]["geometry"][0].pop("style"),
+     "item 0 (module 1): geometry does not match its properties: "),
+    (lambda doc: doc["items"][1]["element"].pop("style"),
+     "item 1: free element is not canonical: "),
+], ids=["nan", "non-list-geometry", "integer-coordinate", "missing-style",
+        "non-canonical-free-element"])
+def test_non_canonical_stored_records_exit_1(drawing, change, message):
+    doc = _doc_with_free_segment(drawing)
+    assert _first_point(doc)[0] == 6.0
+    change(doc)
+    Path(drawing).write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_process("list", drawing)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: " + message)
+    assert "Traceback" not in proc.stderr

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
-from modraft import (Drawing, FileFormatError, GenerationError,
-                     IntegrityMismatch, LineStyle, ModuleType, Point, Rect,
-                     SchemaViolation, Segment, ZoneGrid,
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from modraft import (Arc, Circle, Drawing, FileFormatError, GenerationError,
+                     IntegrityMismatch, LineStyle, LineType, ModuleType, Point,
+                     Polyline, Rect, SchemaViolation, Segment, Text, ZoneGrid,
                      create_module, geometry_bytes, load_drawing,
                      load_drawing_file, load_prototypes, save_drawing,
                      save_drawing_file, save_prototypes)
@@ -360,3 +363,142 @@ def test_integrity_mismatch_truncates_long_records():
     assert "element 2 is stored as" in message
     assert "yyy..." in message and "xxx..." in message
     assert len(message) < 400
+
+
+# --- stored records are compared as canonical JSON ----------------------------
+
+reals = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False,
+                  allow_infinity=False)
+radii = st.floats(min_value=0.01, max_value=1e3)
+points = st.builds(Point, reals, reals)
+styles = st.builds(LineStyle, st.sampled_from(list(LineType)),
+                   st.integers(0, 255))
+free_elements = st.one_of(
+    st.builds(Segment, points, points, styles),
+    st.builds(Polyline, st.lists(points, min_size=2, max_size=5),
+              st.booleans(), styles),
+    st.builds(Arc, points, radii, st.integers(0, 359).map(float),
+              st.integers(0, 359).map(lambda a: a + 0.5), styles),
+    st.builds(Circle, points, radii, styles),
+    st.builds(Text, points, radii, reals, st.text(max_size=8), styles),
+)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6),
+       st.lists(free_elements, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_load_save_is_identity_on_saved_drawings(seed, n_modules, free):
+    d = _random_drawing(seed, n_modules)
+    rng = random.Random(seed)
+    for element in free:
+        d.items.insert(rng.randint(0, len(d.items)), element)
+    data = save_drawing(d)
+    assert save_drawing(load_drawing(data)) == data
+
+
+def _stored_reals(node):
+    """(container, key) of every real (not integer or boolean) in a record."""
+    keys = (range(len(node)) if isinstance(node, list)
+            else list(node) if isinstance(node, dict) else [])
+    for key in keys:
+        if isinstance(node[key], float):
+            yield node, key
+        else:
+            yield from _stored_reals(node[key])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.sampled_from(["integer", "nudge"]), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_changed_stored_real_is_an_integrity_mismatch(seed, n_modules, how,
+                                                      rng):
+    doc = json.loads(save_drawing(_random_drawing(seed, n_modules)))
+    spots = [(index, element, container, key)
+             for index, item in enumerate(doc["items"])
+             for element, record in enumerate(item.get("geometry", []))
+             for container, key in _stored_reals(record)
+             if how == "nudge" or container[key].is_integer()]
+    assume(spots)
+    index, element, container, key = rng.choice(spots)
+    value = container[key]
+    container[key] = (int(value) if how == "integer"
+                      else math.nextafter(value, math.inf))
+    with pytest.raises(IntegrityMismatch) as info:
+        load_drawing(json.dumps(doc))
+    module_id = doc["items"][index]["id"]
+    assert str(info.value).startswith(
+        f"item {index} (module {module_id}): geometry does not match its "
+        f"properties: element {element} is stored as ")
+
+
+def test_stored_record_without_style_is_rejected():
+    doc = _valid_doc()
+    record = doc["items"][0]["geometry"][0]
+    assert record["style"] == {"color": 0, "line_type": "solid"}
+    del record["style"]
+    with pytest.raises(IntegrityMismatch, match=r"^item 0 \(module 1\): "
+                       r"geometry does not match its properties: element 0 "):
+        load_drawing(json.dumps(doc))
+
+
+def test_non_finite_stored_real_is_a_format_error():
+    doc = _valid_doc()
+    doc["items"][0]["geometry"][0]["points"][0][0] = math.nan
+    _expect_format_error(doc, r"^item 0 \(module 1\): bad module record: ")
+    doc["items"][0]["geometry"][0]["points"][0][0] = math.inf
+    _expect_format_error(doc, r"^item 0 \(module 1\): bad module record: ")
+
+
+@pytest.mark.parametrize("geometry", [{}, 5, "segment", None, True])
+def test_non_list_geometry_is_a_format_error(geometry):
+    doc = _valid_doc()
+    doc["items"][0]["geometry"] = geometry
+    _expect_format_error(doc, r"^item 0 \(module 1\): bad module record: "
+                              r"geometry must be a list$")
+
+
+def _free_element_doc() -> dict:
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.VALVE, {"origin": (10, 10)})
+    for element in (Segment(Point(0, 0), Point(1, 1)),
+                    Polyline((Point(0, 0), Point(1, 1), Point(2, 0))),
+                    Text(Point(5, 5), 2.5, 0.0, "A")):
+        d.add_element(element)
+    return json.loads(save_drawing(d))
+
+
+def _drop(key):
+    return lambda record: record.pop(key)
+
+
+def _integer_x(record):
+    point = (record["points"][0] if "points" in record
+             else record.get("p1") or record["anchor"])
+    point[0] = int(point[0])
+
+
+@pytest.mark.parametrize("item, change", [
+    pytest.param(1, _drop("style"), id="segment-without-style"),
+    pytest.param(2, _drop("closed"), id="polyline-without-closed"),
+    pytest.param(3, _drop("angle_deg"), id="text-without-angle"),
+    pytest.param(1, _integer_x, id="segment-integer-x"),
+    pytest.param(2, _integer_x, id="polyline-integer-x"),
+    pytest.param(3, _integer_x, id="text-integer-x"),
+    pytest.param(3, lambda record: record.update(height_mm=2),
+                 id="text-integer-height"),
+    pytest.param(2, lambda record: record.update(closed=0),
+                 id="polyline-integer-closed"),
+    pytest.param(3, lambda record: record.update(extra=1), id="extra-key"),
+])
+def test_non_canonical_free_element_is_a_format_error(item, change):
+    doc = _free_element_doc()
+    load_drawing(json.dumps(doc))
+    change(doc["items"][item]["element"])
+    _expect_format_error(doc, rf"^item {item}: free element is not canonical: "
+                              r"stored as .* but saves as ")
+
+
+def test_non_finite_free_element_is_a_format_error():
+    doc = _free_element_doc()
+    doc["items"][1]["element"]["p1"] = [math.nan, 0.0]
+    _expect_format_error(doc, r"^item 1: bad free element: ")
