@@ -11,6 +11,7 @@ layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .canon import canonical_encode
 from .errors import GenerationError
@@ -35,6 +36,16 @@ class Module:
     geometry: tuple[Element, ...]
     layer: int
     bbox: Rect
+
+    @cached_property
+    def geometry_json(self) -> bytes:
+        """Canonical bytes of the geometry, encoded on first use and kept.
+
+        The geometry tuple never changes, and every edit builds a new
+        module, so the cached bytes cannot go stale. Not a field: equality,
+        hashing and repr ignore it.
+        """
+        return geometry_bytes(self.geometry)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,16 @@ regenerates every module from its properties and rejects the file with
 :class:`IntegrityMismatch` when the stored geometry records, as canonical
 JSON, differ from what saving writes for the regenerated geometry — so a
 malformed, incomplete or integer-for-real record is a mismatch too. Free
-element records must be canonical as well. Property values are normalised
-on load (an integer for a real is saved as a real), so load∘save is the
-identity on canonical files. Prototype libraries store (name, type,
+element records must be canonical as well, and so must the frame: every
+object holds exactly the keys the format defines, ids and versions are
+JSON integers, and ``extent`` and ``zone_grid`` are canonical. Property
+values are normalised on load (an integer for a real is saved as a real),
+so load∘save is the identity on canonical files.
+
+Each module's geometry is encoded once — by load's comparison, or by the
+first save or digest — and kept on the module as ``geometry_json``; saves
+and digests splice those bytes into the document and encode only the
+properties and the frame. Prototype libraries store (name, type,
 properties) only — no geometry records — with placement reset to identity.
 """
 
@@ -25,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .canon import canonical_dumps, canonical_encode
-from .core import Module, create_module, geometry_bytes, set_properties
+from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Point, Rect, ZoneGrid, element_from_json,
                        element_to_json)
@@ -122,30 +129,8 @@ def _rect_json(rect: Rect) -> dict:
     return {"max": [rect.max.x, rect.max.y], "min": [rect.min.x, rect.min.y]}
 
 
-def _drawing_jsonable(d: Drawing, exclude_signatures: bool) -> dict:
-    items = []
-    for item in d.items:
-        if isinstance(item, Module):
-            if exclude_signatures and item.type is ModuleType.SIGNATURE:
-                continue
-            items.append({
-                "geometry": [element_to_json(e) for e in item.geometry],
-                "id": item.id,
-                "kind": "module",
-                "props": props_to_json(item.type, item.props),
-                "type": item.type.value,
-            })
-        else:
-            items.append({"element": element_to_json(item), "kind": "element"})
-    doc = {
-        "extent": _rect_json(d.extent),
-        "format_version": FORMAT_VERSION,
-        "items": items,
-        "zone_grid": _grid_json(d.zone_grid),
-    }
-    if not exclude_signatures:
-        doc["next_id"] = d.next_id
-    return doc
+_MODULE_ITEM = b'{"geometry":%b,"id":%d,"kind":"module","props":%b,"type":%b}'
+_TYPE_JSON = {t: canonical_encode(t.value) for t in ModuleType}
 
 
 def canonical_bytes(d: Drawing, exclude_signatures: bool = False) -> bytes:
@@ -155,8 +140,27 @@ def canonical_bytes(d: Drawing, exclude_signatures: bool = False) -> bytes:
     id counter, so signing — which adds a module and allocates an id —
     never changes the bytes it signed: a drawing supports any number of
     signatures without later ones invalidating earlier ones.
+
+    The document is assembled from fragments, keys in sorted order: each
+    module item splices in the module's cached ``geometry_json`` and
+    encodes only its properties, which are mutable and so never cached.
     """
-    return canonical_encode(_drawing_jsonable(d, exclude_signatures))
+    items = []
+    for item in d.items:
+        if not isinstance(item, Module):
+            items.append(canonical_encode(
+                {"element": element_to_json(item), "kind": "element"}))
+        elif not (exclude_signatures and item.type is ModuleType.SIGNATURE):
+            props = canonical_encode(props_to_json(item.type, item.props))
+            items.append(_MODULE_ITEM % (item.geometry_json, item.id, props,
+                                         _TYPE_JSON[item.type]))
+    frame = {"extent": _rect_json(d.extent), "format_version": FORMAT_VERSION,
+             "items": [], "zone_grid": _grid_json(d.zone_grid)}
+    if not exclude_signatures:
+        frame["next_id"] = d.next_id
+    # Every other frame value is a number, so the empty list is found once.
+    head, tail = canonical_encode(frame).split(b'"items":[]')
+    return head + b'"items":[' + b",".join(items) + b"]" + tail
 
 
 def save_drawing(d: Drawing) -> bytes:
@@ -188,20 +192,45 @@ def _parse_point(doc: object, what: str) -> Point:
 
 def _check_version(doc: dict) -> None:
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if not (type(version) is int and version == FORMAT_VERSION):
         raise FileFormatError(f"unsupported format_version {version!r}")
+
+
+_DRAWING_KEYS = frozenset({"extent", "format_version", "items", "next_id",
+                           "zone_grid"})
+_MODULE_KEYS = frozenset({"geometry", "id", "kind", "props", "type"})
+_ELEMENT_KEYS = frozenset({"element", "kind"})
+
+
+def _check_keys(doc: dict, keys: frozenset, what: str) -> None:
+    """Exactly the keys the format defines: none missing, none unknown."""
+    if doc.keys() != keys:
+        unknown, missing = doc.keys() - keys, keys - doc.keys()
+        raise FileFormatError(f"bad {what}: " + (
+            f"unknown key {min(unknown)!r}" if unknown
+            else f"missing key {min(missing)!r}"))
+
+
+def _check_canonical(what: str, stored: object, saved: object) -> None:
+    stored, saved = canonical_dumps(stored), canonical_dumps(saved)
+    if stored != saved:
+        raise FileFormatError(f"{what} is not canonical: stored as "
+                              f"{_clip(stored)} but saves as {_clip(saved)}")
 
 
 def load_drawing(data: "bytes | str") -> Drawing:
     """Parse and verify a drawing file.
 
     Every module is regenerated from its stored properties; stored geometry
-    that disagrees raises :class:`IntegrityMismatch`.
+    that disagrees raises :class:`IntegrityMismatch`. The frame around the
+    items must hold exactly the defined keys, and ``extent`` and
+    ``zone_grid`` must be canonical.
     """
     doc = _parse_json(data)
     if not isinstance(doc, dict):
         raise FileFormatError("drawing file must contain a JSON object")
     _check_version(doc)
+    _check_keys(doc, _DRAWING_KEYS, "drawing structure")
     try:
         extent = Rect(_parse_point(doc["extent"]["min"], "extent.min"),
                       _parse_point(doc["extent"]["max"], "extent.max"))
@@ -209,11 +238,12 @@ def load_drawing(data: "bytes | str") -> Drawing:
         grid = ZoneGrid(_parse_point(grid_doc["origin"], "zone_grid.origin"),
                         grid_doc["cell_w"], grid_doc["cell_h"],
                         grid_doc["nx"], grid_doc["ny"])
-        next_id = doc["next_id"]
-        items_doc = doc["items"]
-    except (KeyError, TypeError, ValueError) as exc:
+        _check_canonical("extent", doc["extent"], _rect_json(extent))
+        _check_canonical("zone_grid", grid_doc, _grid_json(grid))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FileFormatError(f"bad drawing structure: {exc}") from exc
-    if not (isinstance(next_id, int) and next_id >= 1):
+    next_id, items_doc = doc["next_id"], doc["items"]
+    if not (type(next_id) is int and next_id >= 1):
         raise FileFormatError("next_id must be a positive integer")
     if not isinstance(items_doc, list):
         raise FileFormatError("items must be a list")
@@ -244,18 +274,17 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
         raise FileFormatError("items must be objects")
     kind = item_doc.get("kind")
     if kind == "element":
+        _check_keys(item_doc, _ELEMENT_KEYS, "free element")
         try:
             record = item_doc["element"]
             element = element_from_json(record)
-            stored, saved = map(canonical_dumps, (record, element_to_json(element)))
+            _check_canonical("free element", record, element_to_json(element))
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad free element: {exc}") from exc
-        if stored != saved:
-            raise FileFormatError(f"free element is not canonical: stored as "
-                                  f"{_clip(stored)} but saves as {_clip(saved)}")
         return element
     if kind != "module":
         raise FileFormatError(f"unknown item kind {kind!r}")
+    _check_keys(item_doc, _MODULE_KEYS, "module record")
     try:
         module_id = item_doc["id"]
         mtype = ModuleType(item_doc["type"])
@@ -266,13 +295,13 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
         stored_bytes = canonical_encode(stored)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad module record: {exc}") from exc
-    if not (isinstance(module_id, int) and 1 <= module_id < next_id):
+    if not (type(module_id) is int and 1 <= module_id < next_id):
         raise FileFormatError(f"module id {module_id!r} out of range")
     if module_id in seen_ids:
         raise FileFormatError(f"duplicate module id {module_id}")
     seen_ids.add(module_id)
     m = create_module(mtype, props, module_id=module_id)
-    if stored_bytes != geometry_bytes(m.geometry):
+    if stored_bytes != m.geometry_json:
         raise _mismatch(stored, [element_to_json(e) for e in m.geometry])
     return m
 

@@ -483,3 +483,31 @@ def test_non_canonical_stored_records_exit_1(drawing, change, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: " + message)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["items"][0].__setitem__("id", True),
+     "item 0 (module True): module id True out of range"),
+    (lambda doc: doc.__setitem__("format_version", 1.0),
+     "unsupported format_version 1.0"),
+    (lambda doc: doc["items"][0].__setitem__("note", ""),
+     "item 0 (module 1): bad module record: unknown key 'note'"),
+    (lambda doc: doc["items"][1].__setitem__("note", ""),
+     "item 1: bad free element: unknown key 'note'"),
+    (lambda doc: doc.__setitem__("note", ""),
+     "bad drawing structure: unknown key 'note'"),
+    (lambda doc: doc["extent"].__setitem__("min", [0, 0.0]),
+     "extent is not canonical: "),
+    (lambda doc: doc["zone_grid"].__setitem__("origin", [0, 0.0]),
+     "zone_grid is not canonical: "),
+], ids=["boolean-id", "real-format-version", "module-item-key",
+        "free-element-item-key", "top-level-key", "integer-extent",
+        "integer-grid-origin"])
+def test_non_canonical_frame_exits_1(drawing, change, message):
+    doc = _doc_with_free_segment(drawing)
+    change(doc)
+    Path(drawing).write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_process("list", drawing)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: " + message)
+    assert "Traceback" not in proc.stderr

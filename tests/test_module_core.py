@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -236,3 +237,17 @@ def test_user_scale_is_uniform():
     circle = m.geometry[0]
     assert circle.radius == 4.0
     assert _close(circle.center, Point(8, 0))
+
+
+def test_geometry_json_is_cached_and_not_a_field():
+    m = create_module(ModuleType.VALVE, {"origin": (10, 20)})
+    assert m.geometry_json is m.geometry_json
+    assert m.geometry_json == geometry_bytes(m.geometry)
+    cold = create_module(ModuleType.VALVE, {"origin": (10, 20)})
+    assert m == cold and repr(m) == repr(cold)
+    assert "geometry_json" not in repr(m)
+    moved = move_module(m, 1.0, 0.0)
+    assert moved.geometry_json == geometry_bytes(moved.geometry)
+    assert moved.geometry_json != m.geometry_json
+    replaced = dataclasses.replace(m, geometry=moved.geometry)
+    assert replaced.geometry_json == moved.geometry_json

@@ -5,16 +5,21 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from modraft import (Arc, Circle, Drawing, FileFormatError, GenerationError,
-                     IntegrityMismatch, LineStyle, LineType, ModuleType, Point,
-                     Polyline, Rect, SchemaViolation, Segment, Text, ZoneGrid,
-                     create_module, geometry_bytes, load_drawing,
-                     load_drawing_file, load_prototypes, save_drawing,
-                     save_drawing_file, save_prototypes)
+                     IntegrityMismatch, LineStyle, LineType, Module, ModuleType,
+                     Point, Polyline, Rect, SchemaViolation, Segment, Text,
+                     ZoneGrid, canonical_bytes, canonical_encode, compute_digest,
+                     create_module, element_to_json, geometry_bytes,
+                     load_drawing, load_drawing_file, load_prototypes,
+                     move_module, save_drawing, save_drawing_file,
+                     save_prototypes, sign_drawing)
+from modraft import geometry
+from modraft.properties import props_to_json
 
 from propgen import PROP_MAKERS, random_props
 
@@ -502,3 +507,188 @@ def test_non_finite_free_element_is_a_format_error():
     doc = _free_element_doc()
     doc["items"][1]["element"]["p1"] = [math.nan, 0.0]
     _expect_format_error(doc, r"^item 1: bad free element: ")
+
+
+# --- the document frame is checked --------------------------------------------
+
+def test_boolean_module_id_is_a_format_error():
+    doc = _free_element_doc()
+    doc["items"][0]["id"] = True
+    _expect_format_error(doc, r"^item 0 \(module True\): module id True "
+                              r"out of range$")
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_non_integer_format_version_is_a_format_error(version):
+    doc = _free_element_doc()
+    doc["format_version"] = version
+    _expect_format_error(doc, rf"^unsupported format_version {version!r}$")
+    m = create_module(ModuleType.VALVE, {})
+    doc = json.loads(save_prototypes([m], ["v"]))
+    doc["format_version"] = version
+    with pytest.raises(FileFormatError, match="format_version"):
+        load_prototypes(json.dumps(doc))
+
+
+@pytest.mark.parametrize("next_id", [True, 2.0])
+def test_non_integer_next_id_is_a_format_error(next_id):
+    doc = _free_element_doc()
+    doc["next_id"] = next_id
+    _expect_format_error(doc, "^next_id must be a positive integer$")
+
+
+def test_unknown_key_on_module_item_is_a_format_error():
+    doc = _free_element_doc()
+    doc["items"][0]["comment"] = "x"
+    _expect_format_error(doc, r"^item 0 \(module 1\): bad module record: "
+                              r"unknown key 'comment'$")
+
+
+def test_unknown_key_on_free_element_item_is_a_format_error():
+    doc = _free_element_doc()
+    doc["items"][1]["layer"] = 0
+    _expect_format_error(doc, r"^item 1: bad free element: "
+                              r"unknown key 'layer'$")
+
+
+def test_unknown_top_level_key_is_a_format_error():
+    doc = _free_element_doc()
+    doc["comment"] = "x"
+    _expect_format_error(doc, r"^bad drawing structure: unknown key 'comment'$")
+    doc = _free_element_doc()
+    del doc["next_id"]
+    _expect_format_error(doc, r"^bad drawing structure: missing key 'next_id'$")
+
+
+def test_integer_extent_coordinate_is_a_format_error():
+    doc = _free_element_doc()
+    doc["extent"]["min"] = [-500, -500.0]
+    _expect_format_error(doc, r'^extent is not canonical: stored as '
+                              r'\{"max":\[1500.0,1500.0\],"min":\[-500,-500.0\]\}'
+                              r' but saves as ')
+
+
+def test_integer_zone_grid_origin_is_a_format_error():
+    doc = _free_element_doc()
+    doc["zone_grid"]["origin"] = [-500, -500.0]
+    _expect_format_error(doc, r'^zone_grid is not canonical: stored as .*'
+                              r'"origin":\[-500,-500.0\]')
+
+
+@pytest.mark.parametrize("part, change", [
+    pytest.param("extent", lambda doc: doc["extent"].update(unit="mm"),
+                 id="extent-extra-key"),
+    pytest.param("zone_grid", lambda doc: doc["zone_grid"].update(cell_w=125),
+                 id="zone-grid-integer-cell"),
+    pytest.param("zone_grid", lambda doc: doc["zone_grid"].update(label=""),
+                 id="zone-grid-extra-key"),
+])
+def test_non_canonical_frame_part_is_a_format_error(part, change):
+    doc = _free_element_doc()
+    change(doc)
+    _expect_format_error(doc, rf"^{part} is not canonical: ")
+
+
+def test_huge_integer_extent_coordinate_is_a_format_error():
+    text = json.dumps(_free_element_doc()).replace('"min": [-500.0', '"min": [' + "9" * 400)
+    with pytest.raises(FileFormatError, match="^bad drawing structure: "):
+        load_drawing(text)
+
+
+def test_frame_checks_accept_whitespace_and_key_order():
+    doc = _free_element_doc()
+    text = json.dumps(dict(reversed(doc.items())), indent=2)
+    assert save_drawing(load_drawing(text)) == canonical_encode(doc)
+
+
+# --- the document is assembled from cached per-module fragments ----------------
+
+def _reference_bytes(d: Drawing, exclude_signatures: bool) -> bytes:
+    """The whole document built as one JSON value and encoded in one call,
+    independently of how canonical_bytes assembles it."""
+    items = []
+    for item in d.items:
+        if not isinstance(item, Module):
+            items.append({"element": element_to_json(item), "kind": "element"})
+        elif not (exclude_signatures and item.type is ModuleType.SIGNATURE):
+            items.append({
+                "geometry": [element_to_json(e) for e in item.geometry],
+                "id": item.id, "kind": "module",
+                "props": props_to_json(item.type, item.props),
+                "type": item.type.value})
+    g = d.zone_grid
+    doc = {"extent": {"max": [d.extent.max.x, d.extent.max.y],
+                      "min": [d.extent.min.x, d.extent.min.y]},
+           "format_version": 1, "items": items,
+           "zone_grid": {"cell_h": g.cell_h, "cell_w": g.cell_w, "nx": g.nx,
+                         "ny": g.ny, "origin": [g.origin.x, g.origin.y]}}
+    if not exclude_signatures:
+        doc["next_id"] = d.next_id
+    return canonical_encode(doc)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6),
+       st.lists(free_elements, max_size=4), st.integers(0, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_spliced_bytes_equal_the_reference_encoding(seed, n_modules, free,
+                                                   n_signatures, loaded):
+    d = _random_drawing(seed, n_modules)
+    rng = random.Random(seed)
+    for element in free:
+        d.items.insert(rng.randint(0, len(d.items)), element)
+    for k in range(n_signatures):
+        sign_drawing(d, f"Подписант \"{k}\"", "ГИП\\", "2024-05-01", "14:05",
+                     f"pw {k}")
+    if loaded:  # module fragments cached by load's comparison
+        d = load_drawing(save_drawing(d))
+    for exclude_signatures in (False, True):
+        data = canonical_bytes(d, exclude_signatures)
+        assert data == _reference_bytes(d, exclude_signatures)
+        assert canonical_encode(json.loads(data)) == data
+
+
+@pytest.fixture()
+def encoded(monkeypatch) -> list:
+    """Every element passed to geometry.element_to_json, at every binding."""
+    calls = []
+    original = geometry.element_to_json
+
+    def counting(element):
+        calls.append(element)
+        return original(element)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("modraft")
+                and getattr(module, "element_to_json", None) is original):
+            monkeypatch.setattr(module, "element_to_json", counting)
+    return calls
+
+
+def _modules_only(seed: int, n_modules: int = 6) -> Drawing:
+    d = _random_drawing(seed, n_modules)
+    del d.items[-1]  # the free segment, which every save encodes
+    return d
+
+
+def test_save_and_digest_after_load_encode_no_element(encoded):
+    d = load_drawing(save_drawing(_modules_only(5)))
+    assert encoded
+    encoded.clear()
+    save_drawing(d)
+    compute_digest(d)
+    assert encoded == []
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.replace_module(move_module(d.module(2), 5.0, -3.0)),
+    lambda d: d.set_module_properties(2, {"layer": 3}),
+], ids=["move_module", "set_module_properties"])
+def test_save_after_an_edit_encodes_only_the_edited_module(encoded, edit):
+    fresh = _modules_only(8)
+    d = load_drawing(save_drawing(fresh))
+    edited = edit(d)
+    edit(fresh)
+    encoded.clear()
+    data = save_drawing(d)
+    assert encoded == list(edited.geometry)
+    assert data == save_drawing(fresh) == _reference_bytes(fresh, False)
