@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False, allow_nan=False)
+
+
 def canonical_dumps(obj: object) -> str:
     """Serialise ``obj`` to the canonical JSON text form."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False, allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def canonical_encode(obj: object) -> bytes:

@@ -108,7 +108,7 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
     try:
         local = generate_local(mtype, norm)
         geometry = tuple(apply_transform(e, placement) for e in local)
-    except ValueError as exc:  # e.g. coordinates that overflow to inf
+    except (ValueError, OverflowError) as exc:  # e.g. coordinates too large
         raise GenerationError(f"{mtype.value} module: {exc}") from exc
     bbox = element_bbox(geometry[0])
     for e in geometry[1:]:

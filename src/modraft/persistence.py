@@ -13,8 +13,9 @@ malformed, incomplete or integer-for-real record is a mismatch too. Free
 element records must be canonical as well, and so must the frame: every
 object holds exactly the keys the format defines, ids and versions are
 JSON integers, and ``extent`` and ``zone_grid`` are canonical. Property
-values are normalised on load (an integer for a real is saved as a real),
-so load∘save is the identity on canonical files.
+values are decoded by :func:`validate_props` alone and normalised on load
+(an integer for a real is saved as a real), so load∘save is the identity on
+canonical files.
 
 Each module's geometry is encoded once — by load's comparison, or by the
 first save or digest — and kept on the module as ``geometry_json``; saves
@@ -37,7 +38,7 @@ from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Point, Rect, ZoneGrid, element_from_json,
                        element_to_json)
 from .properties import (ModuleType, props_from_json, props_to_json,
-                         schema_for, validate_props)
+                         validate_props)
 
 __all__ = [
     "FORMAT_VERSION", "Drawing", "DrawingItem",
@@ -288,7 +289,7 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
     try:
         module_id = item_doc["id"]
         mtype = ModuleType(item_doc["type"])
-        props = _typed_props(mtype, item_doc["props"])
+        props = props_from_json(mtype, item_doc["props"])
         stored = item_doc["geometry"]
         if not isinstance(stored, list):
             raise TypeError("geometry must be a list")
@@ -304,20 +305,6 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
     if stored_bytes != m.geometry_json:
         raise _mismatch(stored, [element_to_json(e) for e in m.geometry])
     return m
-
-
-def _typed_props(mtype: ModuleType, doc: object) -> dict:
-    """Kind-tagged properties, each tag checked against the type's schema."""
-    if isinstance(doc, dict):  # JSON objects parse to dicts
-        schema = schema_for(mtype)
-        for key, value in doc.items():
-            spec = schema.get(key)
-            if (spec is not None and isinstance(value, dict)
-                    and value.get("kind", spec.kind) != spec.kind):
-                raise FileFormatError(
-                    f"property {key!r}: kind {value['kind']!r} does not match "
-                    f"the schema kind {spec.kind.value!r}")
-    return props_from_json(doc)
 
 
 def _clip(text: str, limit: int = 120) -> str:
@@ -390,7 +377,7 @@ def load_prototypes(
                 raise FileFormatError("prototype entries must be objects")
             name = str(entry.get("name", name))
             mtype = ModuleType(entry["type"])
-            props = _typed_props(mtype, entry["props"])
+            props = props_from_json(mtype, entry["props"])
             loaded.append((name, create_module(mtype, props,
                                                module_id=len(loaded) + 1)))
         except RecursionError:

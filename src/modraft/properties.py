@@ -2,8 +2,10 @@
 
 Each module type declares an ordered property schema. Property values are
 typed, validated and normalised so that identical parameter sets always
-serialise to identical bytes; serialised values are tagged with their kind
-and need no schema to be read back.
+serialise to identical bytes. Serialised values are tagged with their kind;
+reading them back checks each tag against the schema and strips it, and
+:func:`validate_props` decodes the bare JSON values, so it is the one place
+a property value is coerced.
 
 Canonical property keys are ASCII identifiers. Their fixed Russian display
 names ship in ``data/property_names_ru.json`` (see
@@ -19,7 +21,7 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping
 
-from .errors import SchemaViolation
+from .errors import FileFormatError, SchemaViolation
 from .geometry import Point, norm_deg, element_to_json
 from . import geometry
 
@@ -234,12 +236,12 @@ def _as_axis(key: str, value: object) -> Axis:
         try:
             return Axis(geometry._as_point(value["origin"]),
                         float(value.get("angle_deg", 0.0)))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaViolation(key, f"bad axis: {exc}") from exc
     if isinstance(value, (tuple, list)) and len(value) == 2:
         try:
             return Axis(geometry._as_point(value[0]), float(value[1]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaViolation(key, f"bad axis: {exc}") from exc
     raise SchemaViolation(key, f"expected an axis, got {value!r}")
 
@@ -255,7 +257,10 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
     if kind is PropKind.REAL:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaViolation(key, f"expected a real number, got {type(value).__name__}")
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError as exc:
+            raise SchemaViolation(key, "value is too large") from exc
         if not math.isfinite(v):
             raise SchemaViolation(key, "value must be finite")
         return v
@@ -270,14 +275,14 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
     if kind is PropKind.POINT:
         try:
             return geometry._as_point(value)
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaViolation(key, str(exc)) from exc
     if kind is PropKind.POINT_LIST:
         if isinstance(value, (Point, str)) or not hasattr(value, "__iter__"):
             raise SchemaViolation(key, "expected a list of points")
         try:
             return tuple(geometry._as_point(p) for p in value)
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaViolation(key, str(exc)) from exc
     if kind is PropKind.AXIS_LIST:
         if isinstance(value, (Axis, str)) or not hasattr(value, "__iter__"):
@@ -360,24 +365,22 @@ def props_to_json(mtype: ModuleType, props: Mapping[str, object]) -> dict:
     return {key: _value_to_json(schema[key], value) for key, value in props.items()}
 
 
-def _value_from_json(key: str, doc: object) -> object:
-    if not isinstance(doc, Mapping) or "kind" not in doc or "value" not in doc:
-        raise SchemaViolation(key, "serialised value must carry 'kind' and 'value'")
-    kind = PropKind(doc["kind"])
-    value = doc["value"]
-    if kind is PropKind.POINT:
-        return geometry._as_point(value)
-    if kind is PropKind.POINT_LIST:
-        return tuple(geometry._as_point(p) for p in value)
-    if kind is PropKind.AXIS_LIST:
-        return tuple(_as_axis(key, a) for a in value)
-    if kind is PropKind.RECORD_LIST:
-        return tuple(value)
-    return value
-
-
-def props_from_json(doc: Mapping[str, object]) -> dict[str, object]:
-    """Parse a kind-tagged property set back to runtime values."""
-    if not isinstance(doc, Mapping):
+def props_from_json(mtype: ModuleType, doc: object) -> dict[str, object]:
+    """Strip the kind tags of a serialised property set, the inverse of
+    :func:`props_to_json`'s tagging; :func:`validate_props` decodes the
+    values. A tag that differs from the schema kind is a format error.
+    """
+    if not isinstance(doc, dict):
         raise SchemaViolation("?", "property set must be an object")
-    return {key: _value_from_json(key, value) for key, value in doc.items()}
+    schema = schema_for(mtype)
+    out = {}
+    for key, tagged in doc.items():
+        if not (isinstance(tagged, dict) and "kind" in tagged and "value" in tagged):
+            raise SchemaViolation(key, "serialised value must carry 'kind' and 'value'")
+        spec = schema.get(key)
+        if spec is not None and tagged["kind"] != spec.kind:
+            raise FileFormatError(
+                f"property {key!r}: kind {tagged['kind']!r} does not match "
+                f"the schema kind {spec.kind.value!r}")
+        out[key] = tagged["value"]
+    return out

@@ -226,6 +226,18 @@ def test_overflowing_user_module_exits_1(drawing):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["(None,0)", f"({10 ** 400},0)"],
+                         ids=["null", "huge"])
+def test_uncoercible_point_props_exit_1(drawing, value):
+    for key in ("leader_from", "origin"):
+        proc = run_process(
+            "add", drawing, "--type", "posdes", "--props", "leader_from=(0,0)",
+            "shelf_at=(30,20)", "position_text=1", f"{key}={value}")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: property {key!r}: ")
+        assert "Traceback" not in proc.stderr
+
+
 def test_render_writes_svg(drawing, tmp_path, capsys):
     run(capsys, "add", drawing, "--type", "valve", "--props", "origin=(50,50)")
     out_path = tmp_path / "out.svg"

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from modraft import (Arc, Circle, Drawing, FileFormatError, GenerationError,
-                     IntegrityMismatch, LineStyle, LineType, Module, ModuleType,
-                     Point, Polyline, Rect, SchemaViolation, Segment, Text,
-                     ZoneGrid, canonical_bytes, canonical_encode, compute_digest,
-                     create_module, element_to_json, geometry_bytes,
+                     IntegrityMismatch, KernelError, LineStyle, LineType,
+                     Module, ModuleType, Point, Polyline, Rect,
+                     SchemaViolation, Segment, Text, ZoneGrid, canonical_bytes,
+                     canonical_encode, compute_digest, create_module,
+                     element_to_json, geometry_bytes,
                      load_drawing, load_drawing_file, load_prototypes,
                      move_module, save_drawing, save_drawing_file,
                      save_prototypes, sign_drawing)
 from modraft import geometry
-from modraft.properties import props_to_json
+from modraft.properties import props_from_json, props_to_json
 
 from propgen import PROP_MAKERS, random_props
 
@@ -692,3 +693,100 @@ def test_save_after_an_edit_encodes_only_the_edited_module(encoded, edit):
     data = save_drawing(d)
     assert encoded == list(edited.geometry)
     assert data == save_drawing(fresh) == _reference_bytes(fresh, False)
+
+
+# A property value replaced with random JSON: what a hand-edited or hostile
+# file can hold. Keys mix record fields the generators read with free text.
+HUGE = 10 ** 400
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.integers(-10 ** 30, 10 ** 30) | st.sampled_from([HUGE, -HUGE])
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(["origin", "angle_deg", "width_mm", "header", "cells",
+                         "x", "y", "h", "height", "kind", "p1", "p2", "style"])
+        | st.text(max_size=4), children, max_size=4),
+    max_leaves=12)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["value", "kind"]),
+       json_values, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_mutated_property_loads_or_raises_a_kernel_error(seed, part, value,
+                                                         rng):
+    doc = json.loads(save_drawing(_random_drawing(seed, 3)))
+    item = rng.choice([i for i in doc["items"] if i["kind"] == "module"])
+    key = rng.choice(sorted(item["props"]))
+    item["props"][key][part] = value
+    try:
+        load_drawing(json.dumps(doc))
+    except KernelError:
+        pass
+    # load_prototypes reports a bad entry instead of raising, so the decode
+    # and construction it runs are also called directly.
+    entry = {"name": "p", "props": item["props"], "type": item["type"]}
+    loaded, errors = load_prototypes(json.dumps(
+        {"entries": [entry], "format_version": 1}))
+    assert len(loaded) + len(errors) == 1
+    mtype = ModuleType(item["type"])
+    try:
+        create_module(mtype, props_from_json(mtype, item["props"]))
+    except KernelError:
+        pass
+
+
+def _posdes_table_doc() -> dict:
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                     "position_text": "1"})
+    d.add_module(ModuleType.TABLE, {
+        "columns": [{"width_mm": 20.0, "header": "Поз."}],
+        "row_height_mm": 8.0, "header_height_mm": 15.0})
+    return json.loads(save_drawing(d))
+
+
+@pytest.mark.parametrize("index,key,value", [
+    (0, "leader_from", [None, 0.0]),
+    (0, "leader_from", [HUGE, 0.0]),
+    (0, "origin", [HUGE, 0.0]),
+    (1, "row_height_mm", HUGE),
+], ids=["null-point", "huge-point", "huge-origin", "huge-real"])
+def test_malformed_property_value_is_a_schema_violation(index, key, value):
+    doc = _posdes_table_doc()
+    doc["items"][index]["props"][key]["value"] = value
+    with pytest.raises(SchemaViolation) as info:
+        load_drawing(json.dumps(doc))
+    assert str(info.value).startswith(
+        f"item {index} (module {index + 1}): property {key!r}: ")
+    assert info.value.key == key
+
+
+def test_huge_number_in_a_record_is_a_generation_error():
+    doc = _posdes_table_doc()
+    doc["items"][1]["props"]["columns"]["value"][0]["width_mm"] = HUGE
+    with pytest.raises(GenerationError, match=r"^item 1 \(module 2\): table"):
+        load_drawing(json.dumps(doc))
+
+
+def test_unknown_property_is_a_schema_violation_whatever_its_tag():
+    doc = _valid_doc()
+    doc["items"][0]["props"]["colour"] = {"kind": "no-such-kind", "value": 1}
+    with pytest.raises(SchemaViolation, match="property 'colour': unknown"):
+        load_drawing(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mtype,props,key,value", [
+    (ModuleType.VALVE, {}, "attach", ""),
+    (ModuleType.PIPELINE, {"path": [(0, 0), (30, 0)], "diameter_mm": 4.0},
+     "path", ""),
+    (ModuleType.TABLE, {"columns": [{"width_mm": 20.0}], "row_height_mm": 8.0,
+                        "header_height_mm": 15.0}, "rows", {}),
+], ids=["axis-list-text", "point-list-text", "record-list-object"])
+def test_text_or_object_for_a_list_is_a_schema_violation(mtype, props, key,
+                                                         value):
+    d = Drawing.new(EXTENT)
+    d.add_module(mtype, props)
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"][key]["value"] = value
+    with pytest.raises(SchemaViolation, match=f"property '{key}': expected a"):
+        load_drawing(json.dumps(doc))

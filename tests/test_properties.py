@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from modraft import (Axis, ModuleType, Point, PropKind, SchemaViolation,
-                     russian_property_names, schema_for, validate_props)
+                     canonical_encode, russian_property_names, schema_for,
+                     validate_props)
 from modraft.properties import props_from_json, props_to_json
 
 from propgen import PROP_MAKERS, random_props
@@ -141,7 +145,33 @@ def test_json_round_trip_every_type():
         for _ in range(20):
             props = validate_props(mtype, random_props(rng, mtype))
             doc = props_to_json(mtype, props)
-            assert props_from_json(doc) == props
+            assert validate_props(mtype, props_from_json(mtype, doc)) == props
+
+
+@given(st.sampled_from(list(ModuleType)), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_tag_strip_then_validate_is_the_identity(mtype, rng):
+    props = validate_props(mtype, random_props(rng, mtype))
+    data = canonical_encode(props_to_json(mtype, props))
+    decoded = validate_props(mtype, props_from_json(mtype, json.loads(data)))
+    assert decoded == props
+    assert canonical_encode(props_to_json(mtype, decoded)) == data
+
+
+@pytest.mark.parametrize("key,value", [
+    ("origin", (None, 0.0)),
+    ("origin", (10 ** 400, 0.0)),
+    ("angle_deg", 10 ** 400),
+    ("attach", [{"origin": [0.0, 0.0], "angle_deg": None}]),
+    ("attach", [{"origin": [0.0, 0.0], "angle_deg": 10 ** 400}]),
+    ("attach", [((None, 0.0), 0.0)]),
+    ("attach", [((0.0, 0.0), 10 ** 400)]),
+], ids=["null-point", "huge-point", "huge-real", "null-axis-angle",
+        "huge-axis-angle", "null-axis-origin", "huge-axis-angle-pair"])
+def test_uncoercible_values_are_schema_violations(key, value):
+    with pytest.raises(SchemaViolation) as info:
+        validate_props(ModuleType.VALVE, {key: value})
+    assert info.value.key == key
 
 
 def test_json_docs_are_tagged_by_kind():
