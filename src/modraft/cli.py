@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import re
 import sys
 from pathlib import Path
@@ -37,14 +38,22 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"{what} needs {count} comma-separated numbers")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad {what}: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"bad {what}: {text!r} (numbers must be finite)")
+    return values
 
 
 def _rect_arg(text: str) -> Rect:
     x0, y0, x1, y1 = _parse_floats(text, 4, "rectangle")
-    return Rect.from_bounds(x0, y0, x1, y1)
+    rect = Rect.from_bounds(x0, y0, x1, y1)
+    if not (math.isfinite(rect.width) and math.isfinite(rect.height)):
+        raise argparse.ArgumentTypeError(
+            f"rectangle too large: {text!r} (width and height must be finite)")
+    return rect
 
 
 def _point_arg(text: str) -> Point:

@@ -75,6 +75,9 @@ class Drawing:
     zone_grid: ZoneGrid
     next_id: int = 1
     items: list = field(default_factory=list)
+    # Viewport culling index, built and checked by ``render.visible_items``.
+    _cull_index: object = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def new(cls, extent: Rect, grid: "ZoneGrid | None" = None) -> "Drawing":

@@ -229,20 +229,39 @@ def _normalize_json(key: str, value: object) -> object:
     raise SchemaViolation(key, f"value {value!r} is not serialisable")
 
 
+def _as_real(key: str, value: object) -> float:
+    """A finite float from an int or float; booleans and strings are not
+    numbers here, though ``float()`` would take them."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaViolation(key, f"expected a real number, got {type(value).__name__}")
+    try:
+        v = float(value)
+    except OverflowError as exc:
+        raise SchemaViolation(key, "value is too large") from exc
+    if not math.isfinite(v):
+        raise SchemaViolation(key, "value must be finite")
+    return v
+
+
+def _as_point(key: str, value: object) -> Point:
+    """A Point, or an (x, y) pair of real numbers."""
+    if isinstance(value, Point):
+        return value
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        return Point(_as_real(key, value[0]), _as_real(key, value[1]))
+    raise SchemaViolation(key, f"not a point: {value!r}")
+
+
 def _as_axis(key: str, value: object) -> Axis:
     if isinstance(value, Axis):
         return value
     if isinstance(value, Mapping):
-        try:
-            return Axis(geometry._as_point(value["origin"]),
-                        float(value.get("angle_deg", 0.0)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaViolation(key, f"bad axis: {exc}") from exc
+        if "origin" not in value:
+            raise SchemaViolation(key, "bad axis: no 'origin'")
+        return Axis(_as_point(key, value["origin"]),
+                    _as_real(key, value.get("angle_deg", 0.0)))
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        try:
-            return Axis(geometry._as_point(value[0]), float(value[1]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaViolation(key, f"bad axis: {exc}") from exc
+        return Axis(_as_point(key, value[0]), _as_real(key, value[1]))
     raise SchemaViolation(key, f"expected an axis, got {value!r}")
 
 
@@ -255,15 +274,7 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
             raise SchemaViolation(key, f"value {value!r} not one of {spec.choices}")
         return value
     if kind is PropKind.REAL:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaViolation(key, f"expected a real number, got {type(value).__name__}")
-        try:
-            v = float(value)
-        except OverflowError as exc:
-            raise SchemaViolation(key, "value is too large") from exc
-        if not math.isfinite(v):
-            raise SchemaViolation(key, "value must be finite")
-        return v
+        return _as_real(key, value)
     if kind is PropKind.INTEGER:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaViolation(key, f"expected an integer, got {type(value).__name__}")
@@ -273,17 +284,11 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
             raise SchemaViolation(key, f"expected a boolean, got {type(value).__name__}")
         return value
     if kind is PropKind.POINT:
-        try:
-            return geometry._as_point(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaViolation(key, str(exc)) from exc
+        return _as_point(key, value)
     if kind is PropKind.POINT_LIST:
         if isinstance(value, (Point, str)) or not hasattr(value, "__iter__"):
             raise SchemaViolation(key, "expected a list of points")
-        try:
-            return tuple(geometry._as_point(p) for p in value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaViolation(key, str(exc)) from exc
+        return tuple(_as_point(key, p) for p in value)
     if kind is PropKind.AXIS_LIST:
         if isinstance(value, (Axis, str)) or not hasattr(value, "__iter__"):
             raise SchemaViolation(key, "expected a list of axes")

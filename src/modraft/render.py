@@ -5,6 +5,16 @@ one millimetre per SVG unit. Only items whose closed bounding box meets the
 viewport are emitted; a module is tested by its stored bbox without touching
 its geometry.
 
+Culling uses the drawing's ``zone_grid`` as a uniform-grid index: each cell
+lists the positions of the items whose bbox touches it, and items or
+viewports beyond the grid fall into its border cells. A viewport gathers
+candidates from the cells it overlaps and keeps, in drawing order, those
+whose bbox passes the same closed test, so the result is that of a scan
+over every item. The index is built on the first cull and kept on the
+drawing with a snapshot of its items and grid; a cull whose drawing no
+longer matches the snapshot, however the items list or grid was changed,
+rebuilds it first.
+
 Drawing coordinates are y-up; SVG is y-down, so the viewport is flipped
 vertically and arc sweeps and text rotations change sign.
 """
@@ -12,10 +22,13 @@ vertically and arc sweeps and text rotations change sign.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
+from typing import Iterator, NamedTuple
 
-from .geometry import (Arc, Circle, Element, LineType, Polyline, Rect,
-                       Segment, Text, element_bbox)
+from .errors import KernelError
+from .geometry import (Arc, Circle, Element, LineStyle, LineType, Polyline,
+                       Rect, Segment, Text, ZoneGrid, element_bbox)
 from .persistence import Drawing, DrawingItem
 from .core import Module
 
@@ -43,14 +56,77 @@ def palette() -> list[str]:
     return _palette_cache
 
 
+class _CellIndex(NamedTuple):
+    """Item positions per zone-grid cell, row-major, for one items snapshot."""
+
+    grid: ZoneGrid
+    items: tuple
+    boxes: tuple
+    cells: list
+
+
+def _cell(value: float, origin: float, size: float, n: int) -> int:
+    """The cell along one axis that holds ``value``, clamped to [0, n).
+
+    Clamped as a float before ``int()``: far from the grid the quotient
+    overflows to an infinity, which has no integer.
+    """
+    t = (value - origin) / size
+    if t <= 0.0:
+        return 0
+    return n - 1 if t >= n else int(t)
+
+
+def _cell_rows(grid: ZoneGrid, rect: Rect) -> Iterator[slice]:
+    """Per grid row, the slice of row-major cells a closed rectangle touches.
+
+    Item boxes and viewports go through this one monotone map, so a box and
+    a viewport that meet always share a cell.
+    """
+    nx = grid.nx
+    i0 = _cell(rect.min.x, grid.origin.x, grid.cell_w, nx)
+    i1 = _cell(rect.max.x, grid.origin.x, grid.cell_w, nx) + 1
+    for j in range(_cell(rect.min.y, grid.origin.y, grid.cell_h, grid.ny),
+                   _cell(rect.max.y, grid.origin.y, grid.cell_h, grid.ny) + 1):
+        yield slice(j * nx + i0, j * nx + i1)
+
+
+def _build_index(grid: ZoneGrid, items: tuple) -> _CellIndex:
+    """File each item under every cell its closed bbox touches."""
+    cells = [[] for _ in range(grid.nx * grid.ny)]
+    boxes = []
+    for k, item in enumerate(items):
+        box = item.bbox if isinstance(item, Module) else element_bbox(item)
+        boxes.append(box)
+        for row in _cell_rows(grid, box):
+            for cell in cells[row]:
+                cell.append(k)
+    return _CellIndex(grid, items, tuple(boxes), cells)
+
+
 def visible_items(d: Drawing, viewport: Rect, cull: bool = True) -> list[DrawingItem]:
     """Items whose closed extent intersects the viewport, in drawing order.
 
-    ``cull`` is accepted for compatibility and has no effect.
+    Candidates come from the cells of ``d.zone_grid`` that the viewport
+    overlaps, and each is kept only if its bbox passes the closed
+    ``Rect.intersects`` test, so the result equals a scan of every item.
+    The cell index is built here, on first use, and reused only while the
+    drawing's grid and items (compared as a tuple, element by element) are
+    those it was built from; any other change to ``d.items`` or
+    ``d.zone_grid``, direct list edits included, makes this call rebuild
+    it. ``cull`` is accepted for compatibility and has no effect.
     """
-    return [item for item in d.items
-            if (item.bbox if isinstance(item, Module)
-                else element_bbox(item)).intersects(viewport)]
+    items = tuple(d.items)
+    index = d._cull_index
+    if index is None or index.grid != d.zone_grid or index.items != items:
+        index = d._cull_index = _build_index(d.zone_grid, items)
+    candidates = set()
+    for row in _cell_rows(index.grid, viewport):
+        for cell in index.cells[row]:
+            candidates.update(cell)
+    boxes = index.boxes
+    return [items[k] for k in sorted(candidates)
+            if boxes[k].intersects(viewport)]
 
 
 def _fmt(value: float) -> str:
@@ -79,24 +155,32 @@ class _Mapper:
         return f"{_fmt(x)},{_fmt(y)}"
 
 
-def _style_attrs(style) -> str:
-    colors = palette()
-    attrs = [f'stroke="{colors[style.color]}"']
-    width = THIN_STROKE_WIDTH_MM if style.line_type is LineType.THIN_SOLID \
-        else STROKE_WIDTH_MM
-    attrs.append(f'stroke-width="{_fmt(width)}"')
-    dash = _DASH_PATTERNS[style.line_type]
-    if dash is not None:
-        attrs.append(f'stroke-dasharray="{dash}"')
-    return " ".join(attrs)
+# Keyed by (line type, colour) rather than by the LineStyle: a tuple of an
+# enum member and a small int hashes and compares in C.
+_style_cache: "dict[tuple[LineType, int], str]" = {}
+
+
+def _style_attrs(style: LineStyle) -> str:
+    """Stroke attributes of a line style, built once per style."""
+    key = (style.line_type, style.color)
+    attrs = _style_cache.get(key)
+    if attrs is None:
+        width = THIN_STROKE_WIDTH_MM if style.line_type is LineType.THIN_SOLID \
+            else STROKE_WIDTH_MM
+        attrs = f'stroke="{palette()[style.color]}" stroke-width="{_fmt(width)}"'
+        dash = _DASH_PATTERNS[style.line_type]
+        if dash is not None:
+            attrs += f' stroke-dasharray="{dash}"'
+        _style_cache[key] = attrs
+    return attrs
 
 
 def _element_svg(element: Element, mapper: _Mapper) -> str:
     if isinstance(element, Segment):
-        x1, y1 = mapper.point(element.p1)
-        x2, y2 = mapper.point(element.p2)
-        return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-                f'y2="{_fmt(y2)}" {_style_attrs(element.style)}/>')
+        p1, p2, x0, top = element.p1, element.p2, mapper.x0, mapper.y1
+        return (f'<line x1="{_fmt(p1.x - x0)}" y1="{_fmt(top - p1.y)}" '
+                f'x2="{_fmt(p2.x - x0)}" y2="{_fmt(top - p2.y)}" '
+                f'{_style_attrs(element.style)}/>')
     if isinstance(element, Polyline):
         points = " ".join(mapper.xy(p) for p in element.points)
         tag = "polygon" if element.closed else "polyline"
@@ -137,9 +221,13 @@ def render_svg(d: Drawing, viewport: "Rect | None" = None,
                cull: bool = True) -> str:
     """Render a drawing viewport (default: the full extent) to SVG text.
 
+    A viewport whose width or height overflows to infinity raises
+    :class:`KernelError`.
     ``cull`` is accepted for compatibility and has no effect.
     """
     vp = viewport if viewport is not None else d.extent
+    if not (math.isfinite(vp.width) and math.isfinite(vp.height)):
+        raise KernelError("viewport width and height must be finite")
     mapper = _Mapper(vp)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

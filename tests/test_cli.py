@@ -238,6 +238,47 @@ def test_uncoercible_point_props_exit_1(drawing, value):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value,got", [("('5', True)", "str"), ("(5, True)", "bool")],
+                         ids=["string", "bool"])
+def test_string_or_boolean_point_coordinate_exits_1(drawing, value, got):
+    before = Path(drawing).read_bytes()
+    proc = run_process("add", drawing, "--type", "valve", "--props",
+                       f"origin={value}")
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: property 'origin': expected a real "
+                           f"number, got {got}\n")
+    assert Path(drawing).read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["edit", "{d}", "--id", "1", "--move=inf,0"],
+    ["edit", "{d}", "--id", "1", "--rotate=0,0,nan"],
+    ["render", "{d}", "--out", "{out}", "--viewport=0,0,inf,10"],
+], ids=["move-inf", "rotate-nan", "viewport-inf"])
+def test_non_finite_number_argument_exits_2(drawing, tmp_path, argv):
+    out = tmp_path / "out"
+    before = Path(drawing).read_bytes()
+    proc = run_process(*[a.format(d=drawing, out=out) for a in argv])
+    assert proc.returncode == 2
+    assert "(numbers must be finite)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert Path(drawing).read_bytes() == before and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["new", "render"])
+def test_overflowing_rectangle_exits_2(drawing, tmp_path, command):
+    rect, out = "-1e308,0,1e308,10", tmp_path / "out"
+    if command == "new":
+        proc = run_process("new", str(out), f"--extent={rect}")
+    else:
+        proc = run_process("render", drawing, "--out", str(out),
+                           f"--viewport={rect}")
+    assert proc.returncode == 2
+    assert "width and height must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_render_writes_svg(drawing, tmp_path, capsys):
     run(capsys, "add", drawing, "--type", "valve", "--props", "origin=(50,50)")
     out_path = tmp_path / "out.svg"

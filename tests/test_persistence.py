@@ -775,6 +775,29 @@ def test_unknown_property_is_a_schema_violation_whatever_its_tag():
         load_drawing(json.dumps(doc))
 
 
+@pytest.mark.parametrize("mtype,props,key,value,got", [
+    (ModuleType.VALVE, {}, "origin", ["0", False], "str"),
+    (ModuleType.VALVE, {}, "origin", [0.0, False], "bool"),
+    (ModuleType.PIPELINE, {"path": [(0, 0), (30, 0)], "diameter_mm": 4.0},
+     "path", [[0.0, 0.0], [30.0, True]], "bool"),
+    (ModuleType.VALVE, {}, "attach",
+     [{"angle_deg": 0.0, "origin": ["-4", 0.0]}], "str"),
+    (ModuleType.VALVE, {}, "attach",
+     [{"angle_deg": "90", "origin": [-4.0, 0.0]}], "str"),
+], ids=["origin-string", "origin-bool", "path-bool", "attach-string",
+        "attach-angle-string"])
+def test_string_or_boolean_point_coordinate_is_a_schema_violation(
+        mtype, props, key, value, got):
+    d = Drawing.new(EXTENT)
+    d.add_module(mtype, props)
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"][key]["value"] = value
+    with pytest.raises(SchemaViolation, match=(
+            rf"^item 0 \(module 1\): property '{key}': "
+            rf"expected a real number, got {got}$")):
+        load_drawing(json.dumps(doc))
+
+
 @pytest.mark.parametrize("mtype,props,key,value", [
     (ModuleType.VALVE, {}, "attach", ""),
     (ModuleType.PIPELINE, {"path": [(0, 0), (30, 0)], "diameter_mm": 4.0},

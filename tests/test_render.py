@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 import xml.etree.ElementTree as ET
 
-from modraft import (Arc, Circle, Drawing, LineStyle, LineType, ModuleType,
-                     Point, Rect, Segment, Text, element_bbox, palette,
-                     render_svg, visible_items)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from modraft import (Arc, Circle, Drawing, KernelError, LineStyle, LineType,
+                     ModuleType, Point, Rect, Segment, Text, ZoneGrid,
+                     element_bbox, move_module, palette, render_svg,
+                     visible_items)
 
 from propgen import PROP_MAKERS, random_props
 
@@ -195,3 +200,205 @@ def test_number_formatting_is_trimmed():
     assert line.get("y1") == "100"  # 99.9999999 rounds at micrometre precision
     assert line.get("x2") == "0.333333"
     assert line.get("y2") == "0"
+
+
+# --- the cell index behind visible_items --------------------------------
+
+HUGE = 1e308
+
+
+def _same_objects(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def _coord(data, grid: ZoneGrid, axis: int) -> float:
+    """A coordinate near the grid, on one of its cell boundaries, or far
+    beyond it."""
+    origin = (grid.origin.x, grid.origin.y)[axis]
+    size, n = (grid.cell_w, grid.nx) if axis == 0 else (grid.cell_h, grid.ny)
+    kind = data.draw(st.sampled_from(["near", "boundary", "far"]))
+    if kind == "boundary":
+        return origin + data.draw(st.integers(-2, n + 2)) * size
+    if kind == "far":
+        return data.draw(st.floats(-1e300, 1e300))
+    span = max(n * size, 1.0)
+    return data.draw(st.floats(origin - span, origin + 2 * span))
+
+
+def _segment(data, grid: ZoneGrid) -> Segment:
+    return Segment(Point(_coord(data, grid, 0), _coord(data, grid, 1)),
+                   Point(_coord(data, grid, 0), _coord(data, grid, 1)),
+                   LineStyle())
+
+
+_grids = st.builds(
+    ZoneGrid,
+    st.builds(Point, st.floats(-3000, 3000), st.floats(-3000, 3000)),
+    st.one_of(st.floats(0.01, 500), st.just(1e6)),
+    st.one_of(st.floats(0.01, 500), st.just(1e6)),
+    st.integers(1, 64), st.integers(1, 64))
+
+
+def _viewport(data, d: Drawing) -> Rect:
+    grid = d.zone_grid
+    kind = data.draw(st.sampled_from(
+        ["random", "degenerate", "item-edge", "huge", "full"]))
+    if kind == "huge":
+        return Rect.from_bounds(-HUGE, -HUGE, HUGE, data.draw(
+            st.sampled_from([HUGE, -HUGE, 0.0])))
+    if kind == "full":
+        return Rect.from_bounds(-HUGE, -HUGE, HUGE, HUGE)
+    x0, y0 = _coord(data, grid, 0), _coord(data, grid, 1)
+    if kind == "degenerate":
+        return Rect.from_bounds(x0, y0, x0, data.draw(
+            st.sampled_from([y0, _coord(data, grid, 1)])))
+    if kind == "item-edge" and d.items:
+        # Touch one item's bbox from outside: the closed test keeps it.
+        item = data.draw(st.sampled_from(d.items))
+        box = item.bbox if hasattr(item, "bbox") else element_bbox(item)
+        return Rect.from_bounds(box.max.x, box.max.y,
+                                box.max.x + data.draw(st.floats(0, 50)),
+                                box.max.y + data.draw(st.floats(0, 50)))
+    return Rect.from_bounds(x0, y0, _coord(data, grid, 0), _coord(data, grid, 1))
+
+
+def _mutate(data, d: Drawing) -> None:
+    modules = d.modules()
+    op = data.draw(st.sampled_from(
+        ["add_module", "add_element", "set_props", "move", "remove",
+         "append", "slice", "reassign", "grid"]))
+    if op in ("set_props", "move", "remove") and not modules:
+        op = "add_module"
+    if op == "add_module":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        mtype = rng.choice(list(PROP_MAKERS))
+        d.add_module(mtype, random_props(rng, mtype))
+    elif op == "add_element":
+        d.add_element(_segment(data, d.zone_grid))
+    elif op == "set_props":
+        m = data.draw(st.sampled_from(modules))
+        d.set_module_properties(m.id, {"origin": (
+            data.draw(st.floats(-2000, 2000)), data.draw(st.floats(-2000, 2000)))})
+    elif op == "move":
+        m = data.draw(st.sampled_from(modules))
+        d.replace_module(move_module(m, data.draw(st.floats(-500, 500)),
+                                     data.draw(st.floats(-500, 500))))
+    elif op == "remove":
+        d.remove_module(data.draw(st.sampled_from(modules)).id)
+    elif op == "append":
+        d.items.append(_segment(data, d.zone_grid))
+    elif op == "slice":
+        i = data.draw(st.integers(0, len(d.items)))
+        j = data.draw(st.integers(i, len(d.items)))
+        d.items[i:j] = [_segment(data, d.zone_grid)
+                        for _ in range(data.draw(st.integers(0, 3)))]
+    elif op == "reassign":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        d.items = rng.sample(d.items, rng.randrange(len(d.items) + 1))
+    else:
+        d.zone_grid = data.draw(_grids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _grids)
+def test_culling_equals_brute_force_through_any_mutation(data, grid):
+    d = Drawing.new(Rect.from_bounds(-1000, -1000, 2000, 2000), grid)
+    for _ in range(data.draw(st.integers(1, 12))):
+        _mutate(data, d)
+        for _ in range(data.draw(st.integers(1, 4))):
+            vp = _viewport(data, d)
+            assert _same_objects(visible_items(d, vp), _brute_force(d, vp))
+
+
+def _index_scene() -> Drawing:
+    d = Drawing.new(Rect.from_bounds(0, 0, 1000, 1000))
+    d.add_module(ModuleType.VALVE, {"origin": (100, 100)})
+    d.add_module(ModuleType.VALVE, {"origin": (700, 700)})
+    d.add_element(Segment(Point(400, 400), Point(420, 420), LineStyle()))
+    return d
+
+
+_FAR_SEGMENT = Segment(Point(900, 100), Point(950, 120), LineStyle())
+_MUTATIONS = {
+    "add_module": lambda d: d.add_module(ModuleType.VALVE, {"origin": (910, 110)}),
+    "add_element": lambda d: d.add_element(_FAR_SEGMENT),
+    "set_module_properties":
+        lambda d: d.set_module_properties(2, {"origin": (910, 110)}),
+    "replace_module": lambda d: d.replace_module(move_module(d.module(2), 210, -590)),
+    "remove_module": lambda d: d.remove_module(1),
+    "items_append": lambda d: d.items.append(_FAR_SEGMENT),
+    "items_slice": lambda d: d.items.__setitem__(slice(0, 1), [_FAR_SEGMENT]),
+    "items_reassign": lambda d: setattr(d, "items", d.items[1:] + [_FAR_SEGMENT]),
+    "zone_grid": lambda d: setattr(d, "zone_grid", ZoneGrid(Point(0, 0), 7.0, 7.0, 64, 64)),
+    "equal_copy": lambda d: d.items.__setitem__(2, dataclasses.replace(d.items[2])),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_stale_index_is_never_reused(mutation):
+    d = _index_scene()
+    views = [Rect.from_bounds(0, 0, 1000, 1000), Rect.from_bounds(850, 50, 1000, 200),
+             Rect.from_bounds(0, 0, 150, 150), Rect.from_bounds(420, 420, 420, 420)]
+    for vp in views:
+        visible_items(d, vp)
+    built = d._cull_index
+    before = [visible_items(d, vp) for vp in views]
+    assert d._cull_index is built  # unchanged drawing: the index is reused
+    _MUTATIONS[mutation](d)
+    after = [visible_items(d, vp) for vp in views]
+    assert all(_same_objects(visible_items(d, vp), _brute_force(d, vp))
+               for vp in views)
+    if mutation == "equal_copy":
+        # Equal items have equal boxes, so the index stays, but the result
+        # holds the new object.
+        assert d._cull_index is built
+        assert after[3][0] is d.items[2] and after[3][0] is not before[3][0]
+    else:
+        assert d._cull_index is not built
+        # A new grid changes where items are filed, never what is visible.
+        assert (after == before) == (mutation == "zone_grid")
+
+
+def test_index_is_built_on_first_cull_only():
+    d = _index_scene()
+    d.set_module_properties(1, {"origin": (120, 100)})
+    assert d._cull_index is None
+    render_svg(d)
+    assert d._cull_index is not None
+
+
+def test_drawing_equality_and_repr_ignore_the_index():
+    first, second = _index_scene(), _index_scene()
+    visible_items(first, Rect.from_bounds(0, 0, 500, 500))
+    assert first._cull_index is not None and second._cull_index is None
+    assert first == second
+    assert repr(first) == repr(second)
+    assert "_cull_index" not in repr(first)
+    (f,) = [f for f in dataclasses.fields(Drawing) if f.name == "_cull_index"]
+    assert not (f.init or f.repr or f.compare)
+
+
+@pytest.mark.parametrize("vp", [(-1e308, 0, 1e308, 10), (0, -1e308, 10, 1e308)],
+                         ids=["wide", "tall"])
+def test_overflowing_viewport_is_a_kernel_error(vp):
+    d = _index_scene()
+    assert visible_items(d, Rect.from_bounds(*vp)) == _brute_force(
+        d, Rect.from_bounds(*vp))
+    with pytest.raises(KernelError, match="viewport width and height"):
+        render_svg(d, Rect.from_bounds(*vp))
+
+
+def test_one_cell_grid_and_items_beyond_the_grid():
+    d = Drawing.new(Rect.from_bounds(0, 0, 100, 100),
+                    ZoneGrid(Point(0, 0), 100.0, 100.0, 1, 1))
+    inside = Segment(Point(10, 10), Point(20, 20), LineStyle())
+    beyond = Segment(Point(-900, 500), Point(-800, 2820), LineStyle())
+    d.add_element(inside)
+    d.add_element(beyond)
+    assert _same_objects(visible_items(d, Rect.from_bounds(-850, 600, -840, 700)),
+                         [beyond])
+    d.zone_grid = ZoneGrid(Point(0, 0), 10.0, 10.0, 10, 10)
+    assert _same_objects(visible_items(d, Rect.from_bounds(-2000, -2000, 3000, 3000)),
+                         [inside, beyond])
+    assert visible_items(d, Rect.from_bounds(20.5, 20.5, 30, 30)) == []
+    assert _same_objects(visible_items(d, Rect.from_bounds(20, 20, 30, 30)), [inside])
