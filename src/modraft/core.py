@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .canon import canonical_encode
 from .errors import GenerationError
@@ -104,15 +105,13 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
 
     mtype = ModuleType(mtype)
     norm = validate_props(mtype, props)
-    placement = placement_transform(mtype, norm)
     try:
+        placement = placement_transform(mtype, norm)
         local = generate_local(mtype, norm)
         geometry = tuple(apply_transform(e, placement) for e in local)
+        bbox = element_bbox(*geometry)
     except (ValueError, OverflowError) as exc:  # e.g. coordinates too large
         raise GenerationError(f"{mtype.value} module: {exc}") from exc
-    bbox = element_bbox(geometry[0])
-    for e in geometry[1:]:
-        bbox = bbox.union(element_bbox(e))
     return Module(int(module_id), mtype, norm, geometry, norm["layer"], bbox)
 
 
@@ -125,12 +124,16 @@ def set_properties(m: Module, updates: dict, *, grid: "ZoneGrid | None" = None) 
     return create_module(m.type, merged, module_id=m.id)
 
 
-def _apply_rigid(m: Module, edit: Transform) -> Module:
-    if edit.is_identity():
-        return m
-    q = edit.compose(_placement_part(m.props))
+def _apply_rigid(m: Module, make_edit: Callable[[], Transform]) -> Module:
+    try:
+        edit = make_edit()
+        if edit.is_identity():
+            return m
+        q = edit.compose(_placement_part(m.props))
+    except ValueError as exc:  # a finite edit can still overflow the placement
+        raise GenerationError(f"{m.type.value} module: {exc}") from exc
     return set_properties(m, {
-        "origin": Point(q.tx, q.ty),
+        "origin": (q.tx, q.ty),
         "angle_deg": q.rotation_deg,
         "mirrored": q.mirrored,
     })
@@ -145,7 +148,7 @@ def move_module(m: Module, dx: float, dy: float, *,
     if dx == 0.0 and dy == 0.0:
         return m
     origin = m.props["origin"]
-    return set_properties(m, {"origin": Point(origin.x + dx, origin.y + dy)})
+    return set_properties(m, {"origin": (origin.x + dx, origin.y + dy)})
 
 
 def rotate_module(m: Module, angle_deg: float, about: Point, *,
@@ -154,7 +157,7 @@ def rotate_module(m: Module, angle_deg: float, about: Point, *,
 
     ``grid`` is accepted for compatibility and has no effect.
     """
-    return _apply_rigid(m, Transform.rotation(angle_deg, about))
+    return _apply_rigid(m, lambda: Transform.rotation(angle_deg, about))
 
 
 def mirror_module(m: Module, axis_origin: Point, axis_angle_deg: float, *,
@@ -163,7 +166,7 @@ def mirror_module(m: Module, axis_origin: Point, axis_angle_deg: float, *,
 
     ``grid`` is accepted for compatibility and has no effect.
     """
-    return _apply_rigid(m, Transform.mirror(axis_origin, axis_angle_deg))
+    return _apply_rigid(m, lambda: Transform.mirror(axis_origin, axis_angle_deg))
 
 
 def align_by_attach(m: Module, own_axis_index: int, target: Axis, *,
@@ -176,14 +179,18 @@ def align_by_attach(m: Module, own_axis_index: int, target: Axis, *,
     axes = m.props.get("attach")
     if not axes or not 0 <= own_axis_index < len(axes):
         raise ValueError(f"module {m.id} has no attach axis {own_axis_index}")
-    placement = placement_transform(m.type, m.props)
     own = axes[own_axis_index]
-    world_origin = placement.apply(own.origin)
-    world_angle = placement.map_direction_deg(own.angle_deg)
-    spin = Transform.rotation(target.angle_deg - world_angle, world_origin)
-    shift = Transform.translation(target.origin.x - world_origin.x,
-                                  target.origin.y - world_origin.y)
-    return _apply_rigid(m, shift.compose(spin))
+
+    def edit() -> Transform:
+        placement = placement_transform(m.type, m.props)
+        world_origin = placement.apply(own.origin)
+        world_angle = placement.map_direction_deg(own.angle_deg)
+        spin = Transform.rotation(target.angle_deg - world_angle, world_origin)
+        shift = Transform.translation(target.origin.x - world_origin.x,
+                                      target.origin.y - world_origin.y)
+        return shift.compose(spin)
+
+    return _apply_rigid(m, edit)
 
 
 def spawn_working_modules(m: Module, list_name: str) -> list[WorkingModule]:

@@ -76,12 +76,30 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
+def _as_real(value: object) -> float:
+    """A finite float from an int or float; booleans and strings are not
+    numbers here, though ``float()`` would take them.
+
+    With :func:`_as_point`, the one decoder for reals and points entering
+    the kernel; everything built from the results is trusted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a real number, got {type(value).__name__}")
+    try:
+        v = float(value)
+    except OverflowError as exc:
+        raise ValueError("value is too large") from exc
+    if not math.isfinite(v):
+        raise ValueError("value must be finite")
+    return v
+
+
 def _as_point(value: object) -> Point:
-    """Coerce a Point or an (x, y) pair to a Point."""
+    """A Point, or an (x, y) pair of real numbers."""
     if isinstance(value, Point):
         return value
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Point(value[0], value[1])
+        return Point(_as_real(value[0]), _as_real(value[1]))
     raise ValueError(f"not a point: {value!r}")
 
 
@@ -231,12 +249,6 @@ class LineStyle:
 _DEFAULT_STYLE = LineStyle()
 
 
-def _as_style(value: object) -> LineStyle:
-    if isinstance(value, LineStyle):
-        return value
-    raise ValueError(f"not a line style: {value!r}")
-
-
 @dataclass(frozen=True)
 class Segment:
     """Straight segment between two points."""
@@ -244,11 +256,6 @@ class Segment:
     p1: Point
     p2: Point
     style: LineStyle = _DEFAULT_STYLE
-
-    def __post_init__(self):
-        object.__setattr__(self, "p1", _as_point(self.p1))
-        object.__setattr__(self, "p2", _as_point(self.p2))
-        object.__setattr__(self, "style", _as_style(self.style))
 
 
 @dataclass(frozen=True)
@@ -260,12 +267,11 @@ class Polyline:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        pts = tuple(_as_point(p) for p in self.points)
+        pts = tuple(self.points)
         if len(pts) < 2:
             raise ValueError("polyline needs at least 2 points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", bool(self.closed))
-        object.__setattr__(self, "style", _as_style(self.style))
 
 
 @dataclass(frozen=True)
@@ -279,7 +285,6 @@ class Arc:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
         r = float(self.radius)
         if not (math.isfinite(r) and r > 0.0):
             raise ValueError("arc radius must be positive")
@@ -290,7 +295,6 @@ class Arc:
             raise ValueError("arc sweep must lie strictly between 0 and 360 degrees")
         object.__setattr__(self, "start_angle", start)
         object.__setattr__(self, "end_angle", end)
-        object.__setattr__(self, "style", _as_style(self.style))
 
     @property
     def sweep_deg(self) -> float:
@@ -311,12 +315,10 @@ class Circle:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
         r = float(self.radius)
         if not (math.isfinite(r) and r > 0.0):
             raise ValueError("circle radius must be positive")
         object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "style", _as_style(self.style))
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,6 @@ class Text:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", _as_point(self.anchor))
         h = float(self.height_mm)
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError("text height must be positive")
@@ -342,7 +343,6 @@ class Text:
         object.__setattr__(self, "angle_deg", norm_deg(self.angle_deg))
         if not isinstance(self.content, str):
             raise ValueError("text content must be a string")
-        object.__setattr__(self, "style", _as_style(self.style))
 
     @property
     def box_width(self) -> float:
@@ -360,8 +360,6 @@ class Rect:
     max: Point
 
     def __post_init__(self):
-        object.__setattr__(self, "min", _as_point(self.min))
-        object.__setattr__(self, "max", _as_point(self.max))
         if self.min.x > self.max.x or self.min.y > self.max.y:
             raise ValueError("rectangle corners are not ordered")
 
@@ -386,10 +384,6 @@ class Rect:
     def height(self) -> float:
         return self.max.y - self.min.y
 
-    def union(self, other: "Rect") -> "Rect":
-        return Rect(Point(min(self.min.x, other.min.x), min(self.min.y, other.min.y)),
-                    Point(max(self.max.x, other.max.x), max(self.max.y, other.max.y)))
-
     def intersects(self, other: "Rect") -> bool:
         """Closed-rectangle overlap test; touching boundaries count."""
         return (self.min.x <= other.max.x and other.min.x <= self.max.x
@@ -413,7 +407,6 @@ class ZoneGrid:
     ny: int
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", _as_point(self.origin))
         for name in ("cell_w", "cell_h"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -435,33 +428,44 @@ def _angle_in_sweep(angle: float, start: float, sweep: float) -> bool:
     return (angle - start) % 360.0 <= sweep
 
 
-def element_bbox(element: Element) -> Rect:
-    """Tight axis-aligned bounds of an element.
+def element_bbox(*elements: Element) -> Rect:
+    """Tight axis-aligned bounds of one or more elements.
 
-    Text bounds are those of its rotated anchor box.
+    Text bounds are those of its rotated anchor box. The extremes are
+    folded as floats and only the result becomes a Rect, whose corner
+    Points reject an extent that overflows.
     """
-    if isinstance(element, Segment):
-        return Rect.from_points([element.p1, element.p2])
-    if isinstance(element, Polyline):
-        return Rect.from_points(element.points)
-    if isinstance(element, Circle):
-        c, r = element.center, element.radius
-        return Rect(Point(c.x - r, c.y - r), Point(c.x + r, c.y + r))
-    if isinstance(element, Arc):
-        sweep = element.sweep_deg
-        pts = [element.point_at(element.start_angle), element.point_at(element.end_angle)]
-        for quad in (0.0, 90.0, 180.0, 270.0):
-            if _angle_in_sweep(quad, element.start_angle, sweep):
-                pts.append(element.point_at(quad))
-        return Rect.from_points(pts)
-    if isinstance(element, Text):
-        w, h = element.box_width, element.height_mm
-        cos_a, sin_a = _cos_sin_deg(element.angle_deg)
-        ax, ay = element.anchor.x, element.anchor.y
-        corners = [Point(ax + cos_a * cx - sin_a * cy, ay + sin_a * cx + cos_a * cy)
-                   for cx, cy in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))]
-        return Rect.from_points(corners)
-    raise TypeError(f"not an element: {element!r}")
+    xs: list[float] = []
+    ys: list[float] = []
+    for e in elements:
+        if isinstance(e, Segment):
+            xs += (e.p1.x, e.p2.x)
+            ys += (e.p1.y, e.p2.y)
+        elif isinstance(e, Polyline):
+            xs += [p.x for p in e.points]
+            ys += [p.y for p in e.points]
+        elif isinstance(e, Circle):
+            c, r = e.center, e.radius
+            xs += (c.x - r, c.x + r)
+            ys += (c.y - r, c.y + r)
+        elif isinstance(e, Arc):
+            c, r, start, sweep = e.center, e.radius, e.start_angle, e.sweep_deg
+            quads = [q for q in (0.0, 90.0, 180.0, 270.0)
+                     if _angle_in_sweep(q, start, sweep)]
+            for angle in (start, e.end_angle, *quads):
+                cos_a, sin_a = _cos_sin_deg(angle)
+                xs.append(c.x + r * cos_a)
+                ys.append(c.y + r * sin_a)
+        elif isinstance(e, Text):
+            w, h = e.box_width, e.height_mm
+            cos_a, sin_a = _cos_sin_deg(e.angle_deg)
+            ax, ay = e.anchor.x, e.anchor.y
+            for cx, cy in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)):
+                xs.append(ax + cos_a * cx - sin_a * cy)
+                ys.append(ay + sin_a * cx + cos_a * cy)
+        else:
+            raise TypeError(f"not an element: {e!r}")
+    return Rect(Point(min(xs), min(ys)), Point(max(xs), max(ys)))
 
 
 def apply_transform(element: Element, t: Transform) -> Element:
@@ -691,13 +695,14 @@ def element_from_json(doc: object) -> Element:
             return Polyline(tuple(_as_point(p) for p in doc["points"]),
                             bool(doc.get("closed", False)), style)
         if kind == "arc":
-            return Arc(_as_point(doc["center"]), doc["radius"],
-                       doc["start_angle"], doc["end_angle"], style)
+            return Arc(_as_point(doc["center"]), _as_real(doc["radius"]),
+                       _as_real(doc["start_angle"]), _as_real(doc["end_angle"]),
+                       style)
         if kind == "circle":
-            return Circle(_as_point(doc["center"]), doc["radius"], style)
+            return Circle(_as_point(doc["center"]), _as_real(doc["radius"]), style)
         if kind == "text":
-            return Text(_as_point(doc["anchor"]), doc["height_mm"],
-                        doc.get("angle_deg", 0.0), doc["content"], style)
+            return Text(_as_point(doc["anchor"]), _as_real(doc["height_mm"]),
+                        _as_real(doc.get("angle_deg", 0.0)), doc["content"], style)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad {kind} element: {exc}") from exc
     raise ValueError(f"unknown element kind {kind!r}")

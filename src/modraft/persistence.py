@@ -35,8 +35,8 @@ from typing import Iterable, Union
 from .canon import canonical_dumps, canonical_encode
 from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
-from .geometry import (Element, Point, Rect, ZoneGrid, element_from_json,
-                       element_to_json)
+from .geometry import (Element, Point, Rect, ZoneGrid, _as_point,
+                       element_from_json, element_to_json)
 from .properties import (ModuleType, props_from_json, props_to_json,
                          validate_props)
 
@@ -189,9 +189,10 @@ def _parse_json(data: "bytes | str") -> object:
 
 
 def _parse_point(doc: object, what: str) -> Point:
-    if not (isinstance(doc, list) and len(doc) == 2):
-        raise FileFormatError(f"bad {what}: expected [x, y]")
-    return Point(doc[0], doc[1])
+    try:
+        return _as_point(doc)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _check_version(doc: dict) -> None:

@@ -22,7 +22,7 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import FileFormatError, SchemaViolation
-from .geometry import Point, norm_deg, element_to_json
+from .geometry import Point, _as_point, _as_real, norm_deg, element_to_json
 from . import geometry
 
 __all__ = [
@@ -64,7 +64,6 @@ class Axis:
     angle_deg: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", geometry._as_point(self.origin))
         object.__setattr__(self, "angle_deg", norm_deg(self.angle_deg))
 
 
@@ -217,7 +216,7 @@ def _normalize_json(key: str, value: object) -> object:
     if isinstance(value, geometry.Segment | geometry.Polyline | geometry.Arc
                   | geometry.Circle | geometry.Text):
         return element_to_json(value)
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         out = {}
         for k, v in value.items():
             if not isinstance(k, str):
@@ -229,39 +228,16 @@ def _normalize_json(key: str, value: object) -> object:
     raise SchemaViolation(key, f"value {value!r} is not serialisable")
 
 
-def _as_real(key: str, value: object) -> float:
-    """A finite float from an int or float; booleans and strings are not
-    numbers here, though ``float()`` would take them."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaViolation(key, f"expected a real number, got {type(value).__name__}")
-    try:
-        v = float(value)
-    except OverflowError as exc:
-        raise SchemaViolation(key, "value is too large") from exc
-    if not math.isfinite(v):
-        raise SchemaViolation(key, "value must be finite")
-    return v
-
-
-def _as_point(key: str, value: object) -> Point:
-    """A Point, or an (x, y) pair of real numbers."""
-    if isinstance(value, Point):
-        return value
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Point(_as_real(key, value[0]), _as_real(key, value[1]))
-    raise SchemaViolation(key, f"not a point: {value!r}")
-
-
 def _as_axis(key: str, value: object) -> Axis:
     if isinstance(value, Axis):
         return value
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         if "origin" not in value:
             raise SchemaViolation(key, "bad axis: no 'origin'")
-        return Axis(_as_point(key, value["origin"]),
-                    _as_real(key, value.get("angle_deg", 0.0)))
+        return Axis(_as_point(value["origin"]),
+                    _as_real(value.get("angle_deg", 0.0)))
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Axis(_as_point(key, value[0]), _as_real(key, value[1]))
+        return Axis(_as_point(value[0]), _as_real(value[1]))
     raise SchemaViolation(key, f"expected an axis, got {value!r}")
 
 
@@ -274,7 +250,7 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
             raise SchemaViolation(key, f"value {value!r} not one of {spec.choices}")
         return value
     if kind is PropKind.REAL:
-        return _as_real(key, value)
+        return _as_real(value)
     if kind is PropKind.INTEGER:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaViolation(key, f"expected an integer, got {type(value).__name__}")
@@ -284,11 +260,11 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
             raise SchemaViolation(key, f"expected a boolean, got {type(value).__name__}")
         return value
     if kind is PropKind.POINT:
-        return _as_point(key, value)
+        return _as_point(value)
     if kind is PropKind.POINT_LIST:
         if isinstance(value, (Point, str)) or not hasattr(value, "__iter__"):
             raise SchemaViolation(key, "expected a list of points")
-        return tuple(_as_point(key, p) for p in value)
+        return tuple(_as_point(p) for p in value)
     if kind is PropKind.AXIS_LIST:
         if isinstance(value, (Axis, str)) or not hasattr(value, "__iter__"):
             raise SchemaViolation(key, "expected a list of axes")
@@ -296,11 +272,11 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
     if kind is PropKind.RECORD:
         if value is None:
             return {}
-        if not isinstance(value, Mapping):
+        if not isinstance(value, dict):
             raise SchemaViolation(key, f"expected a record, got {type(value).__name__}")
         return _normalize_json(key, value)
     if kind is PropKind.RECORD_LIST:
-        if isinstance(value, (str, Mapping)) or not hasattr(value, "__iter__"):
+        if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
             raise SchemaViolation(key, "expected a list of records")
         out = []
         for item in value:
@@ -332,7 +308,10 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
     out: dict[str, object] = {}
     for key, spec in schema.items():
         if key in props:
-            out[key] = _normalize_value(key, spec, props[key])
+            try:
+                out[key] = _normalize_value(key, spec, props[key])
+            except ValueError as exc:  # from the geometry real/point decoder
+                raise SchemaViolation(key, str(exc)) from exc
         elif spec.required:
             raise SchemaViolation(key, "required property missing")
         else:

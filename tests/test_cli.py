@@ -250,6 +250,44 @@ def test_string_or_boolean_point_coordinate_exits_1(drawing, value, got):
     assert Path(drawing).read_bytes() == before
 
 
+def test_edit_that_overflows_the_placement_exits_1(drawing, capsys):
+    assert run(capsys, "add", drawing, "--type", "valve")[0] == 0
+    assert run(capsys, "edit", drawing, "--id", "1", "--move=1e308,0")[0] == 0
+    before = Path(drawing).read_bytes()
+    for action, message in [
+            ("--move=1e308,0", "property 'origin': value must be finite"),
+            ("--rotate=-1e308,-1e308,180",
+             "valve module: transform coefficients must be finite"),
+            ("--mirror=-1e308,5,90",
+             "valve module: transform coefficients must be finite")]:
+        proc = run_process("edit", drawing, "--id", "1", action)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert Path(drawing).read_bytes() == before
+
+
+@pytest.mark.parametrize("record", [
+    "{'kind':'circle','center':[1.79e308,0.0],'radius':1e306}",
+    "{'kind':'text','anchor':[0.0,0.0],'height_mm':1e308,'content':'abcd'}",
+], ids=["circle", "text"])
+def test_user_module_whose_extent_overflows_exits_1(drawing, record):
+    before = Path(drawing).read_bytes()
+    proc = run_process("add", drawing, "--type", "user", "--props",
+                       f"elements=[{record}]")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: user module: point coordinates must be "
+                           "finite\n")
+    assert Path(drawing).read_bytes() == before
+
+
+def test_user_element_record_with_a_string_radius_exits_1(drawing):
+    proc = run_process("add", drawing, "--type", "user", "--props",
+                       "elements=[{'kind':'circle','center':[0,0],'radius':'2'}]")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: property 'elements': bad circle element: "
+                           "expected a real number, got str\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["edit", "{d}", "--id", "1", "--move=inf,0"],
     ["edit", "{d}", "--id", "1", "--rotate=0,0,nan"],

@@ -275,3 +275,45 @@ def test_element_from_json_rejects_junk():
         element_from_json({"kind": "blob"})
     with pytest.raises(ValueError):
         element_from_json({"kind": "segment", "p1": [0, 0]})
+
+
+@pytest.mark.parametrize("record,got", [
+    ({"kind": "segment", "p1": ["0", 0.0], "p2": [1.0, 1.0]}, "str"),
+    ({"kind": "segment", "p1": [0.0, False], "p2": [1.0, 1.0]}, "bool"),
+    ({"kind": "polyline", "points": [[0.0, 0.0], [True, 1.0]]}, "bool"),
+    ({"kind": "circle", "center": [0.0, 0.0], "radius": "2"}, "str"),
+    ({"kind": "arc", "center": [0.0, 0.0], "radius": 1.0,
+      "start_angle": 0.0, "end_angle": "90"}, "str"),
+    ({"kind": "text", "anchor": [0.0, 0.0], "height_mm": True,
+      "content": "a"}, "bool"),
+    ({"kind": "text", "anchor": [0.0, 0.0], "height_mm": 2.5,
+      "angle_deg": "45", "content": "a"}, "str"),
+], ids=["string-coordinate", "boolean-coordinate", "boolean-vertex",
+        "string-radius", "string-angle", "boolean-height", "string-text-angle"])
+def test_element_from_json_takes_only_real_numbers(record, got):
+    with pytest.raises(ValueError, match=f"expected a real number, got {got}$"):
+        element_from_json(record)
+
+
+def test_element_bbox_of_many_elements_folds_each_bbox():
+    elements = [Segment(Point(3, -1), Point(-2, 4)),
+                Circle(Point(10, 10), 2.5),
+                Arc(Point(0, -5), 1.0, 180.0, 360.0),
+                Text(Point(-7, 0), 2.0, 90.0, "ab")]
+    boxes = [element_bbox(e) for e in elements]
+    assert element_bbox(*elements) == Rect(
+        Point(min(b.min.x for b in boxes), min(b.min.y for b in boxes)),
+        Point(max(b.max.x for b in boxes), max(b.max.y for b in boxes)))
+    assert element_bbox(*elements) == Rect.from_bounds(-9.0, -6.0, 12.5, 12.5)
+
+
+@pytest.mark.parametrize("element", [
+    Circle(Point(1.79e308, 0.0), 1e306),
+    Text(Point(0.0, 0.0), 1e308, 90.0, "abcd"),
+    Text(Point(0.0, 0.0), 1e308, 0.0, "abcd"),
+], ids=["circle", "text-upright", "text-flat"])
+def test_element_bbox_rejects_an_extent_that_overflows(element):
+    with pytest.raises(ValueError, match="finite"):
+        element_bbox(element)
+    with pytest.raises(ValueError, match="finite"):
+        element_bbox(Segment(Point(0, 0), Point(1, 1)), element)

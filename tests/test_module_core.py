@@ -7,11 +7,14 @@ import math
 import random
 
 import pytest
-from modraft import (Axis, Circle, ModuleType, Point, SchemaViolation, Segment,
-                     Text, ZoneGrid, align_by_attach, apply_transform,
-                     create_module, geometry_bytes, mirror_module, move_module,
-                     rotate_module, set_properties, snap_points,
-                     spawn_working_modules, Transform)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from modraft import (Axis, Circle, GenerationError, ModuleType, Point, Rect,
+                     SchemaViolation, Segment, Text, ZoneGrid, align_by_attach,
+                     apply_transform, create_module, element_bbox,
+                     geometry_bytes, mirror_module, move_module, rotate_module,
+                     set_properties, snap_points, spawn_working_modules,
+                     Transform)
 
 from propgen import PROP_MAKERS, random_props
 
@@ -251,3 +254,62 @@ def test_geometry_json_is_cached_and_not_a_field():
     assert moved.geometry_json != m.geometry_json
     replaced = dataclasses.replace(m, geometry=moved.geometry)
     assert replaced.geometry_json == moved.geometry_json
+
+
+# --- extents and overflow ---------------------------------------------------------
+
+@given(st.sampled_from(list(PROP_MAKERS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_module_bbox_is_the_fold_of_its_element_bboxes(mtype, seed):
+    m = create_module(mtype, random_props(random.Random(seed), mtype))
+    boxes = [element_bbox(e) for e in m.geometry]
+    assert m.bbox == Rect(
+        Point(min(b.min.x for b in boxes), min(b.min.y for b in boxes)),
+        Point(max(b.max.x for b in boxes), max(b.max.y for b in boxes)))
+
+
+@pytest.mark.parametrize("props", [
+    {"elements": [{"kind": "circle", "center": [1.79e308, 0.0], "radius": 1e306}]},
+    {"elements": [{"kind": "text", "anchor": [0.0, 0.0], "height_mm": 1e308,
+                   "content": "abcd"}]},
+    {"elements": [{"kind": "circle", "center": [1.0, 0.0], "radius": 1.0}],
+     "scale": 1e308},
+    {"elements": [{"kind": "circle", "center": [1.0, 0.0], "radius": 1.0}],
+     "scale": 1e-320},
+], ids=["circle-extent", "text-extent", "huge-scale", "subnormal-scale"])
+def test_finite_module_whose_extent_overflows_is_a_generation_error(props):
+    with pytest.raises(GenerationError, match="^user module: "):
+        create_module(ModuleType.USER, props)
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "segment", "p1": ["0", 0.0], "p2": [1.0, 1.0]},
+    {"kind": "segment", "p1": [0.0, False], "p2": [1.0, 1.0]},
+    {"kind": "circle", "center": [0.0, 0.0], "radius": "2"},
+    {"kind": "text", "anchor": [0.0, 0.0], "height_mm": False, "content": "a"},
+], ids=["string-coordinate", "boolean-coordinate", "string-radius",
+        "boolean-height"])
+def test_user_element_record_takes_only_real_numbers(record):
+    with pytest.raises(SchemaViolation, match="expected a real number") as info:
+        create_module(ModuleType.USER, {"elements": [record]})
+    assert info.value.key == "elements"
+
+
+def test_move_that_overflows_the_origin_is_a_schema_violation():
+    m = move_module(create_module(ModuleType.VALVE, {}), 1e308, 0.0)
+    assert m.props["origin"] == Point(1e308, 0.0)
+    with pytest.raises(SchemaViolation, match="value must be finite") as info:
+        move_module(m, 1e308, 0.0)
+    assert info.value.key == "origin"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: rotate_module(m, 90.0, Point(-1e308, 0.0)),
+    lambda m: rotate_module(m, 180.0, Point(-1e308, -1e308)),
+    lambda m: mirror_module(m, Point(-1e308, 0.0), 90.0),
+    lambda m: align_by_attach(m, 0, Axis(Point(-1e308, 0.0), 0.0)),
+], ids=["rotate", "rotate-about", "mirror", "align"])
+def test_rigid_edit_that_overflows_the_placement_is_a_generation_error(edit):
+    m = move_module(create_module(ModuleType.VALVE, {}), 1e308, 0.0)
+    with pytest.raises(GenerationError, match="^valve module: "):
+        edit(m)

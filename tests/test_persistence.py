@@ -798,6 +798,24 @@ def test_string_or_boolean_point_coordinate_is_a_schema_violation(
         load_drawing(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field,value,got", [
+    ("center", ["0", 0.0], "str"),
+    ("center", [0.0, False], "bool"),
+    ("radius", "2", "str"),
+], ids=["string-coordinate", "boolean-coordinate", "string-radius"])
+def test_user_element_record_with_a_non_real_number_is_a_schema_violation(
+        field, value, got):
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.USER, {"elements": [
+        {"kind": "circle", "center": [0.0, 0.0], "radius": 2.0}]})
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["elements"]["value"][0][field] = value
+    with pytest.raises(SchemaViolation, match=(
+            rf"^item 0 \(module 1\): property 'elements': bad circle element: "
+            rf"expected a real number, got {got}$")):
+        load_drawing(json.dumps(doc))
+
+
 @pytest.mark.parametrize("mtype,props,key,value", [
     (ModuleType.VALVE, {}, "attach", ""),
     (ModuleType.PIPELINE, {"path": [(0, 0), (30, 0)], "diameter_mm": 4.0},
