@@ -17,12 +17,12 @@ from pathlib import Path
 from . import __version__
 from .core import mirror_module, move_module, rotate_module
 from .errors import KernelError, NoProtectionAtHeight
-from .geometry import Point, Rect, ZoneGrid
+from .geometry import Point, Rect
 from .integrity import sign_drawing, verify_signatures
 from .lightning import params_from_props, single_rod_radius
 from .persistence import (DEFAULT_GRID_NX, DEFAULT_GRID_NY, FORMAT_VERSION,
-                          Drawing, load_drawing_file, load_prototypes,
-                          save_drawing_file, save_prototypes)
+                          Drawing, _default_grid, load_drawing_file,
+                          load_prototypes, save_drawing_file, save_prototypes)
 from .properties import ModuleType, PropKind, schema_for
 from .render import render_svg
 from .speccing import (SPEC_ROW_FIELDS, apply_catalog_entry, collect_spec_rows,
@@ -137,15 +137,11 @@ def _format_real(value: float) -> str:
 
 
 def cmd_new(args) -> int:
-    grid = None
-    if args.grid:
-        nx, ny = args.grid
-        extent = args.extent
-        try:
-            grid = ZoneGrid(extent.min, max(extent.width, 1e-6) / nx,
-                            max(extent.height, 1e-6) / ny, nx, ny)
-        except ValueError as exc:
-            raise KernelError(str(exc)) from exc
+    nx, ny = args.grid or (DEFAULT_GRID_NX, DEFAULT_GRID_NY)
+    try:
+        grid = _default_grid(args.extent, nx, ny)
+    except ValueError as exc:
+        raise KernelError(str(exc)) from exc
     d = Drawing.new(args.extent, grid)
     save_drawing_file(d, args.drawing)
     return 0

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .canon import canonical_encode
 from .errors import GenerationError
+from .generators import generate_local, internal_list_indices
 from .geometry import (Element, Point, Rect, Transform, ZoneGrid,
                        apply_transform, element_bbox, element_to_json)
 from .properties import Axis, ModuleType, validate_props
@@ -101,8 +102,6 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
     Deterministic: the same type and properties always yield byte-identical
     geometry. ``grid`` is accepted for compatibility and has no effect.
     """
-    from .generators import generate_local
-
     mtype = ModuleType(mtype)
     norm = validate_props(mtype, props)
     try:
@@ -195,9 +194,7 @@ def align_by_attach(m: Module, own_axis_index: int, target: Axis, *,
 
 def spawn_working_modules(m: Module, list_name: str) -> list[WorkingModule]:
     """Working modules over the entries of one of the host's internal lists."""
-    from .generators import internal_list_indices
-
-    lists = internal_list_indices(m.type, m.props)
+    lists = internal_list_indices(m)
     if list_name not in lists:
         raise ValueError(
             f"module type {m.type.value!r} has no internal list {list_name!r}")

@@ -8,11 +8,17 @@ always produce byte-identical geometry.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import GenerationError, SchemaViolation
 from .geometry import (Element, LineStyle, LineType, Point, Polyline, Circle,
-                       Segment, Text, element_from_json, offset_path)
-from .lightning import gen_lightning, radius_label_indices
+                       Segment, Text, _field_real, element_from_json,
+                       offset_path)
+from .lightning import gen_lightning
 from .properties import ModuleType
+
+if TYPE_CHECKING:
+    from .core import Module
 
 __all__ = ["generate_local", "internal_list_indices", "SHEET_SIZES"]
 
@@ -123,7 +129,7 @@ def _table_layout(props: dict) -> tuple[Point, list[float], float, float, list[l
     headers = []
     for rec in columns:
         try:
-            w = float(rec["width_mm"])
+            w = _field_real(rec, "width_mm")
             header = rec.get("header", "")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation("columns", f"bad column record: {exc}") from exc
@@ -182,15 +188,6 @@ def gen_table(props: dict) -> tuple[Element, ...]:
                            y_center - TABLE_TEXT_HEIGHT / 2.0)
             elements.append(Text(anchor, TABLE_TEXT_HEIGHT, 0.0, content, _SOLID))
     return tuple(elements)
-
-
-def _table_row_indices(props: dict) -> tuple[tuple[int, ...], ...]:
-    _, widths, _, _, text_rows = _table_layout(props)
-    n_cols = len(widths)
-    n_rows = len(text_rows) - 1
-    base = (n_cols + 1) + (n_rows + 2) + n_cols  # rules plus header texts
-    return tuple(tuple(range(base + r * n_cols, base + (r + 1) * n_cols))
-                 for r in range(n_rows))
 
 
 def frame_size(props: dict) -> tuple[float, float]:
@@ -273,11 +270,18 @@ def generate_local(mtype: ModuleType, props: dict) -> tuple[Element, ...]:
     return geometry
 
 
-def internal_list_indices(mtype: ModuleType, props: dict) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Named internal lists of a module: list name -> per-entry geometry indices."""
-    mtype = ModuleType(mtype)
-    if mtype is ModuleType.TABLE:
-        return {"rows": _table_row_indices(props)}
-    if mtype is ModuleType.LIGHTNING:
-        return {"radius_dimensions": radius_label_indices(props)}
+def internal_list_indices(m: "Module") -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Named internal lists of a module: list name -> per-entry geometry indices.
+
+    Read off the generated geometry: a table's rows are its texts after the
+    header row, one per column, and a lightning plan's radius labels are its
+    texts.
+    """
+    texts = [i for i, e in enumerate(m.geometry) if isinstance(e, Text)]
+    if m.type is ModuleType.TABLE:
+        n = len(m.props["columns"])
+        return {"rows": tuple(tuple(texts[k:k + n])
+                              for k in range(n, len(texts), n))}
+    if m.type is ModuleType.LIGHTNING:
+        return {"radius_dimensions": tuple((i,) for i in texts)}
     return {}

@@ -103,6 +103,20 @@ def _as_point(value: object) -> Point:
     raise ValueError(f"not a point: {value!r}")
 
 
+def _field_real(record: dict, key: str) -> float:
+    """A number field of a property record, checked as :func:`_as_real`
+    checks a value, except that an integer too large for a float raises
+    ``OverflowError``, which ``create_module`` reports as a
+    ``GenerationError``."""
+    value = record[key]
+    if type(value) is int:
+        return float(value)
+    try:
+        return _as_real(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Transform:
     """Conformal affine map: x' = a*x + b*y + tx, y' = c*x + d*y + ty.

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .persistence import Drawing, canonical_bytes
+from .properties import ModuleType
 
 __all__ = ["SignatureStatus", "compute_digest", "signature_mac",
            "validate_signer_fields", "sign_drawing",
@@ -126,7 +127,6 @@ def verify_signatures(
     holds a signature; every signature is checked against that one digest,
     so the cost of a verify does not grow with the number of signatures.
     """
-    from .properties import ModuleType
     signatures = [m for m in d.modules() if m.type is ModuleType.SIGNATURE]
     if not signatures:
         return []
@@ -151,7 +151,6 @@ def sign_drawing(d: Drawing, person: str, position: str, date: str, time: str,
     explicit origin is given.
     """
     validate_signer_fields(person, position, date, time, password)
-    from .properties import ModuleType
     if origin is None:
         origin = (d.extent.min.x + 5.0, d.extent.min.y + 5.0)
     digest = compute_digest(d)

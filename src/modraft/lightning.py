@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoProtectionAtHeight, OutOfMethodRange, SchemaViolation
-from .geometry import Circle, Element, LineStyle, Point, Segment, Text
+from .geometry import (Circle, Element, LineStyle, Point, Segment, Text,
+                       _field_real)
 
 __all__ = [
     "Rod", "ZoneClass", "LightningParams", "MAX_ROD_HEIGHT",
@@ -147,13 +148,13 @@ def params_from_props(props: dict) -> LightningParams:
     rods = []
     for rec in props["rods"]:
         try:
-            rods.append(Rod(rec["x"], rec["y"], rec["h"]))
+            rods.append(Rod(*(_field_real(rec, key) for key in "xyh")))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation("rods", f"bad rod record: {exc}") from exc
     heights = []
     for rec in props["section_heights"]:
         try:
-            heights.append(float(rec["height"]))
+            heights.append(_field_real(rec, "height"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation("section_heights", f"bad height record: {exc}") from exc
     scale = props["scale_mm_per_m"]
@@ -210,11 +211,3 @@ def gen_lightning(props: dict) -> tuple[Element, ...]:
         anchor = Point(c.x, c.y + r_mm + LABEL_GAP_MM)
         elements.append(Text(anchor, LABEL_HEIGHT_MM, 0.0, f"R{radius:.2f}", style))
     return tuple(elements)
-
-
-def radius_label_indices(props: dict) -> tuple[tuple[int, ...], ...]:
-    """Geometry indices of each radius label, in circle order."""
-    params = params_from_props(props)
-    n = len(_qualifying(params))
-    base = 2 * len(params.rods) + n
-    return tuple((base + i,) for i in range(n))

@@ -37,8 +37,8 @@ from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Point, Rect, ZoneGrid, _as_point,
                        element_from_json, element_to_json)
-from .properties import (ModuleType, props_from_json, props_to_json,
-                         validate_props)
+from .properties import (PLACEMENT_SCHEMA, ModuleType, props_from_json,
+                         props_to_json, validate_props)
 
 __all__ = [
     "FORMAT_VERSION", "Drawing", "DrawingItem",
@@ -56,11 +56,11 @@ DEFAULT_GRID_NY = 16
 DrawingItem = Union[Module, Element]
 
 
-def _default_grid(extent: Rect) -> ZoneGrid:
-    return ZoneGrid(extent.min,
-                    max(extent.width, 1e-6) / DEFAULT_GRID_NX,
-                    max(extent.height, 1e-6) / DEFAULT_GRID_NY,
-                    DEFAULT_GRID_NX, DEFAULT_GRID_NY)
+def _default_grid(extent: Rect, nx: int = DEFAULT_GRID_NX,
+                  ny: int = DEFAULT_GRID_NY) -> ZoneGrid:
+    """An nx x ny zone grid of equal cells covering the extent."""
+    return ZoneGrid(extent.min, max(extent.width, 1e-6) / nx,
+                    max(extent.height, 1e-6) / ny, nx, ny)
 
 
 @dataclass
@@ -172,14 +172,16 @@ def save_drawing(d: Drawing) -> bytes:
     return canonical_bytes(d)
 
 
-def _parse_json(data: "bytes | str") -> object:
+def _parse_json(data: "bytes | str", object_pairs_hook=None) -> object:
+    """Decode a UTF-8 JSON file; a key repeated in one object is read
+    last-wins unless ``object_pairs_hook`` decides otherwise."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -333,8 +335,7 @@ def load_drawing_file(path: "str | Path") -> Drawing:
     return load_drawing(Path(path).read_bytes())
 
 
-_PLACEMENT_RESET = {"layer": 0, "origin": Point(0.0, 0.0),
-                    "angle_deg": 0.0, "mirrored": False}
+_PLACEMENT_RESET = {key: spec.default for key, spec in PLACEMENT_SCHEMA.items()}
 
 
 def save_prototypes(modules: Iterable[Module], names: Iterable[str]) -> bytes:

@@ -16,19 +16,23 @@ longer matches the snapshot, however the items list or grid was changed,
 rebuilds it first.
 
 Drawing coordinates are y-up; SVG is y-down, so the viewport is flipped
-vertically and arc sweeps and text rotations change sign.
+vertically and arc sweeps and text rotations change sign. One function,
+``_element_svg``, maps and writes every element kind: a drawing point
+(x, y) becomes (x - viewport.min.x, viewport.max.y - y). Stroke attributes
+are built once per (line type, colour) and the palette is read once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from importlib import resources
 from typing import Iterator, NamedTuple
 
 from .errors import KernelError
-from .geometry import (Arc, Circle, Element, LineStyle, LineType, Polyline,
-                       Rect, Segment, Text, ZoneGrid, element_bbox)
+from .geometry import (Arc, Circle, Element, LineType, Polyline, Rect,
+                       Segment, Text, ZoneGrid, element_bbox)
 from .persistence import Drawing, DrawingItem
 from .core import Module
 
@@ -44,16 +48,12 @@ _DASH_PATTERNS = {
     LineType.DASH_DOT: "8,2,1,2",
 }
 
-_palette_cache: "list[str] | None" = None
 
-
+@functools.cache
 def palette() -> list[str]:
     """The fixed 256-colour palette as #rrggbb strings."""
-    global _palette_cache
-    if _palette_cache is None:
-        data = resources.files("modraft.data").joinpath("palette.json")
-        _palette_cache = json.loads(data.read_text("utf-8"))
-    return _palette_cache
+    data = resources.files("modraft.data").joinpath("palette.json")
+    return json.loads(data.read_text("utf-8"))
 
 
 class _CellIndex(NamedTuple):
@@ -140,79 +140,53 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
-class _Mapper:
-    """Drawing-to-SVG coordinate mapping for one viewport."""
-
-    def __init__(self, viewport: Rect):
-        self.x0 = viewport.min.x
-        self.y1 = viewport.max.y
-
-    def point(self, p) -> tuple[float, float]:
-        return p.x - self.x0, self.y1 - p.y
-
-    def xy(self, p) -> str:
-        x, y = self.point(p)
-        return f"{_fmt(x)},{_fmt(y)}"
+@functools.cache
+def _stroke(line_type: LineType, color: int) -> str:
+    """Stroke attributes of a line style, built once per (type, colour)."""
+    width = THIN_STROKE_WIDTH_MM if line_type is LineType.THIN_SOLID \
+        else STROKE_WIDTH_MM
+    attrs = f'stroke="{palette()[color]}" stroke-width="{_fmt(width)}"'
+    dash = _DASH_PATTERNS[line_type]
+    return attrs if dash is None else f'{attrs} stroke-dasharray="{dash}"'
 
 
-# Keyed by (line type, colour) rather than by the LineStyle: a tuple of an
-# enum member and a small int hashes and compares in C.
-_style_cache: "dict[tuple[LineType, int], str]" = {}
-
-
-def _style_attrs(style: LineStyle) -> str:
-    """Stroke attributes of a line style, built once per style."""
-    key = (style.line_type, style.color)
-    attrs = _style_cache.get(key)
-    if attrs is None:
-        width = THIN_STROKE_WIDTH_MM if style.line_type is LineType.THIN_SOLID \
-            else STROKE_WIDTH_MM
-        attrs = f'stroke="{palette()[style.color]}" stroke-width="{_fmt(width)}"'
-        dash = _DASH_PATTERNS[style.line_type]
-        if dash is not None:
-            attrs += f' stroke-dasharray="{dash}"'
-        _style_cache[key] = attrs
-    return attrs
-
-
-def _element_svg(element: Element, mapper: _Mapper) -> str:
+def _element_svg(element: Element, x0: float, top: float) -> str:
+    """One element as SVG; a drawing point (x, y) maps to (x - x0, top - y)."""
+    stroke = _stroke(element.style.line_type, element.style.color)
     if isinstance(element, Segment):
-        p1, p2, x0, top = element.p1, element.p2, mapper.x0, mapper.y1
+        p1, p2 = element.p1, element.p2
         return (f'<line x1="{_fmt(p1.x - x0)}" y1="{_fmt(top - p1.y)}" '
-                f'x2="{_fmt(p2.x - x0)}" y2="{_fmt(top - p2.y)}" '
-                f'{_style_attrs(element.style)}/>')
+                f'x2="{_fmt(p2.x - x0)}" y2="{_fmt(top - p2.y)}" {stroke}/>')
     if isinstance(element, Polyline):
-        points = " ".join(mapper.xy(p) for p in element.points)
+        points = " ".join(f"{_fmt(p.x - x0)},{_fmt(top - p.y)}"
+                          for p in element.points)
         tag = "polygon" if element.closed else "polyline"
-        return (f'<{tag} points="{points}" fill="none" '
-                f'{_style_attrs(element.style)}/>')
+        return f'<{tag} points="{points}" fill="none" {stroke}/>'
     if isinstance(element, Circle):
-        cx, cy = mapper.point(element.center)
-        return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(element.radius)}" fill="none" '
-                f'{_style_attrs(element.style)}/>')
+        c = element.center
+        return (f'<circle cx="{_fmt(c.x - x0)}" cy="{_fmt(top - c.y)}" '
+                f'r="{_fmt(element.radius)}" fill="none" {stroke}/>')
     if isinstance(element, Arc):
         # A counter-clockwise sweep in y-up coordinates appears
         # counter-clockwise on screen, which is SVG sweep direction 0.
-        sx, sy = mapper.point(element.point_at(element.start_angle))
-        ex, ey = mapper.point(element.point_at(element.end_angle))
+        s = element.point_at(element.start_angle)
+        e = element.point_at(element.end_angle)
         r = _fmt(element.radius)
         large = 1 if element.sweep_deg > 180.0 else 0
-        return (f'<path d="M {_fmt(sx)} {_fmt(sy)} A {r} {r} 0 {large} 0 '
-                f'{_fmt(ex)} {_fmt(ey)}" fill="none" '
-                f'{_style_attrs(element.style)}/>')
+        return (f'<path d="M {_fmt(s.x - x0)} {_fmt(top - s.y)} '
+                f'A {r} {r} 0 {large} 0 {_fmt(e.x - x0)} {_fmt(top - e.y)}" '
+                f'fill="none" {stroke}/>')
     if isinstance(element, Text):
-        ax, ay = mapper.point(element.anchor)
-        transform = f"translate({_fmt(ax)} {_fmt(ay)})"
+        a = element.anchor
+        transform = f"translate({_fmt(a.x - x0)} {_fmt(top - a.y)})"
         if element.angle_deg != 0.0:
             transform += f" rotate({_fmt(-element.angle_deg)})"
-        colors = palette()
         length = ""
         if element.content:
             length = (f' textLength="{_fmt(element.box_width)}"'
                       ' lengthAdjust="spacingAndGlyphs"')
         return (f'<text transform="{transform}" font-size="{_fmt(element.height_mm)}" '
-                f'font-family="monospace" fill="{colors[element.style.color]}" '
+                f'font-family="monospace" fill="{palette()[element.style.color]}" '
                 f'stroke="none"{length}>{_escape(element.content)}</text>')
     raise TypeError(f"not an element: {element!r}")
 
@@ -228,7 +202,7 @@ def render_svg(d: Drawing, viewport: "Rect | None" = None,
     vp = viewport if viewport is not None else d.extent
     if not (math.isfinite(vp.width) and math.isfinite(vp.height)):
         raise KernelError("viewport width and height must be finite")
-    mapper = _Mapper(vp)
+    x0, top = vp.min.x, vp.max.y
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(vp.width)}mm" '
@@ -239,9 +213,9 @@ def render_svg(d: Drawing, viewport: "Rect | None" = None,
         if isinstance(item, Module):
             lines.append(f'<g data-module-id="{item.id}" '
                          f'data-module-type="{item.type.value}">')
-            lines.extend(_element_svg(e, mapper) for e in item.geometry)
+            lines.extend(_element_svg(e, x0, top) for e in item.geometry)
             lines.append("</g>")
         else:
-            lines.append(_element_svg(item, mapper))
+            lines.append(_element_svg(item, x0, top))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -9,15 +9,15 @@ sum of quantities always equals the number of source modules.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
-from .core import Module
-from .errors import CatalogError, KernelError
-from .persistence import Drawing, load_drawing_file
-from .properties import ModuleType
+from .core import Module, set_properties
+from .errors import CatalogError, FileFormatError, KernelError
+from .geometry import _as_real
+from .persistence import Drawing, _parse_json, load_drawing_file
+from .properties import ModuleType, schema_for
 
 __all__ = [
     "SpecRow", "DuplicateGroup", "Catalog", "SPEC_MODULE_TYPES",
@@ -243,12 +243,6 @@ def fill_table_module(d: Drawing, table_id: int, rows: Iterable[SpecRow],
 
 def load_catalog(data: "bytes | str") -> Catalog:
     """Parse a catalog file: {"entries": {id: {the seven fields}}}."""
-    try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise CatalogError(
-            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-
     def reject_duplicates(pairs):
         keys = [k for k, _ in pairs]
         if len(set(keys)) != len(keys):
@@ -257,11 +251,9 @@ def load_catalog(data: "bytes | str") -> Catalog:
         return dict(pairs)
 
     try:
-        doc = json.loads(text, object_pairs_hook=reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"not valid JSON: {exc.msg} at line {exc.lineno}") from exc
-    except RecursionError as exc:
-        raise CatalogError("JSON nested too deeply") from exc
+        doc = _parse_json(data, reject_duplicates)
+    except FileFormatError as exc:
+        raise CatalogError(str(exc)) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise CatalogError("catalog must be an object with an 'entries' map")
     entries: dict[str, dict] = {}
@@ -276,11 +268,14 @@ def load_catalog(data: "bytes | str") -> Catalog:
         for name in CATALOG_FIELDS:
             value = entry[name]
             if name == "price":
-                if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                        or value < 0:
-                    raise CatalogError(f"entry {entry_id!r}: price must be a "
-                                       "non-negative number")
-                clean[name] = float(value)
+                try:
+                    price = _as_real(value)
+                except ValueError as exc:
+                    raise CatalogError(f"entry {entry_id!r}: price: {exc}") from exc
+                if price < 0:
+                    raise CatalogError(f"entry {entry_id!r}: price must be "
+                                       "non-negative")
+                clean[name] = price
             else:
                 if not isinstance(value, str):
                     raise CatalogError(f"entry {entry_id!r}: {name} must be text")
@@ -302,9 +297,6 @@ def apply_catalog_entry(m: Module, catalog: Catalog, entry_id: str,
     Idempotent: applying the same entry twice changes nothing. ``grid`` is
     accepted for compatibility and has no effect.
     """
-    from .core import set_properties
-    from .properties import schema_for
-
     entry = catalog.entry(entry_id)
     if m.type is ModuleType.POSDES:
         rec = dict(m.props["spec_props"] or {})

@@ -14,7 +14,8 @@ from modraft import (Axis, Circle, GenerationError, ModuleType, Point, Rect,
                      apply_transform, create_module, element_bbox,
                      geometry_bytes, mirror_module, move_module, rotate_module,
                      set_properties, snap_points, spawn_working_modules,
-                     Transform)
+                     Transform, apex_height)
+from modraft.generators import internal_list_indices
 
 from propgen import PROP_MAKERS, random_props
 
@@ -209,6 +210,34 @@ def test_spawn_working_modules_table_rows():
         "columns": [{"width_mm": 20.0, "header": "h"}],
         "row_height_mm": 8.0, "header_height_mm": 15.0, "rows": []})
     assert spawn_working_modules(m, "rows") == []
+
+
+def _emission_order_indices(m) -> dict:
+    """Internal lists from the generators' emission order by index
+    arithmetic: the oracle that reading them off the geometry must match."""
+    if m.type is ModuleType.TABLE:
+        n_cols, n_rows = len(m.props["columns"]), len(m.props["rows"])
+        base = (n_cols + 1) + (n_rows + 2) + n_cols  # rules plus header texts
+        return {"rows": tuple(tuple(range(base + r * n_cols, base + (r + 1) * n_cols))
+                              for r in range(n_rows))}
+    rods = m.props["rods"]
+    n = sum(apex_height(rod["h"], m.props["zone_class"]) > rec["height"]
+            for rec in m.props["section_heights"] for rod in rods)
+    base = 2 * len(rods) + n
+    return {"radius_dimensions": tuple((base + i,) for i in range(n))}
+
+
+@pytest.mark.parametrize("mtype", [ModuleType.TABLE, ModuleType.LIGHTNING])
+def test_internal_lists_match_the_emission_order(mtype):
+    rng = random.Random(29)
+    for _ in range(300):
+        m = create_module(mtype, random_props(rng, mtype))
+        lists = internal_list_indices(m)
+        assert lists == _emission_order_indices(m)
+        if mtype is ModuleType.TABLE:
+            working = spawn_working_modules(m, "rows")
+            assert [[t.content for t in w.geometry] for w in working] == \
+                [rec["cells"] for rec in m.props["rows"]]
 
 
 def test_spawn_working_modules_unknown_list():

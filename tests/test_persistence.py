@@ -768,6 +768,32 @@ def test_huge_number_in_a_record_is_a_generation_error():
         load_drawing(json.dumps(doc))
 
 
+def _plan(rod: dict, height: object) -> dict:
+    return {"rods": [rod], "section_heights": [{"height": height}],
+            "zone_class": "B", "scale_mm_per_m": 2.0}
+
+
+def _table(column: dict) -> dict:
+    return {"columns": [column], "row_height_mm": 8.0, "header_height_mm": 15.0}
+
+
+@pytest.mark.parametrize("mtype,props,key", [
+    (ModuleType.LIGHTNING, _plan({"x": "5", "y": 0.0, "h": 20.0}, 2.0), "rods"),
+    (ModuleType.LIGHTNING, _plan({"x": 5.0, "y": True, "h": 20.0}, 2.0), "rods"),
+    (ModuleType.LIGHTNING, _plan({"x": 5.0, "y": 0.0, "h": "20"}, 2.0), "rods"),
+    (ModuleType.LIGHTNING, _plan({"x": 5.0, "y": 0.0, "h": 20.0}, "2"),
+     "section_heights"),
+    (ModuleType.TABLE, _table({"width_mm": "20"}), "columns"),
+    (ModuleType.TABLE, _table({"width_mm": True}), "columns"),
+], ids=["rod-x-string", "rod-y-bool", "rod-h-string", "height-string",
+        "width-string", "width-bool"])
+def test_string_or_boolean_number_in_a_record_is_a_schema_violation(
+        mtype, props, key):
+    with pytest.raises(SchemaViolation, match="expected a real number") as info:
+        create_module(mtype, props)
+    assert info.value.key == key
+
+
 def test_unknown_property_is_a_schema_violation_whatever_its_tag():
     doc = _valid_doc()
     doc["items"][0]["props"]["colour"] = {"kind": "no-such-kind", "value": 1}

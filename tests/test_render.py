@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from modraft import (Arc, Circle, Drawing, KernelError, LineStyle, LineType,
-                     ModuleType, Point, Rect, Segment, Text, ZoneGrid,
-                     element_bbox, move_module, palette, render_svg,
-                     visible_items)
+                     ModuleType, Point, Polyline, Rect, Segment, Text,
+                     ZoneGrid, element_bbox, move_module, palette,
+                     render_svg, visible_items)
 
 from propgen import PROP_MAKERS, random_props
 
@@ -200,6 +201,39 @@ def test_number_formatting_is_trimmed():
     assert line.get("y1") == "100"  # 99.9999999 rounds at micrometre precision
     assert line.get("x2") == "0.333333"
     assert line.get("y2") == "0"
+
+
+# SHA-256 of the mixed scene's SVG: any byte of drift in the emitter fails.
+MIXED_SCENE_SHA256 = \
+    "afe17fb74c87d59e4c3008adee5ea04d79b62e5d3ba9ddf33abdbacc3f6401b7"
+
+
+def _mixed_scene() -> Drawing:
+    """Every element kind and line type, plus two module groups."""
+    d = Drawing.new(Rect.from_bounds(-50, -50, 350, 250))
+    styles = [LineStyle(LineType.SOLID, 0), LineStyle(LineType.THIN_SOLID, 7),
+              LineStyle(LineType.DASHED, 2), LineStyle(LineType.DASH_DOT, 250)]
+    for i, style in enumerate(styles):
+        y = 10.0 * i + 1 / 3
+        d.add_element(Segment(Point(-20.125, y), Point(80.5, y + 2.75), style))
+        d.add_element(Polyline((Point(100, y), Point(120.25, y + 5),
+                                Point(140, y - 0.0000004)), i % 2 == 1, style))
+        d.add_element(Circle(Point(200 + 15 * i, 40), 2.5 + i, style))
+        d.add_element(Arc(Point(60, 120), 10.0 + i, 30.0 * i, 30.0 * i + 95.0, style))
+        d.add_element(Arc(Point(160, 120), 12.5, -45.0 + i, 200.0 + i, style))
+        d.add_element(Text(Point(10 + 40 * i, 200), 3.5, 37.5 * i,
+                           ['AB', 'a<b>&"c', '', 'Вентиль'][i], style))
+    d.add_module(ModuleType.VALVE, {"origin": (250, 150), "angle_deg": 30.0})
+    d.add_module(ModuleType.INSTRUMENT, {"origin": (300.5, 100),
+                                         "function_code": "PI", "on_board": True})
+    return d
+
+
+def test_mixed_scene_svg_bytes_are_pinned():
+    svg = render_svg(_mixed_scene(), Rect.from_bounds(-30.5, -20.25, 330, 230))
+    for tag in ("line", "polyline", "polygon", "circle", "path", "text", "g"):
+        assert f"<{tag} " in svg
+    assert hashlib.sha256(svg.encode()).hexdigest() == MIXED_SCENE_SHA256
 
 
 # --- the cell index behind visible_items --------------------------------

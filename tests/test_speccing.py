@@ -6,10 +6,11 @@ import json
 import random
 
 import pytest
-from modraft import (Catalog, CatalogError, Drawing, KernelError, ModuleType,
-                     Rect, SpecRow, apply_catalog_entry, collect_spec_rows,
-                     create_module, fill_table_module,
-                     find_duplicate_positions, geometry_bytes, load_catalog,
+from modraft import (Catalog, CatalogError, Drawing, FileFormatError,
+                     KernelError, ModuleType, Rect, SpecRow,
+                     apply_catalog_entry, collect_spec_rows, create_module,
+                     fill_table_module, find_duplicate_positions,
+                     geometry_bytes, load_catalog, load_drawing,
                      save_drawing_file)
 
 EXTENT = Rect.from_bounds(0, 0, 800, 600)
@@ -343,3 +344,20 @@ def test_load_catalog_rejects_non_utf8():
 def test_load_catalog_rejects_deeply_nested_json():
     with pytest.raises(CatalogError, match="nested too deeply"):
         load_catalog(b"[" * 100000 + b"]" * 100000)
+
+
+@pytest.mark.parametrize("price", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "infinity", "minus-infinity", "huge-integer"])
+def test_catalog_price_must_be_a_finite_number(price):
+    entry = json.dumps(dict(CATALOG_DOC["entries"]["V-100"], price=0.0))
+    text = '{"entries": {"X": ' + entry.replace('"price": 0.0', f'"price": {price}') + "}}"
+    with pytest.raises(CatalogError, match="entry 'X': price: value"):
+        load_catalog(text)
+
+
+def test_catalog_json_errors_read_like_drawing_json_errors():
+    with pytest.raises(FileFormatError) as drawing_error:
+        load_drawing("{nope}")
+    with pytest.raises(CatalogError) as catalog_error:
+        load_catalog("{nope}")
+    assert str(catalog_error.value) == str(drawing_error.value)
