@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import GenerationError, SchemaViolation
+from .errors import SchemaViolation
 from .geometry import (Element, LineStyle, LineType, Point, Polyline, Circle,
                        Segment, Text, _field_real, element_from_json,
                        offset_path)
@@ -263,11 +263,9 @@ _GENERATORS = {
 
 
 def generate_local(mtype: ModuleType, props: dict) -> tuple[Element, ...]:
-    """Local-coordinate geometry for a normalised property set."""
-    geometry = _GENERATORS[ModuleType(mtype)](props)
-    if not geometry:
-        raise GenerationError(f"type {ModuleType(mtype).value!r} generated no geometry")
-    return geometry
+    """Local-coordinate geometry for a normalised property set; every
+    generator returns at least one element or raises."""
+    return _GENERATORS[ModuleType(mtype)](props)
 
 
 def internal_list_indices(m: "Module") -> dict[str, tuple[tuple[int, ...], ...]]:

@@ -69,9 +69,6 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("point coordinates must be finite")
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -402,9 +399,6 @@ class Rect:
         """Closed-rectangle overlap test; touching boundaries count."""
         return (self.min.x <= other.max.x and other.min.x <= self.max.x
                 and self.min.y <= other.max.y and other.min.y <= self.max.y)
-
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.min.translated(dx, dy), self.max.translated(dx, dy))
 
 
 @dataclass(frozen=True)

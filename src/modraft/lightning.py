@@ -7,6 +7,10 @@ section radius rx = 1.5*(h - hx/0.92). Class A (99.5 %): h0 = 0.85*h,
 r0 = (1.1 - 0.002*h)*h, rx = (1.1 - 0.002*h)*(h - hx/0.85). Both reduce to
 the linear form rx = r0*(1 - hx/h0). Plan positions and heights are metres;
 generated geometry is paper millimetres via an explicit scale.
+
+:class:`Rod` and :class:`LightningParams` check their numbers once, as
+property values are checked: a string or boolean is refused, not coerced.
+The zone maths trusts what they hold and checks nothing again.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from enum import Enum
 
 from .errors import NoProtectionAtHeight, OutOfMethodRange, SchemaViolation
 from .geometry import (Circle, Element, LineStyle, Point, Segment, Text,
-                       _field_real)
+                       _as_real, _field_real)
 
 __all__ = [
     "Rod", "ZoneClass", "LightningParams", "MAX_ROD_HEIGHT",
@@ -46,11 +50,8 @@ class Rod:
     h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "h", float(self.h))
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.h)):
-            raise ValueError("rod parameters must be finite")
+        for name in ("x", "y", "h"):
+            object.__setattr__(self, name, _as_real(getattr(self, name)))
         if self.h <= 0.0:
             raise ValueError("rod height must be positive")
         if self.h > MAX_ROD_HEIGHT:
@@ -72,62 +73,67 @@ class LightningParams:
         if not rods:
             raise ValueError("at least one rod is required")
         object.__setattr__(self, "rods", rods)
-        heights = tuple(float(h) for h in self.section_heights)
-        for h in heights:
-            if not (math.isfinite(h) and h >= 0.0):
-                raise ValueError("section heights must be finite and non-negative")
+        heights = tuple(_as_real(h) for h in self.section_heights)
+        if any(h < 0.0 for h in heights):
+            raise ValueError("section heights must be non-negative")
         if list(heights) != sorted(set(heights)):
             raise ValueError("section heights must be distinct and ascending")
         object.__setattr__(self, "section_heights", heights)
         object.__setattr__(self, "zone_class", ZoneClass(self.zone_class))
-        s = float(self.scale_mm_per_m)
-        if not (math.isfinite(s) and s > 0.0):
+        scale = _as_real(self.scale_mm_per_m)
+        if scale <= 0.0:
             raise ValueError("plan scale must be positive")
-        object.__setattr__(self, "scale_mm_per_m", s)
+        object.__setattr__(self, "scale_mm_per_m", scale)
+
+
+def _zone(h: float, zone_class: ZoneClass) -> tuple[float, float]:
+    """Apex factor k and radius slope of a rod of height h: the zone has
+    apex k*h, ground radius slope*h and section radius slope*(h - hx/k)."""
+    if ZoneClass(zone_class) is ZoneClass.B:
+        return 0.92, 1.5
+    return 0.85, 1.1 - 0.002 * h
 
 
 def apex_height(h: float, zone_class: ZoneClass) -> float:
     """Zone apex h0 for a rod of height h."""
-    if ZoneClass(zone_class) is ZoneClass.B:
-        return 0.92 * h
-    return 0.85 * h
+    return _zone(h, zone_class)[0] * h
 
 
 def ground_radius(h: float, zone_class: ZoneClass) -> float:
     """Zone radius r0 at ground level."""
-    if ZoneClass(zone_class) is ZoneClass.B:
-        return 1.5 * h
-    return (1.1 - 0.002 * h) * h
+    return _zone(h, zone_class)[1] * h
 
 
 def single_rod_radius(h: float, hx: float, zone_class: ZoneClass) -> float:
     """Protection radius rx at section height hx for a single rod."""
-    h = float(h)
-    hx = float(hx)
-    if not (math.isfinite(h) and h > 0.0):
+    h = _as_real(h)
+    hx = _as_real(hx)
+    if h <= 0.0:
         raise ValueError("rod height must be positive")
     if h > MAX_ROD_HEIGHT:
         raise OutOfMethodRange(f"rod height {h} m exceeds {MAX_ROD_HEIGHT} m")
-    if not (math.isfinite(hx) and hx >= 0.0):
+    if hx < 0.0:
         raise ValueError("section height must be non-negative")
-    if hx >= apex_height(h, zone_class):
+    k, slope = _zone(h, zone_class)
+    if hx >= k * h:
         raise NoProtectionAtHeight(
             f"section height {hx} m is not below the zone apex of a {h} m rod")
-    if ZoneClass(zone_class) is ZoneClass.B:
-        return 1.5 * (h - hx / 0.92)
-    return (1.1 - 0.002 * h) * (h - hx / 0.85)
+    return slope * (h - hx / k)
 
 
 def zone_sections(params: LightningParams, hx: float) -> list[Circle]:
-    """Section circles at height hx, world metres, one per qualifying rod.
+    """Section circles at height hx, world metres, one per qualifying rod
+    in rod order.
 
     Rods whose apex does not clear hx contribute nothing.
     """
+    if hx < 0.0:
+        raise ValueError("section height must be non-negative")
     circles = []
     for rod in params.rods:
-        if apex_height(rod.h, params.zone_class) > hx:
-            circles.append(Circle(Point(rod.x, rod.y),
-                                  single_rod_radius(rod.h, hx, params.zone_class)))
+        k, slope = _zone(rod.h, params.zone_class)
+        if k * rod.h > hx:
+            circles.append(Circle(Point(rod.x, rod.y), slope * (rod.h - hx / k)))
     return circles
 
 
@@ -136,8 +142,9 @@ def is_protected(x: float, y: float, z: float, params: LightningParams) -> bool:
     if z < 0.0:
         raise ValueError("height must be non-negative")
     for rod in params.rods:
-        if apex_height(rod.h, params.zone_class) > z:
-            rx = single_rod_radius(rod.h, z, params.zone_class)
+        k, slope = _zone(rod.h, params.zone_class)
+        if k * rod.h > z:
+            rx = slope * (rod.h - z / k)
             if math.hypot(x - rod.x, y - rod.y) <= rx:
                 return True
     return False
@@ -158,7 +165,7 @@ def params_from_props(props: dict) -> LightningParams:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation("section_heights", f"bad height record: {exc}") from exc
     scale = props["scale_mm_per_m"]
-    if not (math.isfinite(scale) and scale > 0.0):
+    if scale <= 0.0:
         raise SchemaViolation("scale_mm_per_m", "must be positive")
     if not rods:
         raise SchemaViolation("rods", "at least one rod is required")
@@ -173,16 +180,6 @@ def params_from_props(props: dict) -> LightningParams:
 def _paper_point(params: LightningParams, x_m: float, y_m: float) -> Point:
     s = params.scale_mm_per_m
     return Point(params.plan_origin.x + x_m * s, params.plan_origin.y + y_m * s)
-
-
-def _qualifying(params: LightningParams) -> list[tuple[float, int, Rod, float]]:
-    """(section height, rod index, rod, world radius) ordered by height then rod."""
-    out = []
-    for hx in params.section_heights:
-        for idx, rod in enumerate(params.rods):
-            if apex_height(rod.h, params.zone_class) > hx:
-                out.append((hx, idx, rod, single_rod_radius(rod.h, hx, params.zone_class)))
-    return out
 
 
 def gen_lightning(props: dict) -> tuple[Element, ...]:
@@ -201,12 +198,11 @@ def gen_lightning(props: dict) -> tuple[Element, ...]:
                                 Point(c.x + CROSS_HALF_MM, c.y + CROSS_HALF_MM), style))
         elements.append(Segment(Point(c.x - CROSS_HALF_MM, c.y + CROSS_HALF_MM),
                                 Point(c.x + CROSS_HALF_MM, c.y - CROSS_HALF_MM), style))
-    entries = _qualifying(params)
-    for _hx, _idx, rod, radius in entries:
-        c = _paper_point(params, rod.x, rod.y)
+    sections = [(_paper_point(params, s.center.x, s.center.y), s.radius)
+                for hx in params.section_heights for s in zone_sections(params, hx)]
+    for c, radius in sections:
         elements.append(Circle(c, radius * params.scale_mm_per_m, style))
-    for _hx, _idx, rod, radius in entries:
-        c = _paper_point(params, rod.x, rod.y)
+    for c, radius in sections:
         r_mm = radius * params.scale_mm_per_m
         anchor = Point(c.x, c.y + r_mm + LABEL_GAP_MM)
         elements.append(Text(anchor, LABEL_HEIGHT_MM, 0.0, f"R{radius:.2f}", style))

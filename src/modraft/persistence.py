@@ -36,7 +36,7 @@ from .canon import canonical_dumps, canonical_encode
 from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Point, Rect, ZoneGrid, _as_point,
-                       element_from_json, element_to_json)
+                       _point_json, element_from_json, element_to_json)
 from .properties import (PLACEMENT_SCHEMA, ModuleType, props_from_json,
                          props_to_json, validate_props)
 
@@ -126,11 +126,11 @@ class Drawing:
 
 def _grid_json(grid: ZoneGrid) -> dict:
     return {"cell_h": grid.cell_h, "cell_w": grid.cell_w, "nx": grid.nx,
-            "ny": grid.ny, "origin": [grid.origin.x, grid.origin.y]}
+            "ny": grid.ny, "origin": _point_json(grid.origin)}
 
 
 def _rect_json(rect: Rect) -> dict:
-    return {"max": [rect.max.x, rect.max.y], "min": [rect.min.x, rect.min.y]}
+    return {"max": _point_json(rect.max), "min": _point_json(rect.min)}
 
 
 _MODULE_ITEM = b'{"geometry":%b,"id":%d,"kind":"module","props":%b,"type":%b}'

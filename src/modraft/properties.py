@@ -22,8 +22,7 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import FileFormatError, SchemaViolation
-from .geometry import Point, _as_point, _as_real, norm_deg, element_to_json
-from . import geometry
+from .geometry import Point, _as_point, _as_real, _point_json, norm_deg
 
 __all__ = [
     "ModuleType", "PropKind", "Axis", "PropSpec",
@@ -211,11 +210,6 @@ def _normalize_json(key: str, value: object) -> object:
         if not math.isfinite(value):
             raise SchemaViolation(key, "numbers must be finite")
         return value
-    if isinstance(value, Point):
-        return [value.x, value.y]
-    if isinstance(value, geometry.Segment | geometry.Polyline | geometry.Arc
-                  | geometry.Circle | geometry.Text):
-        return element_to_json(value)
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
@@ -275,17 +269,16 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
         if not isinstance(value, dict):
             raise SchemaViolation(key, f"expected a record, got {type(value).__name__}")
         return _normalize_json(key, value)
-    if kind is PropKind.RECORD_LIST:
-        if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
-            raise SchemaViolation(key, "expected a list of records")
-        out = []
-        for item in value:
-            norm = _normalize_json(key, item)
-            if not isinstance(norm, dict):
-                raise SchemaViolation(key, "list items must be records")
-            out.append(norm)
-        return tuple(out)
-    raise SchemaViolation(key, f"unhandled kind {kind}")
+    # PropKind.RECORD_LIST, the last kind
+    if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+        raise SchemaViolation(key, "expected a list of records")
+    out = []
+    for item in value:
+        norm = _normalize_json(key, item)
+        if not isinstance(norm, dict):
+            raise SchemaViolation(key, "list items must be records")
+        out.append(norm)
+    return tuple(out)
 
 
 def _default_for(spec: PropSpec) -> object:
@@ -322,31 +315,25 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
     return out
 
 
-def _value_to_json(spec: PropSpec, value: object) -> dict:
-    kind = spec.kind
-    if kind in (PropKind.TEXT, PropKind.INTEGER, PropKind.BOOLEAN):
-        return {"kind": kind.value, "value": value}
-    if kind is PropKind.REAL:
-        return {"kind": kind.value, "value": float(value)}
-    if kind is PropKind.POINT:
-        return {"kind": kind.value, "value": [value.x, value.y]}
-    if kind is PropKind.POINT_LIST:
-        return {"kind": kind.value, "value": [[p.x, p.y] for p in value]}
-    if kind is PropKind.AXIS_LIST:
-        return {"kind": kind.value,
-                "value": [{"angle_deg": a.angle_deg, "origin": [a.origin.x, a.origin.y]}
-                          for a in value]}
-    if kind is PropKind.RECORD:
-        return {"kind": kind.value, "value": value}
-    if kind is PropKind.RECORD_LIST:
-        return {"kind": kind.value, "value": list(value)}
-    raise SchemaViolation("?", f"unhandled kind {kind}")
+def _value_to_json(value: object) -> object:
+    """Plain-JSON form of a normalised property value. Points and axes are
+    the only values JSON cannot hold and tuples become lists; everything
+    else :func:`validate_props` has already made plain JSON."""
+    if isinstance(value, Point):
+        return _point_json(value)
+    if isinstance(value, Axis):
+        return {"angle_deg": value.angle_deg, "origin": _point_json(value.origin)}
+    if isinstance(value, tuple):
+        return [_value_to_json(v) for v in value]
+    return value
 
 
 def props_to_json(mtype: ModuleType, props: Mapping[str, object]) -> dict:
-    """Kind-tagged JSON form of a normalised property set."""
+    """Kind-tagged JSON form of a normalised property set; the tags come
+    from the schema."""
     schema = schema_for(mtype)
-    return {key: _value_to_json(schema[key], value) for key, value in props.items()}
+    return {key: {"kind": schema[key].kind.value, "value": _value_to_json(value)}
+            for key, value in props.items()}
 
 
 def props_from_json(mtype: ModuleType, doc: object) -> dict[str, object]:

@@ -4,17 +4,18 @@ Valve, instrument and position-designation modules carry specifying
 properties; :func:`collect_spec_rows` scans any number of drawings (on disk
 or in memory) and folds them into specification rows. Rows whose spec
 fields are all equal merge into one row with the quantity summed, so the
-sum of quantities always equals the number of source modules.
+sum of quantities always equals the number of source modules without errors.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
 from .core import Module, set_properties
-from .errors import CatalogError, FileFormatError, KernelError
+from .errors import CatalogError, FileFormatError, KernelError, SchemaViolation
 from .geometry import _as_real
 from .persistence import Drawing, _parse_json, load_drawing_file
 from .properties import ModuleType, schema_for
@@ -80,35 +81,37 @@ class Catalog:
             raise CatalogError(f"no catalog entry {entry_id!r}") from None
 
 
-def _record_text(record: "Mapping | None", key: str) -> str:
-    if record is None:
-        return ""
+def _record_text(record: Mapping, key: str) -> str:
     value = record.get(key, "")
     return value if isinstance(value, str) else str(value)
 
 
-def _record_real(record: "Mapping | None", key: str) -> float:
-    if record is None:
-        return 0.0
-    value = record.get(key, 0.0)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return 0.0
-    return float(value)
+def _record_real(record: Mapping, key: str) -> float:
+    try:
+        return _as_real(record.get(key, 0.0))
+    except ValueError as exc:
+        raise SchemaViolation("spec_props", f"{key}: {exc}") from exc
+
+
+# The property that holds a module type's position designation.
+_POSITION_KEY = {ModuleType.INSTRUMENT: "pos_designation",
+                 ModuleType.POSDES: "position_text"}
 
 
 def _spec_fields(m: Module) -> "dict | None":
     p = m.props
+    position = p[_POSITION_KEY[m.type]] if m.type in _POSITION_KEY else ""
     if m.type is ModuleType.VALVE:
-        return {"position": "", "designation": p["designation"],
+        return {"position": position, "designation": p["designation"],
                 "name": p["name"], "type_mark": "", "unit": "",
                 "mass": p["mass"], "price": 0.0, "note": p["note"]}
     if m.type is ModuleType.INSTRUMENT:
-        return {"position": p["pos_designation"], "designation": p["designation"],
+        return {"position": position, "designation": p["designation"],
                 "name": p["name"], "type_mark": p["type_mark"], "unit": p["unit"],
                 "mass": p["mass"], "price": p["price"], "note": p["note"]}
     if m.type is ModuleType.POSDES:
         rec = p["spec_props"]
-        return {"position": p["position_text"],
+        return {"position": position,
                 "designation": _record_text(rec, "designation"),
                 "name": _record_text(rec, "name"),
                 "type_mark": _record_text(rec, "type_mark"),
@@ -119,20 +122,27 @@ def _spec_fields(m: Module) -> "dict | None":
     return None
 
 
-def _resolve_sources(sources: Iterable[DrawingSource]):
-    """Yield (label, drawing-or-None, error-or-None) per source."""
+def _modules(sources: Iterable[DrawingSource], errors: list):
+    """Yield (label, module) for every module of every source, in order.
+
+    A source that fails to load adds (label, message) to ``errors`` and
+    yields nothing; it never aborts the scan.
+    """
     for src in sources:
         if isinstance(src, Drawing):
-            yield "", src, None
+            label, d = "", src
         elif isinstance(src, tuple):
             label, d = src
-            yield str(label), d, None
+            label = str(label)
         else:
             label = str(src)
             try:
-                yield label, load_drawing_file(src), None
+                d = load_drawing_file(src)
             except (OSError, KernelError) as exc:
-                yield label, None, str(exc)
+                errors.append((label, str(exc)))
+                continue
+        for m in d.modules():
+            yield label, m
 
 
 def collect_spec_rows(
@@ -144,25 +154,26 @@ def collect_spec_rows(
     Sources may be file paths, in-memory drawings, or (label, drawing)
     pairs. Returns (rows, errors): rows merged on the full field tuple and
     sorted by it ascending (code-point text order); errors as (label,
-    message) pairs for sources that failed to load, which never abort the
-    scan.
+    message) pairs, which never abort the scan, for sources that failed to
+    load and for posdes modules whose ``spec_props`` ``mass`` or ``price``
+    is not a real number. Such a module gets no row.
     """
     wanted = SPEC_MODULE_TYPES if type_filter is None else \
         frozenset(ModuleType(t) for t in type_filter)
     merged: dict[tuple, list] = {}
     errors: list[tuple[str, str]] = []
-    for label, d, err in _resolve_sources(sources):
-        if err is not None:
-            errors.append((label, err))
+    for label, m in _modules(sources, errors):
+        if m.type not in wanted:
             continue
-        for m in d.modules():
-            if m.type not in wanted:
-                continue
+        try:
             fields = _spec_fields(m)
-            if fields is None:
-                continue
-            key = tuple(fields[name] for name in SPEC_ROW_FIELDS)
-            merged.setdefault(key, []).append((label, m.id))
+        except SchemaViolation as exc:
+            errors.append((label, f"module {m.id}: {exc}"))
+            continue
+        if fields is None:
+            continue
+        key = tuple(fields[name] for name in SPEC_ROW_FIELDS)
+        merged.setdefault(key, []).append((label, m.id))
     rows = []
     for key in sorted(merged):
         sources_for_row = tuple(sorted(merged[key]))
@@ -183,19 +194,10 @@ def find_duplicate_positions(
     """
     occurrences: dict[str, list] = {}
     errors: list[tuple[str, str]] = []
-    for label, d, err in _resolve_sources(sources):
-        if err is not None:
-            errors.append((label, err))
-            continue
-        for m in d.modules():
-            if m.type is ModuleType.POSDES:
-                text = m.props["position_text"]
-            elif m.type is ModuleType.INSTRUMENT:
-                text = m.props["pos_designation"]
-            else:
-                continue
-            if text:
-                occurrences.setdefault(text, []).append((label, m.id))
+    for label, m in _modules(sources, errors):
+        key = _POSITION_KEY.get(m.type)
+        if key is not None and m.props[key]:
+            occurrences.setdefault(m.props[key], []).append((label, m.id))
     groups = [DuplicateGroup(text, tuple(sorted(occ)))
               for text, occ in sorted(occurrences.items()) if len(occ) >= 2]
     return groups, errors
@@ -244,11 +246,12 @@ def fill_table_module(d: Drawing, table_id: int, rows: Iterable[SpecRow],
 def load_catalog(data: "bytes | str") -> Catalog:
     """Parse a catalog file: {"entries": {id: {the seven fields}}}."""
     def reject_duplicates(pairs):
-        keys = [k for k, _ in pairs]
-        if len(set(keys)) != len(keys):
-            dup = next(k for k in keys if keys.count(k) > 1)
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            counts = Counter(k for k, _ in pairs)
+            dup = next(k for k, _ in pairs if counts[k] > 1)
             raise CatalogError(f"duplicate key {dup!r} in catalog")
-        return dict(pairs)
+        return obj
 
     try:
         doc = _parse_json(data, reject_duplicates)
@@ -299,7 +302,7 @@ def apply_catalog_entry(m: Module, catalog: Catalog, entry_id: str,
     """
     entry = catalog.entry(entry_id)
     if m.type is ModuleType.POSDES:
-        rec = dict(m.props["spec_props"] or {})
+        rec = dict(m.props["spec_props"])
         rec.update(entry)
         return set_properties(m, {"spec_props": rec})
     schema = schema_for(m.type)

@@ -362,6 +362,24 @@ def test_spec_missing_file_exits_1(drawing, tmp_path, capsys):
     assert "error:" in err and "nope.json" in err
 
 
+def test_spec_and_fill_table_exit_1_on_a_text_spec_mass(drawing, capsys):
+    _add_spec_modules(capsys, drawing)
+    run(capsys, "add", drawing, "--type", "posdes", "--props",
+        "leader_from=(0,0)", "shelf_at=(5,5)", "position_text=4",
+        "spec_props={'mass': '2.5'}")
+    run(capsys, "add", drawing, "--type", "table", "--props",
+        'columns=[{"width_mm":30,"header":"поз"}]',
+        "row_height_mm=8", "header_height_mm=15", "rows=[]")
+    message = ("error: " + drawing + ": module 3: property 'spec_props': "
+               "mass: expected a real number, got str")
+    code, out, err = run(capsys, "spec", drawing)
+    assert code == 1 and err.strip() == message
+    assert len(out.splitlines()) == 2  # the valves still make their row
+    code, out, err = run(capsys, "fill-table", drawing, "--id", "4",
+                         "--columns", "designation=0")
+    assert code == 1 and out == "" and err.strip() == message
+
+
 def test_fill_table_defaults_to_drawing_itself(drawing, capsys):
     _add_spec_modules(capsys, drawing)
     run(capsys, "add", drawing, "--type", "table", "--props",

@@ -6,8 +6,9 @@ import math
 import random
 
 import pytest
-from modraft import (Arc, Circle, LineType, ModuleType, Point, Polyline,
-                     SchemaViolation, Segment, Text, create_module)
+from modraft import (Arc, Circle, GenerationError, LineType, ModuleType,
+                     Point, Polyline, SchemaViolation, Segment, Text,
+                     create_module)
 
 from propgen import random_props
 
@@ -260,3 +261,61 @@ def test_generators_emit_known_element_kinds():
         for _ in range(5):
             m = create_module(mtype, random_props(rng, mtype))
             assert all(isinstance(e, allowed) for e in m.geometry)
+
+
+# --- well-typed properties a generator cannot draw ---------------------------
+
+_SEGMENT = {"kind": "segment", "p1": [0.0, 0.0], "p2": [1.0, 0.0]}
+_TABLE = {"columns": [{"width_mm": 20.0, "header": "A"}],
+          "row_height_mm": 8.0, "header_height_mm": 15.0}
+_LIGHTNING = {"rods": [{"x": 0.0, "y": 0.0, "h": 20.0}],
+              "section_heights": [{"height": 2.0}],
+              "zone_class": "B", "scale_mm_per_m": 1.0}
+
+
+@pytest.mark.parametrize("mtype, props, key", [
+    pytest.param(ModuleType.USER, {"elements": []}, "elements",
+                 id="user-no-elements"),
+    pytest.param(ModuleType.PIPELINE, {"path": [(0, 0), (10, 0)],
+                                       "diameter_mm": 0.0},
+                 "diameter_mm", id="pipeline-zero-diameter"),
+    pytest.param(ModuleType.PIPELINE, {"path": [(0, 0), (10, 0), (10, 10)],
+                                       "diameter_mm": 4.0, "corner": "bent",
+                                       "fillet_radius": 2.0},
+                 "fillet_radius", id="pipeline-fillet-within-half-diameter"),
+    pytest.param(ModuleType.INSTRUMENT, {"function_code": ""},
+                 "function_code", id="instrument-empty-function-code"),
+    pytest.param(ModuleType.TABLE, {**_TABLE, "columns": []}, "columns",
+                 id="table-no-columns"),
+    pytest.param(ModuleType.TABLE,
+                 {**_TABLE, "columns": [{"width_mm": 0.0, "header": "A"}]},
+                 "columns", id="table-zero-width"),
+    pytest.param(ModuleType.TABLE,
+                 {**_TABLE, "columns": [{"width_mm": 20.0, "header": 5}]},
+                 "columns", id="table-header-not-text"),
+    pytest.param(ModuleType.TABLE, {**_TABLE, "row_height_mm": 0.0},
+                 "row_height_mm", id="table-zero-row-height"),
+    pytest.param(ModuleType.TABLE, {**_TABLE, "header_height_mm": -1.0},
+                 "header_height_mm", id="table-negative-header-height"),
+    pytest.param(ModuleType.TABLE, {**_TABLE, "rows": [{"cells": [1]}]},
+                 "rows", id="table-cell-not-text"),
+    pytest.param(ModuleType.FRAME, {"format": "A3", "multiplicity": 0},
+                 "multiplicity", id="frame-zero-multiplicity"),
+    pytest.param(ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                     "position_text": ""},
+                 "position_text", id="posdes-empty-position"),
+    pytest.param(ModuleType.LIGHTNING, {**_LIGHTNING, "scale_mm_per_m": 0.0},
+                 "scale_mm_per_m", id="lightning-zero-scale"),
+    pytest.param(ModuleType.LIGHTNING, {**_LIGHTNING, "rods": []}, "rods",
+                 id="lightning-no-rods"),
+])
+def test_undrawable_property_is_a_schema_violation(mtype, props, key):
+    with pytest.raises(SchemaViolation) as info:
+        create_module(mtype, props)
+    assert info.value.key == key
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0])
+def test_non_positive_user_scale_is_a_generation_error(scale):
+    with pytest.raises(GenerationError, match="scale must be positive"):
+        create_module(ModuleType.USER, {"elements": [_SEGMENT], "scale": scale})

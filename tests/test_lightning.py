@@ -3,6 +3,7 @@ transcription of the class A/B formulas, plus the plan-view geometry layout."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -14,6 +15,8 @@ from modraft import (Circle, LightningParams, ModuleType,
                      NoProtectionAtHeight, OutOfMethodRange, Point, Rod, Text,
                      ZoneClass, apex_height, create_module, ground_radius,
                      is_protected, single_rod_radius, zone_sections)
+
+from propgen import lightning_props
 
 # independent transcription used as the oracle
 ORACLE = {
@@ -169,6 +172,18 @@ def test_params_validation():
         _params(scale_mm_per_m=0.0)
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Rod("5", True, "20"), id="rod-text-and-bool"),
+    pytest.param(lambda: Rod(0.0, 0.0, True), id="rod-bool-height"),
+    pytest.param(lambda: _params(section_heights=("2.0", "6.0")), id="text-heights"),
+    pytest.param(lambda: _params(scale_mm_per_m="1.0"), id="text-scale"),
+])
+def test_rod_and_params_refuse_text_and_booleans(make):
+    """Numbers are read as property values are: never coerced by float()."""
+    with pytest.raises(ValueError, match="expected a real number"):
+        make()
+
+
 # --- plan-view geometry -------------------------------------------------------
 
 def _plan_module(**over):
@@ -209,3 +224,22 @@ def test_plan_skips_unreachable_sections():
     m = _plan_module(section_heights=[{"height": 2.0}, {"height": 11.5}])
     circles = [e for e in m.geometry if isinstance(e, Circle)]
     assert len(circles) == 3  # 2 rods at 2.0 m + tall rod only at 11.5 m
+
+
+# Over 200 random plans of both zone classes; any change to the zone maths
+# or the plan layout that moves a single float changes this digest.
+LIGHTNING_GEOMETRY_SHA256 = \
+    "895ed65c728440ba242c061979ccaf74c9f137d71d8ecc98a8082511dd02cfa9"
+
+
+def test_lightning_geometry_bytes_are_pinned():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    classes = set()
+    for i in range(200):
+        props = lightning_props(rng)
+        classes.add(props["zone_class"])
+        m = create_module(ModuleType.LIGHTNING, props, module_id=i + 1)
+        digest.update(m.geometry_json)
+    assert classes == {"A", "B"}
+    assert digest.hexdigest() == LIGHTNING_GEOMETRY_SHA256

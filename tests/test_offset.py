@@ -60,6 +60,20 @@ def test_bent_left_turn_arc():
     assert seg_out == Segment(Point(97, 10), Point(97, 100))
 
 
+def test_bent_near_straight_join_restarts_on_the_outgoing_line():
+    # a 0.29-degree turn is below MIN_JOIN_TURN_DEG: no arc, the incoming
+    # run ends abreast of the vertex and the outgoing run starts abreast of
+    # it on its own offset line
+    out = offset_path([(0, 0), (100, 0), (200, 0.5)], 3.0,
+                      corner="bent", fillet_radius=10.0)
+    seg_in, seg_out = out
+    assert seg_in == Segment(Point(0, 3), Point(100, 3))
+    assert isinstance(seg_out, Segment)
+    assert math.isclose(seg_out.p1.distance_to(Point(100, 0)), 3.0, rel_tol=1e-12)
+    assert seg_out.p1 != seg_in.p2
+    assert math.isclose(seg_out.p2.distance_to(Point(200, 0.5)), 3.0, rel_tol=1e-12)
+
+
 def test_bent_right_turn_arc_runs_clockwise_stored_ccw():
     out = offset_path([(0, 0), (100, 0), (100, -100)], 3.0,
                       corner="bent", fillet_radius=10.0)

@@ -118,6 +118,18 @@ def test_unknown_item_kind():
     _expect_format_error(doc, "unknown item kind")
 
 
+@pytest.mark.parametrize("items, match", [
+    pytest.param({}, "^items must be a list$", id="object"),
+    pytest.param("items", "^items must be a list$", id="text"),
+    pytest.param([5], "^item 0: items must be objects$", id="number-item"),
+    pytest.param([[]], "^item 0: items must be objects$", id="list-item"),
+])
+def test_items_must_be_a_list_of_objects(items, match):
+    doc = _valid_doc()
+    doc["items"] = items
+    _expect_format_error(doc, match)
+
+
 def test_bad_module_record():
     doc = _valid_doc()
     del doc["items"][0]["props"]
@@ -203,6 +215,16 @@ def test_prototype_bad_entry_reported_not_fatal():
     loaded, errors = load_prototypes(json.dumps(doc))
     assert [name for name, _ in loaded] == ["good"]
     assert len(errors) == 1 and errors[0][0] == "broken"
+
+
+def test_prototype_entry_that_is_not_an_object_is_reported():
+    m = create_module(ModuleType.VALVE, {})
+    doc = json.loads(save_prototypes([m], ["good"]))
+    doc["entries"][:0] = [5, ["valve"]]
+    loaded, errors = load_prototypes(json.dumps(doc))
+    assert [name for name, _ in loaded] == ["good"]
+    assert errors == [("entry 0", "prototype entries must be objects"),
+                      ("entry 1", "prototype entries must be objects")]
 
 
 def test_prototype_file_structure_checked():

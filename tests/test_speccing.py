@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from modraft import (Catalog, CatalogError, Drawing, FileFormatError,
@@ -100,6 +101,26 @@ def test_posdes_spec_props_feed_rows():
     assert row.unit == "м"
     assert row.mass == 4.62
     assert row.price == 0.0 and row.type_mark == "" and row.note == ""
+
+
+@pytest.mark.parametrize("spec, reason", [
+    pytest.param({"mass": "2.5"}, "mass: expected a real number, got str",
+                 id="text-mass"),
+    pytest.param({"price": True}, "price: expected a real number, got bool",
+                 id="boolean-price"),
+    pytest.param({"mass": 10 ** 400}, "mass: value is too large",
+                 id="huge-mass"),
+])
+def test_posdes_spec_number_that_is_not_real_is_an_error(spec, reason):
+    d = _drawing((ModuleType.VALVE, VALVE_A),
+                 (ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                      "position_text": "7", "spec_props": spec}))
+    rows, errors = collect_spec_rows([("sheet", d)])
+    assert [(r.designation, r.qty) for r in rows] == [("15кч18п", 1)]
+    assert errors == [("sheet", f"module 2: property 'spec_props': {reason}")]
+    # the position is still a position
+    groups, errors = find_duplicate_positions([("sheet", d), ("copy", d)])
+    assert errors == [] and [g.position for g in groups] == ["7"]
 
 
 def test_missing_file_reported_scan_continues(tmp_path):
@@ -253,6 +274,20 @@ def test_catalog_rejects_duplicate_ids():
             ', "X": ' + json.dumps(CATALOG_DOC["entries"]["I-200"]) + '}}')
     with pytest.raises(CatalogError, match="duplicate key"):
         load_catalog(text)
+
+
+def test_catalog_duplicate_key_named_is_the_first_that_repeats():
+    with pytest.raises(CatalogError, match="duplicate key 'a'"):
+        load_catalog('{"entries": {}, "x": {"a": 1, "b": 2, "b": 3, "a": 4}}')
+
+
+def test_catalog_duplicate_key_search_is_linear():
+    keys = ", ".join(f'"k{i}": 0' for i in range(100_000))
+    text = '{"entries": {"E": {' + keys + ', "k99999": 1}}}'
+    start = time.perf_counter()
+    with pytest.raises(CatalogError, match="duplicate key 'k99999'"):
+        load_catalog(text)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_catalog_field_validation():
