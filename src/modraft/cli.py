@@ -1,8 +1,11 @@
-"""Command-line interface.
+"""Command-line interface: one subcommand per kernel operation.
 
-One subcommand per kernel operation; drawings are edited by loading,
-mutating and rewriting the file (pass --out to write elsewhere). Exit code
-0 on success, 1 on a domain error (reported on stderr), 2 on a usage error.
+Every option that takes numbers is read by ``_parse_floats``: a bad or
+non-finite number is a usage error, exit 2, like any bad argument. Every
+subcommand that changes a drawing goes through ``_rewrite``, which writes
+to --out or in place, and nothing when the change fails. ``main`` maps a
+``KernelError``, an ``OSError``, and a ``ValueError`` or ``OverflowError``
+from the kernel to ``error: ...`` on stderr and exit 1. Success is exit 0.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ __all__ = ["main"]
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
-        raise argparse.ArgumentTypeError(
-            f"{what} needs {count} comma-separated numbers")
+        needs = "one number" if count == 1 else f"{count} comma-separated numbers"
+        raise argparse.ArgumentTypeError(f"{what} needs {needs}")
     try:
         values = [float(p) for p in parts]
     except ValueError:
@@ -99,8 +102,9 @@ def _prop_value(key: str, text: str):
     """Parse a property value: Python literal syntax, else raw text."""
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError, RecursionError) as exc:
-        # past the parser's nesting limit the literal is not raw text
+    except (ValueError, TypeError, SyntaxError, RecursionError) as exc:
+        # TypeError: an unhashable key, as in {[]: 1}; past the parser's
+        # nesting limit the literal is not raw text
         if isinstance(exc, RecursionError) or "too many nested" in str(exc):
             raise KernelError(
                 f"property {key!r}: value is nested too deeply") from exc
@@ -128,47 +132,46 @@ def _props_arg(tokens: "list[str]", mtype: ModuleType) -> dict:
     return props
 
 
-def _out_path(args) -> Path:
-    return Path(args.out if args.out else args.drawing)
-
-
 def _format_real(value: float) -> str:
     return format(value, "g")
 
 
 def cmd_new(args) -> int:
     nx, ny = args.grid or (DEFAULT_GRID_NX, DEFAULT_GRID_NY)
-    try:
-        grid = _default_grid(args.extent, nx, ny)
-    except ValueError as exc:
-        raise KernelError(str(exc)) from exc
-    d = Drawing.new(args.extent, grid)
+    d = Drawing.new(args.extent, _default_grid(args.extent, nx, ny))
     save_drawing_file(d, args.drawing)
     return 0
 
 
-def cmd_add(args) -> int:
+def _rewrite(args) -> int:
+    """Load the drawing, apply ``args.change`` and write the drawing to
+    --out or in place, then print the change's line. A change returns that
+    line ("" for none), or None once it has reported a failure on stderr;
+    a change that fails, by None or by raising, writes nothing."""
     d = load_drawing_file(args.drawing)
-    m = d.add_module(args.type, _props_arg(args.props, args.type))
-    save_drawing_file(d, _out_path(args))
-    print(f"module {m.id} {m.type.value}")
+    line = args.change(args, d)
+    if line is None:
+        return 1
+    save_drawing_file(d, args.out or args.drawing)
+    if line:
+        print(line)
     return 0
 
 
-def cmd_set(args) -> int:
-    d = load_drawing_file(args.drawing)
+def cmd_add(args, d: Drawing) -> str:
+    m = d.add_module(args.type, _props_arg(args.props, args.type))
+    return f"module {m.id} {m.type.value}"
+
+
+def cmd_set(args, d: Drawing) -> str:
     mtype = d.module(args.id).type
     d.set_module_properties(args.id, _props_arg(args.props, mtype))
-    save_drawing_file(d, _out_path(args))
-    return 0
+    return ""
 
 
-def cmd_edit(args) -> int:
-    chosen = [name for name in ("move", "rotate", "mirror")
-              if getattr(args, name) is not None]
-    if len(chosen) != 1:
+def cmd_edit(args, d: Drawing) -> str:
+    if sum(a is not None for a in (args.move, args.rotate, args.mirror)) != 1:
         raise KernelError("pass exactly one of --move, --rotate, --mirror")
-    d = load_drawing_file(args.drawing)
     m = d.module(args.id)
     if args.move is not None:
         dx, dy = args.move
@@ -180,8 +183,7 @@ def cmd_edit(args) -> int:
         x0, y0, axis_angle = args.mirror
         m = mirror_module(m, Point(x0, y0), axis_angle)
     d.replace_module(m)
-    save_drawing_file(d, _out_path(args))
-    return 0
+    return ""
 
 
 def cmd_list(args) -> int:
@@ -207,7 +209,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _print_spec_errors(errors) -> None:
+def _print_errors(errors) -> None:
     for label, message in errors:
         print(f"error: {label}: {message}", file=sys.stderr)
 
@@ -220,21 +222,19 @@ def cmd_spec(args) -> int:
                          row.type_mark, row.unit, str(row.qty),
                          _format_real(row.mass), _format_real(row.price),
                          row.note]))
-    _print_spec_errors(errors)
+    _print_errors(errors)
     return 1 if errors else 0
 
 
-def cmd_fill_table(args) -> int:
-    d = load_drawing_file(args.drawing)
-    sources = args.sources if args.sources else [args.drawing]
-    rows, errors = collect_spec_rows(sources, args.types)
-    _print_spec_errors(errors)
+def cmd_fill_table(args, d: Drawing) -> "str | None":
+    # the drawing itself is read from memory, under its own file name
+    rows, errors = collect_spec_rows(args.sources or [(args.drawing, d)],
+                                     args.types)
     if errors:
-        return 1
+        _print_errors(errors)
+        return None
     fill_table_module(d, args.id, rows, args.columns)
-    save_drawing_file(d, _out_path(args))
-    print(f"filled {len(rows)} rows")
-    return 0
+    return f"filled {len(rows)} rows"
 
 
 def cmd_check_dup(args) -> int:
@@ -246,7 +246,7 @@ def cmd_check_dup(args) -> int:
               f"times: {places}")
     if not groups:
         print("no duplicate positions")
-    _print_spec_errors(errors)
+    _print_errors(errors)
     return 1 if errors else 0
 
 
@@ -264,33 +264,26 @@ def cmd_proto_save(args) -> int:
     return 0
 
 
-def cmd_proto_load(args) -> int:
+def cmd_proto_load(args, d: Drawing) -> str:
     entries, errors = load_prototypes(Path(args.library).read_bytes())
-    for name, message in errors:
-        print(f"error: {name}: {message}", file=sys.stderr)
+    _print_errors(errors)
     matches = [m for name, m in entries if name == args.name]
     if not matches:
         raise KernelError(f"no prototype named {args.name!r}")
     proto = matches[0]
-    d = load_drawing_file(args.drawing)
     props = dict(proto.props)
     if args.at is not None:
         props["origin"] = args.at
     if args.angle is not None:
         props["angle_deg"] = args.angle
     m = d.add_module(proto.type, props)
-    save_drawing_file(d, _out_path(args))
-    print(f"module {m.id} {m.type.value}")
-    return 0
+    return f"module {m.id} {m.type.value}"
 
 
-def cmd_catalog_apply(args) -> int:
-    d = load_drawing_file(args.drawing)
+def cmd_catalog_apply(args, d: Drawing) -> str:
     catalog = load_catalog_file(args.catalog)
-    m = apply_catalog_entry(d.module(args.id), catalog, args.entry)
-    d.replace_module(m)
-    save_drawing_file(d, _out_path(args))
-    return 0
+    d.replace_module(apply_catalog_entry(d.module(args.id), catalog, args.entry))
+    return ""
 
 
 def cmd_lightning_section(args) -> int:
@@ -313,16 +306,10 @@ def cmd_lightning_section(args) -> int:
     return 0
 
 
-def cmd_sign(args) -> int:
-    d = load_drawing_file(args.drawing)
-    try:
-        m = sign_drawing(d, args.person, args.position, args.date, args.time,
-                         args.password)
-    except ValueError as exc:
-        raise KernelError(str(exc)) from exc
-    save_drawing_file(d, _out_path(args))
-    print(f"module {m.id} signature")
-    return 0
+def cmd_sign(args, d: Drawing) -> str:
+    m = sign_drawing(d, args.person, args.position, args.date, args.time,
+                     args.password)
+    return f"module {m.id} signature"
 
 
 def cmd_verify(args) -> int:
@@ -340,6 +327,20 @@ def cmd_verify(args) -> int:
     return 0 if intact and all(s.authenticity != "broken" for s in statuses) else 1
 
 
+def _file_command(sub, name: str, func, help: str,
+                  rewrites: bool = False) -> argparse.ArgumentParser:
+    """A subcommand on one drawing file. A rewriting one also takes --out and
+    runs ``func`` as its change, through ``_rewrite``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("drawing")
+    if rewrites:
+        p.add_argument("--out")
+        p.set_defaults(func=_rewrite, change=func)
+    else:
+        p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modraft",
@@ -350,31 +351,25 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"modraft {__version__} (drawing format {FORMAT_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("new", help="create an empty drawing file")
-    p.add_argument("drawing")
+    p = _file_command(sub, "new", cmd_new, "create an empty drawing file")
     p.add_argument("--extent", type=_rect_arg, required=True,
                    metavar="X0,Y0,X1,Y1")
     p.add_argument("--grid", type=_grid_arg, metavar="NX,NY",
                    help=f"zone grid size (default "
                         f"{DEFAULT_GRID_NX},{DEFAULT_GRID_NY})")
-    p.set_defaults(func=cmd_new)
 
-    p = sub.add_parser("add", help="add a module to a drawing")
-    p.add_argument("drawing")
+    p = _file_command(sub, "add", cmd_add, "add a module to a drawing",
+                      rewrites=True)
     p.add_argument("--type", type=_type_arg, required=True)
     p.add_argument("--props", nargs="*", default=[], metavar="KEY=VALUE")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_add)
 
-    p = sub.add_parser("set", help="change module properties and regenerate")
-    p.add_argument("drawing")
+    p = _file_command(sub, "set", cmd_set,
+                      "change module properties and regenerate", rewrites=True)
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--props", nargs="+", required=True, metavar="KEY=VALUE")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_set)
 
-    p = sub.add_parser("edit", help="move, rotate or mirror a module")
-    p.add_argument("drawing")
+    p = _file_command(sub, "edit", cmd_edit, "move, rotate or mirror a module",
+                      rewrites=True)
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--move", type=lambda t: _parse_floats(t, 2, "--move"),
                    metavar="DX,DY")
@@ -382,97 +377,77 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="CX,CY,DEG")
     p.add_argument("--mirror", type=lambda t: _parse_floats(t, 3, "--mirror"),
                    metavar="X,Y,AXIS_DEG")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_edit)
 
-    p = sub.add_parser("list", help="list drawing items")
-    p.add_argument("drawing")
-    p.set_defaults(func=cmd_list)
+    _file_command(sub, "list", cmd_list, "list drawing items")
 
-    p = sub.add_parser("render", help="render a viewport to SVG")
-    p.add_argument("drawing")
+    p = _file_command(sub, "render", cmd_render, "render a viewport to SVG")
     p.add_argument("--out", required=True)
     p.add_argument("--viewport", type=_rect_arg, metavar="X0,Y0,X1,Y1")
     p.add_argument("--cull", action="store_true",
                    help="accepted for compatibility; has no effect")
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("spec", help="aggregate specification rows")
     p.add_argument("drawings", nargs="+")
     p.add_argument("--types", type=_types_arg)
     p.set_defaults(func=cmd_spec)
 
-    p = sub.add_parser("fill-table", help="fill a table module from spec rows")
-    p.add_argument("drawing")
+    p = _file_command(sub, "fill-table", cmd_fill_table,
+                      "fill a table module from spec rows", rewrites=True)
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--columns", type=_column_map_arg, required=True,
                    metavar="FIELD=INDEX,...")
     p.add_argument("--from", dest="sources", nargs="*", default=[],
                    metavar="DRAWING")
     p.add_argument("--types", type=_types_arg)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fill_table)
 
     p = sub.add_parser("check-dup", help="report duplicate position texts")
     p.add_argument("drawings", nargs="+")
     p.set_defaults(func=cmd_check_dup)
 
-    p = sub.add_parser("proto-save", help="save modules as prototypes")
-    p.add_argument("drawing")
+    p = _file_command(sub, "proto-save", cmd_proto_save,
+                      "save modules as prototypes")
     p.add_argument("out")
     p.add_argument("--entry", action="append", required=True,
                    metavar="ID=NAME")
-    p.set_defaults(func=cmd_proto_save)
 
-    p = sub.add_parser("proto-load",
-                       help="instantiate a prototype into a drawing")
-    p.add_argument("drawing")
+    p = _file_command(sub, "proto-load", cmd_proto_load,
+                      "instantiate a prototype into a drawing", rewrites=True)
     p.add_argument("library")
     p.add_argument("--name", required=True)
     p.add_argument("--at", type=_point_arg, metavar="X,Y")
-    p.add_argument("--angle", type=float, metavar="DEG")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_proto_load)
+    p.add_argument("--angle", type=lambda t: _parse_floats(t, 1, "--angle")[0],
+                   metavar="DEG")
 
-    p = sub.add_parser("catalog-apply",
-                       help="copy a catalog entry onto a module")
-    p.add_argument("drawing")
+    p = _file_command(sub, "catalog-apply", cmd_catalog_apply,
+                      "copy a catalog entry onto a module", rewrites=True)
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--entry", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_catalog_apply)
 
-    p = sub.add_parser("lightning-section",
-                       help="print protection radii at a section height")
-    p.add_argument("drawing")
-    p.add_argument("--hx", type=float, required=True, metavar="METRES")
+    p = _file_command(sub, "lightning-section", cmd_lightning_section,
+                      "print protection radii at a section height")
+    p.add_argument("--hx", type=lambda t: _parse_floats(t, 1, "--hx")[0],
+                   required=True, metavar="METRES")
     p.add_argument("--id", type=int)
-    p.set_defaults(func=cmd_lightning_section)
 
-    p = sub.add_parser("sign", help="sign a drawing")
-    p.add_argument("drawing")
+    p = _file_command(sub, "sign", cmd_sign, "sign a drawing", rewrites=True)
     p.add_argument("--person", required=True)
     p.add_argument("--position", required=True)
     p.add_argument("--date", required=True, metavar="YYYY-MM-DD")
     p.add_argument("--time", required=True, metavar="HH:MM")
     p.add_argument("--password", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sign)
 
-    p = sub.add_parser("verify", help="verify drawing signatures")
-    p.add_argument("drawing")
+    p = _file_command(sub, "verify", cmd_verify, "verify drawing signatures")
     p.add_argument("--password")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
-# Options whose value is a list of comma-separated numbers. argparse reads
-# a value such as "-3.5,2" as an option name, so main() joins it to its
-# option ("--move=-3.5,2") before parsing.
+# Options whose value is one number or a list of comma-separated numbers.
+# argparse reads a value such as "-3.5,2" or "-1e1" as an option name, so
+# main() joins it to its option ("--move=-3.5,2") before parsing.
 _NUMBER_LIST_OPTIONS = frozenset({"--move", "--rotate", "--mirror", "--at",
-                                  "--extent", "--viewport"})
+                                  "--extent", "--viewport", "--angle", "--hx"})
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
@@ -492,7 +467,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
-    except (KernelError, OSError) as exc:
+    except (KernelError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,6 +59,12 @@ def gen_user(props: dict) -> tuple[Element, ...]:
     records = props["elements"]
     if not records:
         raise SchemaViolation("elements", "user module needs at least one element")
+    for rec in records:  # element_from_json would read "no" as closed
+        closed = rec.get("closed", False)
+        if rec.get("kind") == "polyline" and not isinstance(closed, bool):
+            raise SchemaViolation("elements", "bad polyline element: closed: "
+                                  "expected true or false, got "
+                                  f"{type(closed).__name__}")
     try:
         return tuple(element_from_json(rec) for rec in records)
     except ValueError as exc:

@@ -83,7 +83,10 @@ class Catalog:
 
 def _record_text(record: Mapping, key: str) -> str:
     value = record.get(key, "")
-    return value if isinstance(value, str) else str(value)
+    if not isinstance(value, str):
+        raise SchemaViolation(
+            "spec_props", f"{key}: expected text, got {type(value).__name__}")
+    return value
 
 
 def _record_real(record: Mapping, key: str) -> float:
@@ -156,7 +159,8 @@ def collect_spec_rows(
     sorted by it ascending (code-point text order); errors as (label,
     message) pairs, which never abort the scan, for sources that failed to
     load and for posdes modules whose ``spec_props`` ``mass`` or ``price``
-    is not a real number. Such a module gets no row.
+    is not a real number, or whose text field is not text. Such a module
+    gets no row.
     """
     wanted = SPEC_MODULE_TYPES if type_filter is None else \
         frozenset(ModuleType(t) for t in type_filter)

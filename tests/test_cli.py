@@ -620,3 +620,25 @@ def test_non_canonical_frame_exits_1(drawing, change, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: " + message)
     assert "Traceback" not in proc.stderr
+
+
+def test_spec_and_fill_table_exit_1_on_a_null_spec_designation(drawing, capsys):
+    _add_spec_modules(capsys, drawing)
+    run(capsys, "add", drawing, "--type", "posdes", "--props",
+        "leader_from=(0,0)", "shelf_at=(5,5)", "position_text=4",
+        "spec_props={'designation': None, 'mass': 2.5}")
+    run(capsys, "add", drawing, "--type", "table", "--props",
+        'columns=[{"width_mm":30,"header":"поз"}]',
+        "row_height_mm=8", "header_height_mm=15", "rows=[]")
+    before = Path(drawing).read_bytes()
+    message = ("error: " + drawing + ": module 3: property 'spec_props': "
+               "designation: expected text, got NoneType")
+    code, out, err = run(capsys, "spec", drawing)
+    assert code == 1 and err.strip() == message
+    assert len(out.splitlines()) == 2  # the valves still make their row
+    code, out, err = run(capsys, "fill-table", drawing, "--id", "4",
+                         "--columns", "designation=0")
+    assert code == 1 and out == "" and err.strip() == message
+    assert Path(drawing).read_bytes() == before
+    code, out, err = run(capsys, "check-dup", drawing)
+    assert code == 0 and out.strip() == "no duplicate positions" and err == ""

@@ -319,3 +319,27 @@ def test_undrawable_property_is_a_schema_violation(mtype, props, key):
 def test_non_positive_user_scale_is_a_generation_error(scale):
     with pytest.raises(GenerationError, match="scale must be positive"):
         create_module(ModuleType.USER, {"elements": [_SEGMENT], "scale": scale})
+
+
+_TRIANGLE = {"kind": "polyline", "points": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]}
+
+
+@pytest.mark.parametrize("closed, got", [("no", "str"), (0, "int"),
+                                         (None, "NoneType")])
+def test_user_polyline_closed_must_be_true_or_false(closed, got):
+    with pytest.raises(SchemaViolation) as info:
+        create_module(ModuleType.USER,
+                      {"elements": [{**_TRIANGLE, "closed": closed}]})
+    assert info.value.key == "elements"
+    assert info.value.reason == ("bad polyline element: closed: "
+                                 f"expected true or false, got {got}")
+
+
+@pytest.mark.parametrize("record, closed", [
+    ({**_TRIANGLE, "closed": True}, True),
+    ({**_TRIANGLE, "closed": False}, False),
+    (_TRIANGLE, False),
+])
+def test_user_polyline_closed_reads_true_false_or_absent(record, closed):
+    (polyline,) = create_module(ModuleType.USER, {"elements": [record]}).geometry
+    assert polyline.closed is closed

@@ -351,6 +351,19 @@ def test_schema_violation_names_item_and_module():
     assert info.value.key == "format"
 
 
+def test_stored_user_polyline_with_a_non_boolean_closed_does_not_load():
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.USER, {"elements": [
+        {"kind": "polyline", "points": [[0, 0], [4, 0], [0, 3]], "closed": True}]})
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["elements"]["value"][0]["closed"] = "no"
+    with pytest.raises(SchemaViolation) as info:
+        load_drawing(json.dumps(doc))
+    assert str(info.value) == (
+        "item 0 (module 1): property 'elements': bad polyline element: "
+        "closed: expected true or false, got str")
+
+
 def test_format_error_names_item_and_module():
     doc = _two_frames_doc()
     doc["items"][1]["id"] = 9

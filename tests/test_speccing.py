@@ -123,6 +123,33 @@ def test_posdes_spec_number_that_is_not_real_is_an_error(spec, reason):
     assert errors == [] and [g.position for g in groups] == ["7"]
 
 
+@pytest.mark.parametrize("spec, reason", [
+    pytest.param({"designation": None},
+                 "designation: expected text, got NoneType", id="null-designation"),
+    pytest.param({"name": 5}, "name: expected text, got int", id="integer-name"),
+    pytest.param({"note": ["a"]}, "note: expected text, got list", id="list-note"),
+])
+def test_posdes_spec_text_that_is_not_text_is_an_error(spec, reason):
+    d = _drawing((ModuleType.VALVE, VALVE_A),
+                 (ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                      "position_text": "7", "spec_props": spec}))
+    rows, errors = collect_spec_rows([("sheet", d)])
+    assert [(r.designation, r.qty) for r in rows] == [("15кч18п", 1)]
+    assert errors == [("sheet", f"module 2: property 'spec_props': {reason}")]
+    groups, errors = find_duplicate_positions([("sheet", d), ("copy", d)])
+    assert errors == [] and [g.position for g in groups] == ["7"]
+
+
+def test_posdes_spec_text_that_is_missing_is_blank():
+    d = _drawing((ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                      "position_text": "7",
+                                      "spec_props": {"mass": 1.0}}))
+    (row,), errors = collect_spec_rows([d])
+    assert errors == []
+    assert (row.designation, row.name, row.type_mark, row.unit, row.note) == \
+        ("", "", "", "", "")
+
+
 def test_missing_file_reported_scan_continues(tmp_path):
     d = _drawing((ModuleType.VALVE, VALVE_A))
     good = tmp_path / "good.json"
