@@ -28,9 +28,9 @@ from .persistence import (DEFAULT_GRID_NX, DEFAULT_GRID_NY, FORMAT_VERSION,
                           load_prototypes, save_drawing_file, save_prototypes)
 from .properties import ModuleType, PropKind, schema_for
 from .render import render_svg
-from .speccing import (SPEC_ROW_FIELDS, apply_catalog_entry, collect_spec_rows,
-                       fill_table_module, find_duplicate_positions,
-                       load_catalog_file)
+from .speccing import (_SPEC_COLUMNS, _cell_text, apply_catalog_entry,
+                       collect_spec_rows, fill_table_module,
+                       find_duplicate_positions, load_catalog_file)
 
 __all__ = ["main"]
 
@@ -64,11 +64,19 @@ def _point_arg(text: str) -> Point:
     return Point(x, y)
 
 
+def _parse_int(text: str) -> "int | None":
+    """The integer ``text`` spells in decimal digits, or None."""
+    try:  # int() reads what str.isdecimal passes; str.isdigit also passes '²'
+        return int(text) if text.isdecimal() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _grid_arg(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2 or not all(p.isdigit() and int(p) > 0 for p in parts):
+    sizes = [_parse_int(part) for part in text.split(",")]
+    if len(sizes) != 2 or not all(n is not None and n > 0 for n in sizes):
         raise argparse.ArgumentTypeError("grid needs NX,NY positive integers")
-    return int(parts[0]), int(parts[1])
+    return sizes[0], sizes[1]
 
 
 def _types_arg(text: str) -> frozenset:
@@ -91,10 +99,10 @@ def _column_map_arg(text: str) -> dict:
     out = {}
     for part in text.split(","):
         name, eq, index = part.partition("=")
-        if not eq or not index.isdigit():
+        out[name] = _parse_int(index)
+        if not eq or out[name] is None:
             raise argparse.ArgumentTypeError(
                 f"bad column mapping {part!r}; use field=index")
-        out[name] = int(index)
     return out
 
 
@@ -130,10 +138,6 @@ def _props_arg(tokens: "list[str]", mtype: ModuleType) -> dict:
         else:
             props[key] = _prop_value(key, value)
     return props
-
-
-def _format_real(value: float) -> str:
-    return format(value, "g")
 
 
 def cmd_new(args) -> int:
@@ -193,8 +197,8 @@ def cmd_list(args) -> int:
             p = item.props
             origin = p["origin"]
             print(f"module {item.id} {item.type.value} layer={p['layer']} "
-                  f"origin=({_format_real(origin.x)},{_format_real(origin.y)}) "
-                  f"angle={_format_real(p['angle_deg'])} "
+                  f"origin=({_cell_text(origin.x)},{_cell_text(origin.y)}) "
+                  f"angle={_cell_text(p['angle_deg'])} "
                   f"mirrored={'true' if p['mirrored'] else 'false'} "
                   f"elements={len(item.geometry)}")
         else:
@@ -216,12 +220,9 @@ def _print_errors(errors) -> None:
 
 def cmd_spec(args) -> int:
     rows, errors = collect_spec_rows(args.drawings, args.types)
-    print("\t".join(SPEC_ROW_FIELDS[:5] + ("qty",) + SPEC_ROW_FIELDS[5:]))
+    print("\t".join(_SPEC_COLUMNS))
     for row in rows:
-        print("\t".join([row.position, row.designation, row.name,
-                         row.type_mark, row.unit, str(row.qty),
-                         _format_real(row.mass), _format_real(row.price),
-                         row.note]))
+        print("\t".join(_cell_text(getattr(row, name)) for name in _SPEC_COLUMNS))
     _print_errors(errors)
     return 1 if errors else 0
 
@@ -254,10 +255,11 @@ def cmd_proto_save(args) -> int:
     d = load_drawing_file(args.drawing)
     modules, names = [], []
     for token in args.entry:
-        module_id, eq, name = token.partition("=")
-        if not eq or not module_id.isdigit() or not name:
+        id_text, eq, name = token.partition("=")
+        module_id = _parse_int(id_text)
+        if not eq or module_id is None or not name:
             raise KernelError(f"bad prototype entry {token!r}; use ID=NAME")
-        modules.append(d.module(int(module_id)))
+        modules.append(d.module(module_id))
         names.append(name)
     Path(args.out).write_bytes(save_prototypes(modules, names))
     print(f"saved {len(names)} prototypes")

@@ -15,7 +15,7 @@ from .geometry import (Element, LineStyle, LineType, Point, Polyline, Circle,
                        Segment, Text, _field_real, element_from_json,
                        offset_path)
 from .lightning import gen_lightning
-from .properties import ModuleType
+from .properties import ModuleType, _read_records
 
 if TYPE_CHECKING:
     from .core import Module
@@ -127,39 +127,37 @@ def gen_instrument(props: dict) -> tuple[Element, ...]:
     return tuple(elements)
 
 
+def _column(rec: dict) -> tuple[float, str]:
+    width = _field_real(rec, "width_mm")
+    header = rec.get("header", "")
+    if not width > 0.0:
+        raise ValueError("width_mm: must be positive")
+    if not isinstance(header, str):
+        raise ValueError(f"header: expected text, got {type(header).__name__}")
+    return width, header
+
+
 def _table_layout(props: dict) -> tuple[Point, list[float], float, float, list[list[str]]]:
-    columns = props["columns"]
+    columns = _read_records(props, "columns", _column)
     if not columns:
         raise SchemaViolation("columns", "table needs at least one column")
-    widths = []
-    headers = []
-    for rec in columns:
-        try:
-            w = _field_real(rec, "width_mm")
-            header = rec.get("header", "")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation("columns", f"bad column record: {exc}") from exc
-        if not (w > 0.0):
-            raise SchemaViolation("columns", "column widths must be positive")
-        if not isinstance(header, str):
-            raise SchemaViolation("columns", "column headers must be text")
-        widths.append(w)
-        headers.append(header)
     row_h = props["row_height_mm"]
     header_h = props["header_height_mm"]
     if row_h <= 0.0:
         raise SchemaViolation("row_height_mm", "must be positive")
     if header_h <= 0.0:
         raise SchemaViolation("header_height_mm", "must be positive")
-    rows = []
-    for rec in props["rows"]:
+
+    def cells(rec: dict) -> list[str]:
         cells = rec.get("cells")
-        if not isinstance(cells, list) or len(cells) != len(columns):
-            raise SchemaViolation("rows", "each row needs one cell per column")
-        if not all(isinstance(c, str) for c in cells):
-            raise SchemaViolation("rows", "cells must be text")
-        rows.append(cells)
-    return props["position"], widths, row_h, header_h, [headers] + rows
+        if not (isinstance(cells, list) and len(cells) == len(columns)
+                and all(isinstance(c, str) for c in cells)):
+            raise ValueError("cells: expected one text per column")
+        return cells
+
+    headers = [header for _, header in columns]
+    return (props["position"], [width for width, _ in columns], row_h,
+            header_h, [headers] + _read_records(props, "rows", cells))
 
 
 def gen_table(props: dict) -> tuple[Element, ...]:

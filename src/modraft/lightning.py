@@ -22,6 +22,7 @@ from enum import Enum
 from .errors import NoProtectionAtHeight, OutOfMethodRange, SchemaViolation
 from .geometry import (Circle, Element, LineStyle, Point, Segment, Text,
                        _as_real, _field_real)
+from .properties import _read_records
 
 __all__ = [
     "Rod", "ZoneClass", "LightningParams", "MAX_ROD_HEIGHT",
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 MAX_ROD_HEIGHT = 150.0
+# Rods times section heights: each section draws a circle and a label.
+_MAX_ZONE_SECTIONS = 4096
 
 CROSS_HALF_MM = 1.5       # rod marker is a 3 mm x-cross in paper space
 LABEL_HEIGHT_MM = 2.5
@@ -104,21 +107,24 @@ def ground_radius(h: float, zone_class: ZoneClass) -> float:
     return _zone(h, zone_class)[1] * h
 
 
+def _section_radius(h: float, hx: float, zone_class: ZoneClass) -> "float | None":
+    """Section radius at height hx of the zone of a rod of height h, or None
+    at or above the zone apex."""
+    k, slope = _zone(h, zone_class)
+    return slope * (h - hx / k) if k * h > hx else None
+
+
 def single_rod_radius(h: float, hx: float, zone_class: ZoneClass) -> float:
     """Protection radius rx at section height hx for a single rod."""
-    h = _as_real(h)
+    h = Rod(0.0, 0.0, h).h
     hx = _as_real(hx)
-    if h <= 0.0:
-        raise ValueError("rod height must be positive")
-    if h > MAX_ROD_HEIGHT:
-        raise OutOfMethodRange(f"rod height {h} m exceeds {MAX_ROD_HEIGHT} m")
     if hx < 0.0:
         raise ValueError("section height must be non-negative")
-    k, slope = _zone(h, zone_class)
-    if hx >= k * h:
+    rx = _section_radius(h, hx, zone_class)
+    if rx is None:
         raise NoProtectionAtHeight(
             f"section height {hx} m is not below the zone apex of a {h} m rod")
-    return slope * (h - hx / k)
+    return rx
 
 
 def zone_sections(params: LightningParams, hx: float) -> list[Circle]:
@@ -129,12 +135,8 @@ def zone_sections(params: LightningParams, hx: float) -> list[Circle]:
     """
     if hx < 0.0:
         raise ValueError("section height must be non-negative")
-    circles = []
-    for rod in params.rods:
-        k, slope = _zone(rod.h, params.zone_class)
-        if k * rod.h > hx:
-            circles.append(Circle(Point(rod.x, rod.y), slope * (rod.h - hx / k)))
-    return circles
+    return [Circle(Point(rod.x, rod.y), rx) for rod in params.rods
+            if (rx := _section_radius(rod.h, hx, params.zone_class)) is not None]
 
 
 def is_protected(x: float, y: float, z: float, params: LightningParams) -> bool:
@@ -142,28 +144,21 @@ def is_protected(x: float, y: float, z: float, params: LightningParams) -> bool:
     if z < 0.0:
         raise ValueError("height must be non-negative")
     for rod in params.rods:
-        k, slope = _zone(rod.h, params.zone_class)
-        if k * rod.h > z:
-            rx = slope * (rod.h - z / k)
-            if math.hypot(x - rod.x, y - rod.y) <= rx:
-                return True
+        rx = _section_radius(rod.h, z, params.zone_class)
+        if rx is not None and math.hypot(x - rod.x, y - rod.y) <= rx:
+            return True
     return False
 
 
 def params_from_props(props: dict) -> LightningParams:
     """Build LightningParams from a normalised lightning property set."""
-    rods = []
-    for rec in props["rods"]:
-        try:
-            rods.append(Rod(*(_field_real(rec, key) for key in "xyh")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation("rods", f"bad rod record: {exc}") from exc
-    heights = []
-    for rec in props["section_heights"]:
-        try:
-            heights.append(_field_real(rec, "height"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation("section_heights", f"bad height record: {exc}") from exc
+    if len(props["rods"]) * len(props["section_heights"]) > _MAX_ZONE_SECTIONS:
+        raise SchemaViolation("section_heights", "rods times section heights "
+                              f"exceeds {_MAX_ZONE_SECTIONS} zone sections")
+    rods = _read_records(props, "rods",
+                         lambda rec: Rod(*(_field_real(rec, key) for key in "xyh")))
+    heights = _read_records(props, "section_heights",
+                            lambda rec: _field_real(rec, "height"))
     scale = props["scale_mm_per_m"]
     if scale <= 0.0:
         raise SchemaViolation("scale_mm_per_m", "must be positive")
@@ -192,18 +187,18 @@ def gen_lightning(props: dict) -> tuple[Element, ...]:
     params = params_from_props(props)
     style = LineStyle()
     elements: list[Element] = []
-    for rod in params.rods:
-        c = _paper_point(params, rod.x, rod.y)
+    centres = [_paper_point(params, rod.x, rod.y) for rod in params.rods]
+    for c in centres:
         elements.append(Segment(Point(c.x - CROSS_HALF_MM, c.y - CROSS_HALF_MM),
                                 Point(c.x + CROSS_HALF_MM, c.y + CROSS_HALF_MM), style))
         elements.append(Segment(Point(c.x - CROSS_HALF_MM, c.y + CROSS_HALF_MM),
                                 Point(c.x + CROSS_HALF_MM, c.y - CROSS_HALF_MM), style))
-    sections = [(_paper_point(params, s.center.x, s.center.y), s.radius)
-                for hx in params.section_heights for s in zone_sections(params, hx)]
-    for c, radius in sections:
-        elements.append(Circle(c, radius * params.scale_mm_per_m, style))
-    for c, radius in sections:
-        r_mm = radius * params.scale_mm_per_m
-        anchor = Point(c.x, c.y + r_mm + LABEL_GAP_MM)
-        elements.append(Text(anchor, LABEL_HEIGHT_MM, 0.0, f"R{radius:.2f}", style))
+    # (paper centre, radius in metres, radius in mm) of each section
+    sections = [(c, rx, rx * params.scale_mm_per_m)
+                for hx in params.section_heights
+                for rod, c in zip(params.rods, centres)
+                if (rx := _section_radius(rod.h, hx, params.zone_class)) is not None]
+    elements += [Circle(c, r_mm, style) for c, _, r_mm in sections]
+    elements += [Text(Point(c.x, c.y + r_mm + LABEL_GAP_MM), LABEL_HEIGHT_MM, 0.0,
+                      f"R{rx:.2f}", style) for c, rx, r_mm in sections]
     return tuple(elements)

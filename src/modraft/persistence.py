@@ -89,11 +89,14 @@ class Drawing:
     def free_elements(self) -> list[Element]:
         return [item for item in self.items if not isinstance(item, Module)]
 
-    def module(self, module_id: int) -> Module:
-        for item in self.items:
+    def _module_index(self, module_id: int) -> int:
+        for i, item in enumerate(self.items):
             if isinstance(item, Module) and item.id == module_id:
-                return item
+                return i
         raise KernelError(f"no module with id {module_id}")
+
+    def module(self, module_id: int) -> Module:
+        return self.items[self._module_index(module_id)]
 
     def add_module(self, mtype: ModuleType, props: dict) -> Module:
         m = create_module(mtype, props, module_id=self.next_id)
@@ -106,22 +109,23 @@ class Drawing:
 
     def replace_module(self, replacement: Module) -> Module:
         """Swap in a module with the same id."""
-        for i, item in enumerate(self.items):
-            if isinstance(item, Module) and item.id == replacement.id:
-                self.items[i] = replacement
-                return replacement
-        raise KernelError(f"no module with id {replacement.id}")
+        self.items[self._module_index(replacement.id)] = replacement
+        return replacement
 
     def set_module_properties(self, module_id: int, updates: dict) -> Module:
         m = set_properties(self.module(module_id), updates)
         return self.replace_module(m)
 
     def remove_module(self, module_id: int) -> None:
-        self.items.remove(self.module(module_id))
+        del self.items[self._module_index(module_id)]
 
     def remove_free_element(self, index: int) -> None:
-        free = self.free_elements()
-        self.items.remove(free[index])
+        positions = [i for i, item in enumerate(self.items)
+                     if not isinstance(item, Module)]
+        try:
+            del self.items[positions[index]]
+        except IndexError:
+            raise KernelError(f"no free element at index {index}") from None
 
 
 def _grid_json(grid: ZoneGrid) -> dict:

@@ -281,6 +281,20 @@ def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
     return tuple(out)
 
 
+def _read_records(props: Mapping[str, object], key: str, read) -> list:
+    """``read`` applied to each record of the record-list property ``key``.
+    A record it refuses is a SchemaViolation naming its index; an
+    ``OverflowError`` goes through, for ``create_module`` to report."""
+    out = []
+    for i, rec in enumerate(props[key]):
+        try:
+            out.append(read(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise SchemaViolation(key, f"{key}[{i}]: {reason}") from exc
+    return out
+
+
 def _default_for(spec: PropSpec) -> object:
     if spec.kind is PropKind.RECORD:
         return dict(spec.default) if spec.default else {}

@@ -33,6 +33,9 @@ SPEC_MODULE_TYPES = frozenset(
 # Row fields in specification column order; also the merge key order.
 SPEC_ROW_FIELDS = ("position", "designation", "name", "type_mark",
                    "unit", "mass", "price", "note")
+# Specification columns, and SpecRow's field order: the row fields with qty
+# after unit.
+_SPEC_COLUMNS = SPEC_ROW_FIELDS[:5] + ("qty",) + SPEC_ROW_FIELDS[5:]
 
 CATALOG_FIELDS = ("name", "type_mark", "manufacturer_code", "item_code",
                   "unit", "unit_code", "price")
@@ -101,28 +104,16 @@ _POSITION_KEY = {ModuleType.INSTRUMENT: "pos_designation",
                  ModuleType.POSDES: "position_text"}
 
 
-def _spec_fields(m: Module) -> "dict | None":
-    p = m.props
-    position = p[_POSITION_KEY[m.type]] if m.type in _POSITION_KEY else ""
-    if m.type is ModuleType.VALVE:
-        return {"position": position, "designation": p["designation"],
-                "name": p["name"], "type_mark": "", "unit": "",
-                "mass": p["mass"], "price": 0.0, "note": p["note"]}
-    if m.type is ModuleType.INSTRUMENT:
-        return {"position": position, "designation": p["designation"],
-                "name": p["name"], "type_mark": p["type_mark"], "unit": p["unit"],
-                "mass": p["mass"], "price": p["price"], "note": p["note"]}
-    if m.type is ModuleType.POSDES:
-        rec = p["spec_props"]
-        return {"position": position,
-                "designation": _record_text(rec, "designation"),
-                "name": _record_text(rec, "name"),
-                "type_mark": _record_text(rec, "type_mark"),
-                "unit": _record_text(rec, "unit"),
-                "mass": _record_real(rec, "mass"),
-                "price": _record_real(rec, "price"),
-                "note": _record_text(rec, "note")}
-    return None
+def _spec_key(m: Module) -> tuple:
+    """A specifying module's row fields in ``SPEC_ROW_FIELDS`` order, the
+    merge key. They are read from the module's own properties, or from a
+    posdes module's ``spec_props`` record; a field the source lacks reads
+    blank."""
+    source = m.props["spec_props"] if m.type is ModuleType.POSDES else m.props
+    position = m.props[_POSITION_KEY[m.type]] if m.type in _POSITION_KEY else ""
+    return (position,) + tuple(
+        _record_real(source, name) if name in ("mass", "price")
+        else _record_text(source, name) for name in SPEC_ROW_FIELDS[1:])
 
 
 def _modules(sources: Iterable[DrawingSource], errors: list):
@@ -163,27 +154,23 @@ def collect_spec_rows(
     gets no row.
     """
     wanted = SPEC_MODULE_TYPES if type_filter is None else \
-        frozenset(ModuleType(t) for t in type_filter)
+        SPEC_MODULE_TYPES & frozenset(ModuleType(t) for t in type_filter)
     merged: dict[tuple, list] = {}
     errors: list[tuple[str, str]] = []
     for label, m in _modules(sources, errors):
         if m.type not in wanted:
             continue
         try:
-            fields = _spec_fields(m)
+            key = _spec_key(m)
         except SchemaViolation as exc:
             errors.append((label, f"module {m.id}: {exc}"))
             continue
-        if fields is None:
-            continue
-        key = tuple(fields[name] for name in SPEC_ROW_FIELDS)
         merged.setdefault(key, []).append((label, m.id))
     rows = []
     for key in sorted(merged):
         sources_for_row = tuple(sorted(merged[key]))
-        fields = dict(zip(SPEC_ROW_FIELDS, key))
-        rows.append(SpecRow(qty=len(sources_for_row), sources=sources_for_row,
-                            **fields))
+        rows.append(SpecRow(*key[:5], len(sources_for_row), *key[5:],
+                            sources_for_row))
     return rows, errors
 
 
@@ -208,15 +195,8 @@ def find_duplicate_positions(
 
 
 def _cell_text(value: object) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "+" if value else ""
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, "g")
-    return str(value)
+    """A row field as printed and as put in a table cell."""
+    return format(value, "g") if isinstance(value, float) else str(value)
 
 
 def fill_table_module(d: Drawing, table_id: int, rows: Iterable[SpecRow],
@@ -231,11 +211,10 @@ def fill_table_module(d: Drawing, table_id: int, rows: Iterable[SpecRow],
     if table.type is not ModuleType.TABLE:
         raise KernelError(f"module {table_id} is not a table")
     n_columns = len(table.props["columns"])
-    valid_fields = SPEC_ROW_FIELDS + ("qty",)
     for name, index in column_map.items():
-        if name not in valid_fields:
+        if name not in _SPEC_COLUMNS:
             raise KernelError(f"unknown spec row field {name!r}")
-        if not (isinstance(index, int) and 0 <= index < n_columns):
+        if not (type(index) is int and 0 <= index < n_columns):
             raise KernelError(
                 f"column index {index!r} out of range for {n_columns} columns")
     table_rows = []

@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from modraft import (ModuleType, load_drawing_file, load_prototypes,
-                     single_rod_radius, ZoneClass)
+from modraft import (Drawing, ModuleType, Rect, load_drawing_file,
+                     load_prototypes, save_drawing_file, single_rod_radius,
+                     ZoneClass)
 from modraft.cli import main
 
 
@@ -352,6 +353,38 @@ def test_spec_merges_and_prints_tsv(drawing, capsys):
                                   "price", "note"]
     cells = row.split("\t")
     assert cells[1] == "15кч18п" and cells[5] == "2" and cells[6] == "1.5"
+
+
+SPEC_PIN_STDOUT = (
+    "position\tdesignation\tname\ttype_mark\tunit\tqty\tmass\tprice\tnote\n"
+    "\t15кч18п\tВентиль\t\t\t2\t1.5\t0\tDN15\n"
+    "1а\tМП4-У\tМанометр\tМП4-У-1,6МПа\tшт\t1\t0.8\t1250.5\t\n"
+    "2\tГОСТ 8732\tТруба\t\tм\t1\t12\t300\t57x3,5\n")
+
+
+def test_spec_stdout_is_pinned_for_every_specifying_type(tmp_path, capsys):
+    # a valve (no type_mark, unit or price), an instrument with them, a
+    # posdes reading its spec_props record and a pipeline, which makes no row
+    d = Drawing.new(Rect.from_bounds(0, 0, 800, 600))
+    valve = {"designation": "15кч18п", "name": "Вентиль", "mass": 1.5,
+             "note": "DN15"}
+    d.add_module(ModuleType.VALVE, valve)
+    d.add_module(ModuleType.INSTRUMENT, {
+        "function_code": "PI", "pos_designation": "1а",
+        "designation": "МП4-У", "name": "Манометр",
+        "type_mark": "МП4-У-1,6МПа", "unit": "шт", "price": 1250.5,
+        "mass": 0.8})
+    d.add_module(ModuleType.POSDES, {
+        "leader_from": (0, 0), "shelf_at": (5, 5), "position_text": "2",
+        "spec_props": {"designation": "ГОСТ 8732", "name": "Труба",
+                       "unit": "м", "mass": 12, "price": 300,
+                       "note": "57x3,5"}})
+    d.add_module(ModuleType.PIPELINE, {"path": [(0, 0), (100, 0)],
+                                       "diameter_mm": 5.0})
+    d.add_module(ModuleType.VALVE, {**valve, "origin": (60, 0)})
+    path = str(tmp_path / "spec.json")
+    save_drawing_file(d, path)
+    assert run(capsys, "spec", path) == (0, SPEC_PIN_STDOUT, "")
 
 
 def test_spec_missing_file_exits_1(drawing, tmp_path, capsys):

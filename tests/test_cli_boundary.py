@@ -163,6 +163,38 @@ def test_unhashable_literal_in_props_exits_1(sheet, value):
     assert drawing.read_bytes() == base
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    ("new OUT --extent 0,0,10,10 --grid ²,2", 2,
+     "grid needs NX,NY positive integers"),
+    ("fill-table D --id 2 --columns position=²", 2,
+     "bad column mapping 'position=²'; use field=index"),
+    ("proto-save D OUT --entry ²=x", 1,
+     "error: bad prototype entry '²=x'; use ID=NAME"),
+], ids=["grid", "column-map", "proto-entry"])
+def test_superscript_digit_is_not_an_integer(sheet, argv, code, message):
+    drawing = Path(sheet["D"])
+    base = drawing.read_bytes()
+    proc = run_process(*(sheet.get(token, token) for token in argv.split()))
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "invalid literal" not in proc.stderr
+    assert drawing.read_bytes() == base and not Path(sheet["OUT"]).exists()
+
+
+def test_add_past_the_lightning_section_bound_exits_1(sheet):
+    drawing = Path(sheet["D"])
+    base = drawing.read_bytes()
+    rods = [{"x": float(i), "y": 0.0, "h": 20.0} for i in range(65)]
+    heights = [{"height": 0.1 * k} for k in range(64)]
+    proc = run_process("add", sheet["D"], "--type", "lightning", "--props",
+                       f"rods={rods!r}", f"section_heights={heights!r}",
+                       "zone_class=B", "scale_mm_per_m=2")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: property 'section_heights': ")
+    assert "4096 zone sections" in proc.stderr
+    assert drawing.read_bytes() == base
+
+
 # --- the shared rewrite path -------------------------------------------------
 
 # (subcommand arguments that succeed, arguments that fail with exit 1)

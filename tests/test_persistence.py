@@ -829,6 +829,102 @@ def test_string_or_boolean_number_in_a_record_is_a_schema_violation(
     assert info.value.key == key
 
 
+@pytest.mark.parametrize("mtype,props,key,reason", [
+    (ModuleType.LIGHTNING,
+     {**_plan({"x": 0.0, "y": 0.0, "h": 20.0}, 2.0),
+      "rods": [{"x": 0.0, "y": 0.0, "h": 20.0}, {"x": 5.0, "y": 0.0, "h": "9"}]},
+     "rods", "rods[1]: h: expected a real number, got str"),
+    (ModuleType.LIGHTNING,
+     {**_plan({"x": 0.0, "y": 0.0, "h": 20.0}, 2.0),
+      "rods": [{"x": 0.0, "y": 0.0, "h": 20.0}, {"x": 5.0, "y": 0.0}]},
+     "rods", "rods[1]: missing 'h'"),
+    (ModuleType.LIGHTNING,
+     {**_plan({"x": 0.0, "y": 0.0, "h": 20.0}, 2.0),
+      "section_heights": [{"height": 1.0}, {"height": 2.0}, {"height": True}]},
+     "section_heights", "section_heights[2]: height: expected a real number, "
+                        "got bool"),
+    (ModuleType.TABLE,
+     {**_table({"width_mm": 20.0}), "columns": [{"width_mm": 20.0},
+                                                 {"width_mm": 0.0}]},
+     "columns", "columns[1]: width_mm: must be positive"),
+    (ModuleType.TABLE, _table({"width_mm": 20.0, "header": 7}),
+     "columns", "columns[0]: header: expected text, got int"),
+    (ModuleType.TABLE,
+     {**_table({"width_mm": 20.0}), "rows": [{"cells": ["a"]}, {"cells": [1]}]},
+     "rows", "rows[1]: cells: expected one text per column"),
+    (ModuleType.TABLE,
+     {**_table({"width_mm": 20.0}), "rows": [{"cells": ["a", "b"]}]},
+     "rows", "rows[0]: cells: expected one text per column"),
+], ids=["rod-h-string", "rod-h-missing", "height-bool", "width-zero",
+        "header-int", "cell-int", "cell-count"])
+def test_bad_record_keeps_the_key_and_names_its_index(mtype, props, key, reason):
+    with pytest.raises(SchemaViolation) as info:
+        create_module(mtype, props)
+    assert (info.value.key, info.value.reason) == (key, reason)
+
+
+def test_bad_record_in_a_stored_module_names_item_property_and_record():
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.LIGHTNING, _plan({"x": 0.0, "y": 0.0, "h": 20.0}, 2.0))
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["rods"]["value"].append(
+        {"x": 1.0, "y": 0.0, "h": "20"})
+    with pytest.raises(SchemaViolation, match=(
+            r"^item 0 \(module 1\): property 'rods': "
+            r"rods\[1\]: h: expected a real number, got str$")):
+        load_drawing(json.dumps(doc))
+
+
+def _many_sections(n_rods: int, n_heights: int) -> dict:
+    return {"rods": [{"x": float(i), "y": 0.0, "h": 20.0} for i in range(n_rods)],
+            "section_heights": [{"height": 0.001 * k} for k in range(n_heights)],
+            "zone_class": "B", "scale_mm_per_m": 1.0}
+
+
+def test_lightning_sections_are_bounded():
+    at_limit = create_module(ModuleType.LIGHTNING, _many_sections(64, 64))
+    assert len(at_limit.geometry) == 2 * 64 + 2 * 64 * 64
+    with pytest.raises(SchemaViolation) as info:
+        create_module(ModuleType.LIGHTNING, _many_sections(65, 64))
+    assert info.value.key == "section_heights"
+    assert "4096 zone sections" in info.value.reason
+
+
+def test_stored_lightning_module_past_the_section_bound_is_refused():
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.LIGHTNING, _many_sections(1, 2))
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["rods"]["value"] = _many_sections(4097, 1)["rods"]
+    with pytest.raises(SchemaViolation, match=(
+            r"^item 0 \(module 1\): property 'section_heights': .*4096 zone")):
+        load_drawing(json.dumps(doc))
+
+
+def test_remove_free_element_removes_by_position():
+    first = Segment(Point(0.0, 0.0), Point(1.0, 1.0))
+    same = Segment(Point(0.0, 0.0), Point(1.0, 1.0))
+    d = Drawing.new(EXTENT)
+    d.add_element(first)
+    d.add_module(ModuleType.VALVE, {})
+    d.add_element(same)
+    assert first == same
+    before = [item for item in d.items]
+    d.remove_free_element(1)
+    assert len(d.items) == 2
+    assert d.items[0] is before[0] and d.items[1] is before[1]
+    d.remove_free_element(-1)
+    assert d.items == [before[1]]
+
+
+@pytest.mark.parametrize("index", [1, -2, 5])
+def test_remove_free_element_out_of_range_is_a_kernel_error(index):
+    d = Drawing.new(EXTENT)
+    d.add_element(Segment(Point(0.0, 0.0), Point(1.0, 1.0)))
+    with pytest.raises(KernelError, match=f"no free element at index {index}"):
+        d.remove_free_element(index)
+    assert len(d.items) == 1
+
+
 def test_unknown_property_is_a_schema_violation_whatever_its_tag():
     doc = _valid_doc()
     doc["items"][0]["props"]["colour"] = {"kind": "no-such-kind", "value": 1}

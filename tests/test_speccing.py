@@ -268,6 +268,14 @@ def test_fill_table_validates_map():
         fill_table_module(d, table_id, [], {"qty": -1})
 
 
+@pytest.mark.parametrize("index", [True, False])
+def test_fill_table_refuses_a_boolean_column_index(index):
+    d, table_id = _table_drawing(2)
+    with pytest.raises(KernelError, match=f"column index {index} out of range"):
+        fill_table_module(d, table_id, _rows(), {"designation": index})
+    assert d.module(table_id).props["rows"] == ()
+
+
 def test_fill_table_requires_table_module():
     d = _drawing((ModuleType.VALVE, VALVE_A))
     with pytest.raises(KernelError, match="not a table"):
