@@ -15,15 +15,14 @@ from .geometry import (Element, LineStyle, LineType, Point, Polyline, Circle,
                        Segment, Text, _field_real, element_from_json,
                        offset_path)
 from .lightning import gen_lightning
-from .properties import ModuleType, _read_records
+from .properties import VALVE_LENGTH, ModuleType, _read_records
 
 if TYPE_CHECKING:
     from .core import Module
 
 __all__ = ["generate_local", "internal_list_indices", "SHEET_SIZES"]
 
-# Valve bowtie (ГОСТ 2.785 style): two triangles nose to nose.
-VALVE_LENGTH = 4.0
+# Valve bowtie (ГОСТ 2.785 style): two VALVE_LENGTH triangles nose to nose.
 VALVE_HALF_BASE = 1.5
 
 # Instrument symbol (ГОСТ 21.404 style): circle with optional board chord.
@@ -54,21 +53,19 @@ _THIN = LineStyle(LineType.THIN_SOLID)
 _CENTERLINE = LineStyle(LineType.DASH_DOT)
 
 
+def _element(rec: dict) -> Element:
+    closed = rec.get("closed", False)  # element_from_json would read "no" as closed
+    if rec.get("kind") == "polyline" and not isinstance(closed, bool):
+        raise ValueError("bad polyline element: closed: expected true or false, "
+                         f"got {type(closed).__name__}")
+    return element_from_json(rec)
+
+
 def gen_user(props: dict) -> tuple[Element, ...]:
     """Stored free-form elements, parsed from their record form."""
-    records = props["elements"]
-    if not records:
+    if not props["elements"]:
         raise SchemaViolation("elements", "user module needs at least one element")
-    for rec in records:  # element_from_json would read "no" as closed
-        closed = rec.get("closed", False)
-        if rec.get("kind") == "polyline" and not isinstance(closed, bool):
-            raise SchemaViolation("elements", "bad polyline element: closed: "
-                                  "expected true or false, got "
-                                  f"{type(closed).__name__}")
-    try:
-        return tuple(element_from_json(rec) for rec in records)
-    except ValueError as exc:
-        raise SchemaViolation("elements", str(exc)) from exc
+    return tuple(_read_records(props, "elements", _element))
 
 
 def gen_pipeline(props: dict) -> tuple[Element, ...]:

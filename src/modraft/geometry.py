@@ -101,15 +101,9 @@ def _as_point(value: object) -> Point:
 
 
 def _field_real(record: dict, key: str) -> float:
-    """A number field of a property record, checked as :func:`_as_real`
-    checks a value, except that an integer too large for a float raises
-    ``OverflowError``, which ``create_module`` reports as a
-    ``GenerationError``."""
-    value = record[key]
-    if type(value) is int:
-        return float(value)
+    """A number field of a property record, read by :func:`_as_real`."""
     try:
-        return _as_real(value)
+        return _as_real(record[key])
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
@@ -161,13 +155,11 @@ class Transform:
         return Transform(cos_a, -sin_a, sin_a, cos_a, tx, ty)
 
     @staticmethod
-    def scaling(factor: float, about: "Point | None" = None) -> "Transform":
+    def scaling(factor: float) -> "Transform":
         s = float(factor)
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError("scale factor must be positive")
-        if about is None:
-            return Transform(s, 0.0, 0.0, s, 0.0, 0.0)
-        return Transform(s, 0.0, 0.0, s, about.x * (1.0 - s), about.y * (1.0 - s))
+        return Transform(s, 0.0, 0.0, s, 0.0, 0.0)
 
     @staticmethod
     def mirror(origin: "Point", axis_angle_deg: float) -> "Transform":
@@ -645,8 +637,6 @@ def offset_path(points: Iterable[object], side_offset: float,
     tail = Point(pts[-1].x + d * normals[-1][0], pts[-1].y + d * normals[-1][1])
     if cursor.distance_to(tail) > _EPS:
         elements.append(Segment(cursor, tail, style))
-    if not elements:
-        raise GenerationError("offset produced no geometry")
     return elements
 
 

@@ -211,6 +211,8 @@ _DRAWING_KEYS = frozenset({"extent", "format_version", "items", "next_id",
                            "zone_grid"})
 _MODULE_KEYS = frozenset({"geometry", "id", "kind", "props", "type"})
 _ELEMENT_KEYS = frozenset({"element", "kind"})
+_LIBRARY_KEYS = frozenset({"entries", "format_version"})
+_ENTRY_KEYS = frozenset({"name", "props", "type"})
 
 
 def _check_keys(doc: dict, keys: frozenset, what: str) -> None:
@@ -366,15 +368,17 @@ def load_prototypes(
 ) -> tuple[list[tuple[str, Module]], list[tuple[str, str]]]:
     """Regenerate prototype modules from a library file.
 
-    Returns ((name, module) pairs, errors); a bad entry is reported in
-    ``errors`` as (entry name, message) and the remaining entries still
-    load.
+    Returns ((name, module) pairs, errors). An entry holds exactly a
+    non-empty text ``name``, a ``type`` and ``props``; a bad one is reported
+    in ``errors`` as (its name, or ``entry N``, message) and the remaining
+    entries still load.
     """
     doc = _parse_json(data)
     if not isinstance(doc, dict):
         raise FileFormatError("prototype file must contain a JSON object")
     _check_version(doc)
-    entries = doc.get("entries")
+    _check_keys(doc, _LIBRARY_KEYS, "prototype library")
+    entries = doc["entries"]
     if not isinstance(entries, list):
         raise FileFormatError("prototype file needs an 'entries' list")
     loaded: list[tuple[str, Module]] = []
@@ -384,7 +388,11 @@ def load_prototypes(
         try:
             if not isinstance(entry, dict):
                 raise FileFormatError("prototype entries must be objects")
-            name = str(entry.get("name", name))
+            named = isinstance(entry.get("name"), str) and entry["name"] != ""
+            name = entry["name"] if named else name
+            _check_keys(entry, _ENTRY_KEYS, "prototype entry")
+            if not named:
+                raise FileFormatError("bad prototype entry: name must be non-empty text")
             mtype = ModuleType(entry["type"])
             props = props_from_json(mtype, entry["props"])
             loaded.append((name, create_module(mtype, props,

@@ -21,7 +21,7 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping
 
-from .errors import FileFormatError, SchemaViolation
+from .errors import FileFormatError, KernelError, SchemaViolation
 from .geometry import Point, _as_point, _as_real, _point_json, norm_deg
 
 __all__ = [
@@ -89,10 +89,10 @@ PLACEMENT_SCHEMA: dict[str, PropSpec] = {
     "mirrored": PropSpec(PropKind.BOOLEAN, default=False),
 }
 
-PLACEMENT_KEYS = tuple(PLACEMENT_SCHEMA)
-
-# Bowtie half-length of the valve symbol; mirrored in generators.VALVE_LENGTH.
-_VALVE_ATTACH_DEFAULT = (Axis(Point(-4.0, 0.0), 0.0), Axis(Point(4.0, 0.0), 0.0))
+# Length of each valve bowtie triangle; the default axes sit at its two ends.
+VALVE_LENGTH = 4.0
+_VALVE_ATTACH_DEFAULT = (Axis(Point(-VALVE_LENGTH, 0.0), 0.0),
+                         Axis(Point(VALVE_LENGTH, 0.0), 0.0))
 
 _SCHEMAS: dict[ModuleType, dict[str, PropSpec]] = {
     ModuleType.USER: {
@@ -198,7 +198,7 @@ def russian_property_names() -> dict[str, str]:
     return json.loads(data.read_text("utf-8"))
 
 
-def _normalize_json(key: str, value: object) -> object:
+def _normalize_json(value: object) -> object:
     """Deep-normalise free-form record content to plain JSON values."""
     if isinstance(value, bool) or value is None:
         return value
@@ -208,88 +208,89 @@ def _normalize_json(key: str, value: object) -> object:
         return value
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise SchemaViolation(key, "numbers must be finite")
+            raise ValueError("numbers must be finite")
         return value
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
             if not isinstance(k, str):
-                raise SchemaViolation(key, "record keys must be strings")
-            out[k] = _normalize_json(key, v)
+                raise ValueError("record keys must be strings")
+            out[k] = _normalize_json(v)
         return out
     if isinstance(value, (list, tuple)):
-        return [_normalize_json(key, v) for v in value]
-    raise SchemaViolation(key, f"value {value!r} is not serialisable")
+        return [_normalize_json(v) for v in value]
+    raise ValueError(f"value {value!r} is not serialisable")
 
 
-def _as_axis(key: str, value: object) -> Axis:
+def _as_axis(value: object) -> Axis:
     if isinstance(value, Axis):
         return value
     if isinstance(value, dict):
         if "origin" not in value:
-            raise SchemaViolation(key, "bad axis: no 'origin'")
+            raise ValueError("bad axis: no 'origin'")
         return Axis(_as_point(value["origin"]),
                     _as_real(value.get("angle_deg", 0.0)))
     if isinstance(value, (tuple, list)) and len(value) == 2:
         return Axis(_as_point(value[0]), _as_real(value[1]))
-    raise SchemaViolation(key, f"expected an axis, got {value!r}")
+    raise ValueError(f"expected an axis, got {value!r}")
 
 
-def _normalize_value(key: str, spec: PropSpec, value: object) -> object:
+def _normalize_value(spec: PropSpec, value: object) -> object:
+    """One property value, normalised; a refusal is ``ValueError(reason)``."""
     kind = spec.kind
     if kind is PropKind.TEXT:
         if not isinstance(value, str):
-            raise SchemaViolation(key, f"expected text, got {type(value).__name__}")
+            raise ValueError(f"expected text, got {type(value).__name__}")
         if spec.choices and value not in spec.choices:
-            raise SchemaViolation(key, f"value {value!r} not one of {spec.choices}")
+            raise ValueError(f"value {value!r} not one of {spec.choices}")
         return value
     if kind is PropKind.REAL:
         return _as_real(value)
     if kind is PropKind.INTEGER:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaViolation(key, f"expected an integer, got {type(value).__name__}")
+            raise ValueError(f"expected an integer, got {type(value).__name__}")
         return value
     if kind is PropKind.BOOLEAN:
         if not isinstance(value, bool):
-            raise SchemaViolation(key, f"expected a boolean, got {type(value).__name__}")
+            raise ValueError(f"expected a boolean, got {type(value).__name__}")
         return value
     if kind is PropKind.POINT:
         return _as_point(value)
     if kind is PropKind.POINT_LIST:
         if isinstance(value, (Point, str)) or not hasattr(value, "__iter__"):
-            raise SchemaViolation(key, "expected a list of points")
+            raise ValueError("expected a list of points")
         return tuple(_as_point(p) for p in value)
     if kind is PropKind.AXIS_LIST:
         if isinstance(value, (Axis, str)) or not hasattr(value, "__iter__"):
-            raise SchemaViolation(key, "expected a list of axes")
-        return tuple(_as_axis(key, a) for a in value)
+            raise ValueError("expected a list of axes")
+        return tuple(_as_axis(a) for a in value)
     if kind is PropKind.RECORD:
         if value is None:
             return {}
         if not isinstance(value, dict):
-            raise SchemaViolation(key, f"expected a record, got {type(value).__name__}")
-        return _normalize_json(key, value)
+            raise ValueError(f"expected a record, got {type(value).__name__}")
+        return _normalize_json(value)
     # PropKind.RECORD_LIST, the last kind
     if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
-        raise SchemaViolation(key, "expected a list of records")
+        raise ValueError("expected a list of records")
     out = []
     for item in value:
-        norm = _normalize_json(key, item)
+        norm = _normalize_json(item)
         if not isinstance(norm, dict):
-            raise SchemaViolation(key, "list items must be records")
+            raise ValueError("list items must be records")
         out.append(norm)
     return tuple(out)
 
 
 def _read_records(props: Mapping[str, object], key: str, read) -> list:
     """``read`` applied to each record of the record-list property ``key``.
-    A record it refuses is a SchemaViolation naming its index; an
-    ``OverflowError`` goes through, for ``create_module`` to report."""
+    Any refusal of a record, a kernel error included, is a SchemaViolation
+    naming the key and the record's index."""
     out = []
     for i, rec in enumerate(props[key]):
         try:
             out.append(read(rec))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, KernelError) as exc:
             reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
             raise SchemaViolation(key, f"{key}[{i}]: {reason}") from exc
     return out
@@ -316,8 +317,8 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
     for key, spec in schema.items():
         if key in props:
             try:
-                out[key] = _normalize_value(key, spec, props[key])
-            except ValueError as exc:  # from the geometry real/point decoder
+                out[key] = _normalize_value(spec, props[key])
+            except ValueError as exc:
                 raise SchemaViolation(key, str(exc)) from exc
         elif spec.required:
             raise SchemaViolation(key, "required property missing")

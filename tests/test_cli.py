@@ -285,8 +285,8 @@ def test_user_element_record_with_a_string_radius_exits_1(drawing):
     proc = run_process("add", drawing, "--type", "user", "--props",
                        "elements=[{'kind':'circle','center':[0,0],'radius':'2'}]")
     assert proc.returncode == 1
-    assert proc.stderr == ("error: property 'elements': bad circle element: "
-                           "expected a real number, got str\n")
+    assert proc.stderr == ("error: property 'elements': elements[0]: bad circle "
+                           "element: expected a real number, got str\n")
 
 
 @pytest.mark.parametrize("argv", [

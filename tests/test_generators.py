@@ -331,7 +331,7 @@ def test_user_polyline_closed_must_be_true_or_false(closed, got):
         create_module(ModuleType.USER,
                       {"elements": [{**_TRIANGLE, "closed": closed}]})
     assert info.value.key == "elements"
-    assert info.value.reason == ("bad polyline element: closed: "
+    assert info.value.reason == ("elements[0]: bad polyline element: closed: "
                                  f"expected true or false, got {got}")
 
 

@@ -234,6 +234,41 @@ def test_prototype_file_structure_checked():
         load_prototypes("[]")
 
 
+def _valve_library(**entry) -> dict:
+    doc = json.loads(save_prototypes([create_module(ModuleType.VALVE, {})], ["v"]))
+    doc["entries"][0].update(entry)
+    return doc
+
+
+@pytest.mark.parametrize("name", [None, ["a", 1], "", 5])
+def test_prototype_name_must_be_non_empty_text(name):
+    loaded, errors = load_prototypes(json.dumps(_valve_library(name=name)))
+    assert loaded == []
+    assert errors == [("entry 0",
+                       "bad prototype entry: name must be non-empty text")]
+
+
+def test_prototype_entry_without_a_type_names_the_missing_key():
+    doc = _valve_library()
+    del doc["entries"][0]["type"]
+    assert load_prototypes(json.dumps(doc)) == (
+        [], [("v", "bad prototype entry: missing key 'type'")])
+
+
+def test_prototype_entry_with_an_unknown_key_is_reported():
+    doc = _valve_library(origin=[0, 0])
+    assert load_prototypes(json.dumps(doc)) == (
+        [], [("v", "bad prototype entry: unknown key 'origin'")])
+
+
+def test_prototype_library_with_an_unknown_key_is_a_format_error():
+    doc = _valve_library()
+    doc["names"] = ["v"]
+    with pytest.raises(FileFormatError,
+                       match=r"^bad prototype library: unknown key 'names'$"):
+        load_prototypes(json.dumps(doc))
+
+
 def test_drawing_container_operations():
     d = Drawing.new(EXTENT)
     m1 = d.add_module(ModuleType.VALVE, {})
@@ -360,8 +395,8 @@ def test_stored_user_polyline_with_a_non_boolean_closed_does_not_load():
     with pytest.raises(SchemaViolation) as info:
         load_drawing(json.dumps(doc))
     assert str(info.value) == (
-        "item 0 (module 1): property 'elements': bad polyline element: "
-        "closed: expected true or false, got str")
+        "item 0 (module 1): property 'elements': elements[0]: bad polyline "
+        "element: closed: expected true or false, got str")
 
 
 def test_format_error_names_item_and_module():
@@ -796,10 +831,12 @@ def test_malformed_property_value_is_a_schema_violation(index, key, value):
     assert info.value.key == key
 
 
-def test_huge_number_in_a_record_is_a_generation_error():
+def test_huge_number_in_a_record_is_a_schema_violation():
     doc = _posdes_table_doc()
     doc["items"][1]["props"]["columns"]["value"][0]["width_mm"] = HUGE
-    with pytest.raises(GenerationError, match=r"^item 1 \(module 2\): table"):
+    with pytest.raises(SchemaViolation, match=(
+            r"^item 1 \(module 2\): property 'columns': columns\[0\]: "
+            r"width_mm: value is too large$")):
         load_drawing(json.dumps(doc))
 
 
@@ -900,6 +937,48 @@ def test_stored_lightning_module_past_the_section_bound_is_refused():
         load_drawing(json.dumps(doc))
 
 
+def test_rod_past_the_method_range_is_a_located_schema_violation():
+    props = _plan({"x": 0.0, "y": 0.0, "h": 20.0}, 2.0)
+    props["rods"].append({"x": 1.0, "y": 0.0, "h": 151.0})
+    with pytest.raises(SchemaViolation) as info:
+        create_module(ModuleType.LIGHTNING, props)
+    assert str(info.value) == (
+        "property 'rods': rods[1]: rod height 151.0 m exceeds 150.0 m")
+
+
+def _heights(*heights: float) -> list:
+    return [{"height": h} for h in heights]
+
+
+_BAD_SECTION_HEIGHTS = pytest.mark.parametrize("heights,reason", [
+    ((5.0, 2.0), "section heights must be distinct and ascending"),
+    ((2.0, 2.0), "section heights must be distinct and ascending"),
+    ((-1.0,), "section heights must be non-negative"),
+], ids=["descending", "repeated", "negative"])
+
+
+@_BAD_SECTION_HEIGHTS
+def test_bad_section_heights_are_a_schema_violation(heights, reason):
+    props = {**_plan({"x": 0.0, "y": 0.0, "h": 20.0}, 0.0),
+             "section_heights": _heights(*heights)}
+    with pytest.raises(SchemaViolation) as info:
+        create_module(ModuleType.LIGHTNING, props)
+    assert (info.value.key, info.value.reason) == ("section_heights", reason)
+
+
+@_BAD_SECTION_HEIGHTS
+def test_stored_bad_section_heights_do_not_load(heights, reason):
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.LIGHTNING, _plan({"x": 0.0, "y": 0.0, "h": 20.0}, 2.0))
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["section_heights"]["value"] = _heights(*heights)
+    with pytest.raises(SchemaViolation) as info:
+        load_drawing(json.dumps(doc))
+    assert info.value.key == "section_heights"
+    assert str(info.value) == (
+        f"item 0 (module 1): property 'section_heights': {reason}")
+
+
 def test_remove_free_element_removes_by_position():
     first = Segment(Point(0.0, 0.0), Point(1.0, 1.0))
     same = Segment(Point(0.0, 0.0), Point(1.0, 1.0))
@@ -968,8 +1047,8 @@ def test_user_element_record_with_a_non_real_number_is_a_schema_violation(
     doc = json.loads(save_drawing(d))
     doc["items"][0]["props"]["elements"]["value"][0][field] = value
     with pytest.raises(SchemaViolation, match=(
-            rf"^item 0 \(module 1\): property 'elements': bad circle element: "
-            rf"expected a real number, got {got}$")):
+            rf"^item 0 \(module 1\): property 'elements': elements\[0\]: "
+            rf"bad circle element: expected a real number, got {got}$")):
         load_drawing(json.dumps(doc))
 
 
