@@ -50,6 +50,13 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     return values
 
 
+def _reads_numbers(read):
+    """Mark an option type as reading numbers; see _join_negative_values."""
+    read.reads_numbers = True
+    return read
+
+
+@_reads_numbers
 def _rect_arg(text: str) -> Rect:
     x0, y0, x1, y1 = _parse_floats(text, 4, "rectangle")
     rect = Rect.from_bounds(x0, y0, x1, y1)
@@ -59,6 +66,7 @@ def _rect_arg(text: str) -> Rect:
     return rect
 
 
+@_reads_numbers
 def _point_arg(text: str) -> Point:
     x, y = _parse_floats(text, 2, "point")
     return Point(x, y)
@@ -241,7 +249,7 @@ def cmd_fill_table(args, d: Drawing) -> "str | None":
 def cmd_check_dup(args) -> int:
     groups, errors = find_duplicate_positions(args.drawings)
     for group in groups:
-        places = ", ".join(f"{label or '<memory>'}#{module_id}"
+        places = ", ".join(f"{label}#{module_id}"
                            for label, module_id in group.occurrences)
         print(f"position {group.position!r} used {len(group.occurrences)} "
               f"times: {places}")
@@ -269,10 +277,9 @@ def cmd_proto_save(args) -> int:
 def cmd_proto_load(args, d: Drawing) -> str:
     entries, errors = load_prototypes(Path(args.library).read_bytes())
     _print_errors(errors)
-    matches = [m for name, m in entries if name == args.name]
-    if not matches:
+    proto = dict(entries).get(args.name)
+    if proto is None:
         raise KernelError(f"no prototype named {args.name!r}")
-    proto = matches[0]
     props = dict(proto.props)
     if args.at is not None:
         props["origin"] = args.at
@@ -373,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _file_command(sub, "edit", cmd_edit, "move, rotate or mirror a module",
                       rewrites=True)
     p.add_argument("--id", type=int, required=True)
-    p.add_argument("--move", type=lambda t: _parse_floats(t, 2, "--move"),
-                   metavar="DX,DY")
-    p.add_argument("--rotate", type=lambda t: _parse_floats(t, 3, "--rotate"),
-                   metavar="CX,CY,DEG")
-    p.add_argument("--mirror", type=lambda t: _parse_floats(t, 3, "--mirror"),
-                   metavar="X,Y,AXIS_DEG")
+    p.add_argument("--move", metavar="DX,DY", type=_reads_numbers(
+        lambda t: _parse_floats(t, 2, "--move")))
+    p.add_argument("--rotate", metavar="CX,CY,DEG", type=_reads_numbers(
+        lambda t: _parse_floats(t, 3, "--rotate")))
+    p.add_argument("--mirror", metavar="X,Y,AXIS_DEG", type=_reads_numbers(
+        lambda t: _parse_floats(t, 3, "--mirror")))
 
     _file_command(sub, "list", cmd_list, "list drawing items")
 
@@ -417,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("library")
     p.add_argument("--name", required=True)
     p.add_argument("--at", type=_point_arg, metavar="X,Y")
-    p.add_argument("--angle", type=lambda t: _parse_floats(t, 1, "--angle")[0],
-                   metavar="DEG")
+    p.add_argument("--angle", metavar="DEG", type=_reads_numbers(
+        lambda t: _parse_floats(t, 1, "--angle")[0]))
 
     p = _file_command(sub, "catalog-apply", cmd_catalog_apply,
                       "copy a catalog entry onto a module", rewrites=True)
@@ -428,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _file_command(sub, "lightning-section", cmd_lightning_section,
                       "print protection radii at a section height")
-    p.add_argument("--hx", type=lambda t: _parse_floats(t, 1, "--hx")[0],
-                   required=True, metavar="METRES")
+    p.add_argument("--hx", required=True, metavar="METRES", type=_reads_numbers(
+        lambda t: _parse_floats(t, 1, "--hx")[0]))
     p.add_argument("--id", type=int)
 
     p = _file_command(sub, "sign", cmd_sign, "sign a drawing", rewrites=True)
@@ -445,19 +452,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options whose value is one number or a list of comma-separated numbers.
-# argparse reads a value such as "-3.5,2" or "-1e1" as an option name, so
-# main() joins it to its option ("--move=-3.5,2") before parsing.
-_NUMBER_LIST_OPTIONS = frozenset({"--move", "--rotate", "--mirror", "--at",
-                                  "--extent", "--viewport", "--angle", "--hx"})
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
-def _join_negative_values(argv: "list[str]") -> "list[str]":
+def _join_negative_values(parser: argparse.ArgumentParser,
+                          argv: "list[str]") -> "list[str]":
+    """Join each value such as "-3.5,2" or "-1e1", which argparse takes for an
+    option name, to the option before it if that one reads numbers."""
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {option for sub in subcommands.values() for action in sub._actions
+               if getattr(action.type, "reads_numbers", False)
+               for option in action.option_strings}
     out: list[str] = []
     for token in argv:
-        if (out and out[-1] in _NUMBER_LIST_OPTIONS
-                and _NEGATIVE_NUMBER.match(token)):
+        if out and out[-1] in options and _NEGATIVE_NUMBER.match(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -466,7 +475,9 @@ def _join_negative_values(argv: "list[str]") -> "list[str]":
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_negative_values(argv))
+    parser = build_parser()
+    args = parser.parse_args(_join_negative_values(parser, argv))
+    del parser  # large and cyclic: let it go before the command runs
     try:
         return args.func(args)
     except (KernelError, OSError, ValueError, OverflowError) as exc:

@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING
 
 from .errors import SchemaViolation
 from .geometry import (Element, LineStyle, LineType, Point, Polyline, Circle,
-                       Segment, Text, _field_real, element_from_json,
-                       offset_path)
+                       Segment, Text, _as_real, _as_text, _field,
+                       element_from_json, offset_path)
 from .lightning import gen_lightning
 from .properties import VALVE_LENGTH, ModuleType, _read_records
 
@@ -53,19 +53,11 @@ _THIN = LineStyle(LineType.THIN_SOLID)
 _CENTERLINE = LineStyle(LineType.DASH_DOT)
 
 
-def _element(rec: dict) -> Element:
-    closed = rec.get("closed", False)  # element_from_json would read "no" as closed
-    if rec.get("kind") == "polyline" and not isinstance(closed, bool):
-        raise ValueError("bad polyline element: closed: expected true or false, "
-                         f"got {type(closed).__name__}")
-    return element_from_json(rec)
-
-
 def gen_user(props: dict) -> tuple[Element, ...]:
     """Stored free-form elements, parsed from their record form."""
     if not props["elements"]:
         raise SchemaViolation("elements", "user module needs at least one element")
-    return tuple(_read_records(props, "elements", _element))
+    return tuple(_read_records(props, "elements", element_from_json))
 
 
 def gen_pipeline(props: dict) -> tuple[Element, ...]:
@@ -125,13 +117,10 @@ def gen_instrument(props: dict) -> tuple[Element, ...]:
 
 
 def _column(rec: dict) -> tuple[float, str]:
-    width = _field_real(rec, "width_mm")
-    header = rec.get("header", "")
+    width = _field(rec, "width_mm", _as_real)
     if not width > 0.0:
         raise ValueError("width_mm: must be positive")
-    if not isinstance(header, str):
-        raise ValueError(f"header: expected text, got {type(header).__name__}")
-    return width, header
+    return width, _field(rec, "header", _as_text, "")
 
 
 def _table_layout(props: dict) -> tuple[Point, list[float], float, float, list[list[str]]]:

@@ -77,8 +77,9 @@ def _as_real(value: object) -> float:
     """A finite float from an int or float; booleans and strings are not
     numbers here, though ``float()`` would take them.
 
-    With :func:`_as_point`, the one decoder for reals and points entering
-    the kernel; everything built from the results is trusted.
+    One of the four JSON-kind decoders, with :func:`_as_int`, :func:`_as_text`
+    and :func:`_as_bool`. What is built from the results is not asked its
+    kind again, only its range (a positive radius, a finite coordinate).
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a real number, got {type(value).__name__}")
@@ -91,6 +92,24 @@ def _as_real(value: object) -> float:
     return v
 
 
+def _as_int(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _as_text(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected text, got {type(value).__name__}")
+    return value
+
+
+def _as_bool(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {type(value).__name__}")
+    return value
+
+
 def _as_point(value: object) -> Point:
     """A Point, or an (x, y) pair of real numbers."""
     if isinstance(value, Point):
@@ -100,10 +119,17 @@ def _as_point(value: object) -> Point:
     raise ValueError(f"not a point: {value!r}")
 
 
-def _field_real(record: dict, key: str) -> float:
-    """A number field of a property record, read by :func:`_as_real`."""
+def _field(record: dict, key: str, decode, *default):
+    """``decode(record[key])``, or the one ``default`` if the key is absent
+    (else ``KeyError``); a refusal reads ``"{key}: {reason}"``. Types made
+    in bulk pass a one-key dict of their own field: ``vars(self)`` would
+    give each instance a ``__dict__``, some 64 bytes."""
+    if key not in record:
+        if not default:
+            raise KeyError(key)
+        return default[0]
     try:
-        return _as_real(record[key])
+        return decode(record[key])
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
@@ -243,9 +269,7 @@ class LineStyle:
 
     def __post_init__(self):
         object.__setattr__(self, "line_type", LineType(self.line_type))
-        if isinstance(self.color, bool) or not isinstance(self.color, int):
-            raise ValueError("colour index must be an integer")
-        if not 0 <= self.color <= 255:
+        if not 0 <= _field({"color": self.color}, "color", _as_int) <= 255:
             raise ValueError("colour index out of range 0..255")
 
 
@@ -274,7 +298,7 @@ class Polyline:
         if len(pts) < 2:
             raise ValueError("polyline needs at least 2 points")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "closed", bool(self.closed))
+        _field({"closed": self.closed}, "closed", _as_bool)
 
 
 @dataclass(frozen=True)
@@ -407,17 +431,14 @@ class ZoneGrid:
     ny: int
 
     def __post_init__(self):
-        for name in ("cell_w", "cell_h"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"zone grid {name} must be a number")
-            object.__setattr__(self, name, float(value))
-        for name in ("nx", "ny"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"zone grid {name} must be an integer")
-        if not (0.0 < self.cell_w < math.inf and 0.0 < self.cell_h < math.inf):
-            raise ValueError("zone cells must have positive finite size")
+        try:
+            for name, decode in (("cell_w", _as_real), ("cell_h", _as_real),
+                                 ("nx", _as_int), ("ny", _as_int)):
+                object.__setattr__(self, name, _field(vars(self), name, decode))
+        except ValueError as exc:
+            raise ValueError(f"zone grid {exc}") from exc
+        if not (self.cell_w > 0.0 and self.cell_h > 0.0):
+            raise ValueError("zone cells must have positive size")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("zone grid needs at least one cell per axis")
         if self.nx * self.ny > 4096:
@@ -691,7 +712,7 @@ def element_from_json(doc: object) -> Element:
             return Segment(_as_point(doc["p1"]), _as_point(doc["p2"]), style)
         if kind == "polyline":
             return Polyline(tuple(_as_point(p) for p in doc["points"]),
-                            bool(doc.get("closed", False)), style)
+                            doc.get("closed", False), style)
         if kind == "arc":
             return Arc(_as_point(doc["center"]), _as_real(doc["radius"]),
                        _as_real(doc["start_angle"]), _as_real(doc["end_angle"]),

@@ -21,7 +21,7 @@ from enum import Enum
 
 from .errors import NoProtectionAtHeight, OutOfMethodRange, SchemaViolation
 from .geometry import (Circle, Element, LineStyle, Point, Segment, Text,
-                       _as_real, _field_real)
+                       _as_real, _field)
 from .properties import _read_records
 
 __all__ = [
@@ -156,9 +156,9 @@ def params_from_props(props: dict) -> LightningParams:
         raise SchemaViolation("section_heights", "rods times section heights "
                               f"exceeds {_MAX_ZONE_SECTIONS} zone sections")
     rods = _read_records(props, "rods",
-                         lambda rec: Rod(*(_field_real(rec, key) for key in "xyh")))
+                         lambda rec: Rod(*(_field(rec, key, _as_real) for key in "xyh")))
     heights = _read_records(props, "section_heights",
-                            lambda rec: _field_real(rec, "height"))
+                            lambda rec: _field(rec, "height", _as_real))
     scale = props["scale_mm_per_m"]
     if scale <= 0.0:
         raise SchemaViolation("scale_mm_per_m", "must be positive")

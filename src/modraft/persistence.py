@@ -369,9 +369,9 @@ def load_prototypes(
     """Regenerate prototype modules from a library file.
 
     Returns ((name, module) pairs, errors). An entry holds exactly a
-    non-empty text ``name``, a ``type`` and ``props``; a bad one is reported
-    in ``errors`` as (its name, or ``entry N``, message) and the remaining
-    entries still load.
+    non-empty text ``name`` that no earlier entry used, a ``type`` and
+    ``props``; a bad one is reported in ``errors`` as (its name, or
+    ``entry N``, message) and the remaining entries still load.
     """
     doc = _parse_json(data)
     if not isinstance(doc, dict):
@@ -383,6 +383,7 @@ def load_prototypes(
         raise FileFormatError("prototype file needs an 'entries' list")
     loaded: list[tuple[str, Module]] = []
     errors: list[tuple[str, str]] = []
+    first_use: dict[str, int] = {}
     for i, entry in enumerate(entries):
         name = f"entry {i}"
         try:
@@ -393,6 +394,9 @@ def load_prototypes(
             _check_keys(entry, _ENTRY_KEYS, "prototype entry")
             if not named:
                 raise FileFormatError("bad prototype entry: name must be non-empty text")
+            if first_use.setdefault(name, i) != i:
+                raise FileFormatError(f"bad prototype entry: name {name!r} is "
+                                      f"already used by entry {first_use[name]}")
             mtype = ModuleType(entry["type"])
             props = props_from_json(mtype, entry["props"])
             loaded.append((name, create_module(mtype, props,

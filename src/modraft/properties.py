@@ -22,7 +22,8 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import FileFormatError, KernelError, SchemaViolation
-from .geometry import Point, _as_point, _as_real, _point_json, norm_deg
+from .geometry import (Point, _as_bool, _as_int, _as_point, _as_real, _as_text,
+                       _point_json, norm_deg)
 
 __all__ = [
     "ModuleType", "PropKind", "Axis", "PropSpec",
@@ -235,27 +236,20 @@ def _as_axis(value: object) -> Axis:
     raise ValueError(f"expected an axis, got {value!r}")
 
 
+_DECODERS = {PropKind.TEXT: _as_text, PropKind.REAL: _as_real,
+             PropKind.INTEGER: _as_int, PropKind.BOOLEAN: _as_bool,
+             PropKind.POINT: _as_point}
+
+
 def _normalize_value(spec: PropSpec, value: object) -> object:
     """One property value, normalised; a refusal is ``ValueError(reason)``."""
     kind = spec.kind
-    if kind is PropKind.TEXT:
-        if not isinstance(value, str):
-            raise ValueError(f"expected text, got {type(value).__name__}")
+    decode = _DECODERS.get(kind)
+    if decode is not None:
+        value = decode(value)
         if spec.choices and value not in spec.choices:
             raise ValueError(f"value {value!r} not one of {spec.choices}")
         return value
-    if kind is PropKind.REAL:
-        return _as_real(value)
-    if kind is PropKind.INTEGER:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"expected an integer, got {type(value).__name__}")
-        return value
-    if kind is PropKind.BOOLEAN:
-        if not isinstance(value, bool):
-            raise ValueError(f"expected a boolean, got {type(value).__name__}")
-        return value
-    if kind is PropKind.POINT:
-        return _as_point(value)
     if kind is PropKind.POINT_LIST:
         if isinstance(value, (Point, str)) or not hasattr(value, "__iter__"):
             raise ValueError("expected a list of points")

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Union
 
 from .core import Module, set_properties
 from .errors import CatalogError, FileFormatError, KernelError, SchemaViolation
-from .geometry import _as_real
+from .geometry import _as_real, _as_text, _field
 from .persistence import Drawing, _parse_json, load_drawing_file
 from .properties import ModuleType, schema_for
 
@@ -84,21 +84,6 @@ class Catalog:
             raise CatalogError(f"no catalog entry {entry_id!r}") from None
 
 
-def _record_text(record: Mapping, key: str) -> str:
-    value = record.get(key, "")
-    if not isinstance(value, str):
-        raise SchemaViolation(
-            "spec_props", f"{key}: expected text, got {type(value).__name__}")
-    return value
-
-
-def _record_real(record: Mapping, key: str) -> float:
-    try:
-        return _as_real(record.get(key, 0.0))
-    except ValueError as exc:
-        raise SchemaViolation("spec_props", f"{key}: {exc}") from exc
-
-
 # The property that holds a module type's position designation.
 _POSITION_KEY = {ModuleType.INSTRUMENT: "pos_designation",
                  ModuleType.POSDES: "position_text"}
@@ -111,9 +96,12 @@ def _spec_key(m: Module) -> tuple:
     blank."""
     source = m.props["spec_props"] if m.type is ModuleType.POSDES else m.props
     position = m.props[_POSITION_KEY[m.type]] if m.type in _POSITION_KEY else ""
-    return (position,) + tuple(
-        _record_real(source, name) if name in ("mass", "price")
-        else _record_text(source, name) for name in SPEC_ROW_FIELDS[1:])
+    try:
+        return (position,) + tuple(
+            _field(source, name, _as_real, 0.0) if name in ("mass", "price")
+            else _field(source, name, _as_text, "") for name in SPEC_ROW_FIELDS[1:])
+    except ValueError as exc:
+        raise SchemaViolation("spec_props", str(exc)) from exc
 
 
 def _modules(sources: Iterable[DrawingSource], errors: list):
@@ -250,22 +238,14 @@ def load_catalog(data: "bytes | str") -> Catalog:
             raise CatalogError(
                 f"entry {entry_id!r} must have exactly the fields "
                 f"{', '.join(CATALOG_FIELDS)}")
-        clean = {}
-        for name in CATALOG_FIELDS:
-            value = entry[name]
-            if name == "price":
-                try:
-                    price = _as_real(value)
-                except ValueError as exc:
-                    raise CatalogError(f"entry {entry_id!r}: price: {exc}") from exc
-                if price < 0:
-                    raise CatalogError(f"entry {entry_id!r}: price must be "
-                                       "non-negative")
-                clean[name] = price
-            else:
-                if not isinstance(value, str):
-                    raise CatalogError(f"entry {entry_id!r}: {name} must be text")
-                clean[name] = value
+        try:
+            clean = {name: _field(entry, name,
+                                  _as_real if name == "price" else _as_text)
+                     for name in CATALOG_FIELDS}
+        except ValueError as exc:
+            raise CatalogError(f"entry {entry_id!r}: {exc}") from exc
+        if clean["price"] < 0:
+            raise CatalogError(f"entry {entry_id!r}: price must be non-negative")
         entries[entry_id] = clean
     return Catalog(entries)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from modraft import (Drawing, ModuleType, Rect, load_drawing_file,
                      load_prototypes, save_drawing_file, single_rod_radius,
                      ZoneClass)
-from modraft.cli import main
+from modraft.cli import _join_negative_values, build_parser, main
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -165,6 +166,35 @@ def test_negative_extent_and_viewport(tmp_path, capsys):
     assert load_drawing_file(path).extent.min.x == -100.0
     assert run(capsys, "render", path, "--out", svg,
                "--viewport", "-10,-10,10,10")[0] == 0
+
+
+def _typed_options() -> list:
+    """Every option, of every subcommand, whose value a type converts."""
+    parser = build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return [pytest.param(action, id=f"{name} {action.option_strings[0]}")
+            for name, sub in subcommands.items() for action in sub._actions
+            if action.option_strings and action.type is not None]
+
+
+def _reads(action, text: str) -> bool:
+    try:
+        action.type(text)
+    except (argparse.ArgumentTypeError, ValueError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("action", _typed_options())
+def test_every_number_option_takes_a_negative_value(action):
+    # argparse reads "-1e1" as an option name, so main() must join it to
+    # every option whose type reads it, and only to those.
+    option = action.option_strings[0]
+    value = next((v for v in (",".join(["-1e1"] * n) for n in range(1, 5))
+                  if _reads(action, v)), "-1e1")
+    joined = _join_negative_values(build_parser(), [option, value])
+    assert (joined == [f"{option}={value}"]) == _reads(action, value)
 
 
 def test_edit_requires_exactly_one_action(drawing, capsys):
@@ -447,7 +477,7 @@ def test_proto_round_trip(drawing, tmp_path, capsys):
     lib = str(tmp_path / "lib.json")
     code, out, _ = run(capsys, "proto-save", drawing, lib, "--entry", "1=кран")
     assert code == 0 and out.strip() == "saved 1 prototypes"
-    entries, errors = load_prototypes(open(lib, "rb").read())
+    entries, errors = load_prototypes(Path(lib).read_bytes())
     assert errors == [] and entries[0][0] == "кран"
     # placement was reset on save
     assert entries[0][1].props["origin"].x == 0.0
@@ -466,6 +496,21 @@ def test_proto_load_unknown_name(drawing, tmp_path, capsys):
     run(capsys, "proto-save", drawing, lib, "--entry", "1=v")
     code, _, err = run(capsys, "proto-load", drawing, lib, "--name", "нет")
     assert code == 1 and "no prototype named" in err
+
+
+def test_proto_load_reports_a_reused_name_and_takes_the_first(drawing, tmp_path,
+                                                              capsys):
+    run(capsys, "add", drawing, "--type", "valve")
+    run(capsys, "add", drawing, "--type", "frame", "--props", "format=A4")
+    lib = tmp_path / "lib.json"
+    run(capsys, "proto-save", drawing, str(lib), "--entry", "1=a", "--entry", "2=b")
+    doc = json.loads(lib.read_bytes())
+    doc["entries"][1]["name"] = "a"
+    lib.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "proto-load", drawing, str(lib), "--name", "a")
+    assert code == 0 and out.strip() == "module 3 valve"
+    assert err == ("error: a: bad prototype entry: name 'a' is already used "
+                   "by entry 0\n")
 
 
 def test_catalog_apply(drawing, tmp_path, capsys):

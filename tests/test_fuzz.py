@@ -1,11 +1,13 @@
 """Seeded fuzz gate for the file loaders: hostile content never escapes.
 
 A small valid drawing holds one module of each type and a free element.
-Each mutation sets one value at one JSON path of that drawing, or of a
-prototype library made from the same modules, to a hostile value; random
-byte strings go to every loader. Each call must return or raise a
-``KernelError``: any other exception is an escape, and the test lists the
-first few with the path and value that caused them.
+Each mutation sets one value at one JSON path of that drawing, of a
+prototype library made from the same modules, of a catalog, or of a posdes
+module's ``spec_props`` record, to a hostile value; random byte strings go
+to every loader. Each call must return or raise a ``KernelError`` (a
+catalog a ``CatalogError``), and a specification scan must give the posdes
+module a row or report it: any other outcome is an escape, and the test
+lists the first few with the path and value that caused them.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import json
 import random
 
 import pytest
-from modraft import (Drawing, KernelError, LineStyle, Point, Rect, Segment,
-                     create_module, load_catalog, load_drawing, load_prototypes,
-                     save_drawing, save_prototypes)
+from modraft import (CatalogError, Drawing, KernelError, LineStyle, ModuleType,
+                     Point, Rect, Segment, collect_spec_rows, create_module,
+                     load_catalog, load_drawing, load_prototypes, save_drawing,
+                     save_prototypes)
 
 from propgen import PROP_MAKERS
 
@@ -56,6 +59,32 @@ def _library_doc() -> dict:
     return json.loads(save_prototypes(modules, names))
 
 
+_ENTRY = {"name": "Вентиль", "type_mark": "15кч18п", "manufacturer_code": "АРМ-01",
+          "item_code": "100500", "unit": "шт", "unit_code": "796", "price": 250.0}
+_CATALOG_DOC = {"entries": {"V-100": _ENTRY, "V-200": {**_ENTRY, "price": 3}}}
+
+# A posdes module's spec_props record, and where a drawing file holds it.
+_SPEC_PROPS = {"designation": "Д-1", "name": "Труба", "type_mark": "57x3",
+               "unit": "м", "mass": 4.5, "price": 12, "note": ""}
+_SPEC_PROPS_PATH = ("items", 0, "props", "spec_props", "value")
+
+
+def _spec_doc() -> dict:
+    d = Drawing.new(Rect.from_bounds(0, 0, 100, 100))
+    d.add_module(ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (10, 10),
+                                     "position_text": "1",
+                                     "spec_props": _SPEC_PROPS})
+    return json.loads(save_drawing(d))
+
+
+def _spec_scan(text: str) -> None:
+    """Scan a drawing that holds one posdes module: it gets a row, or the
+    scan reports it."""
+    rows, errors = collect_spec_rows([("d", load_drawing(text))])
+    if sum(row.qty for row in rows) + len(errors) != 1:
+        raise AssertionError(f"rows {rows}, errors {errors}")
+
+
 def _paths(node: object, path: tuple = ()) -> list:
     """Every path below ``node``: its keys and indices, at every depth."""
     if isinstance(node, dict):
@@ -71,21 +100,25 @@ def _paths(node: object, path: tuple = ()) -> list:
     return out
 
 
-def _escapes(load, inputs) -> list:
+def _escapes(load, inputs, refusal=KernelError) -> list:
     escapes = []
     for what, data in inputs:
         try:
             load(data)
-        except KernelError:
+        except refusal:
             pass
         except Exception as exc:  # an escape is what this gate looks for
             escapes.append(f"{what}: {type(exc).__name__}: {exc}")
     return escapes
 
 
-def _mutations(doc: dict, n: int, rng: random.Random):
-    """(description, JSON text) for ``n`` single-path mutations of ``doc``."""
-    paths = _paths(doc)
+def _mutations(doc: dict, n: int, rng: random.Random, under: tuple = ()):
+    """(description, JSON text) for ``n`` single-path mutations of ``doc``,
+    each at a path below ``under``."""
+    node = doc
+    for key in under:
+        node = node[key]
+    paths = [under + path for path in _paths(node)]
     for _ in range(n):
         path, value = rng.choice(paths), rng.choice(HOSTILE)
         parent = doc
@@ -115,6 +148,20 @@ def test_mutated_drawing_loads_or_raises_a_kernel_error():
 def test_mutated_prototype_library_loads_or_raises_a_kernel_error():
     rng = random.Random(SEED + 1)
     escapes = _escapes(load_prototypes, _mutations(_library_doc(), 500, rng))
+    assert escapes == [], "\n".join(escapes[:5])
+
+
+def test_mutated_catalog_loads_or_raises_a_catalog_error():
+    rng = random.Random(SEED + 3)
+    escapes = _escapes(load_catalog, _mutations(_CATALOG_DOC, 300, rng),
+                       CatalogError)
+    assert escapes == [], "\n".join(escapes[:5])
+
+
+def test_mutated_spec_props_give_a_row_or_an_error():
+    rng = random.Random(SEED + 4)
+    escapes = _escapes(_spec_scan,
+                       _mutations(_spec_doc(), 300, rng, under=_SPEC_PROPS_PATH))
     assert escapes == [], "\n".join(escapes[:5])
 
 

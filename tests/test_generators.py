@@ -251,6 +251,47 @@ def test_lightning_circles_sorted_by_height_then_rod():
     assert radii[0] > radii[2] and radii[1] > radii[3]
 
 
+# --- element counts are linear in the inputs ---------------------------------
+
+def _frame(k):
+    return {"format": "A4", "multiplicity": k}
+
+
+def _table(cols, rows):
+    return {"columns": [{"width_mm": 10.0, "header": f"c{i}"} for i in range(cols)],
+            "row_height_mm": 8.0, "header_height_mm": 15.0,
+            "rows": [{"cells": [""] * cols} for _ in range(rows)]}
+
+
+def _lightning(rods, heights):
+    # every section height is below every rod's zone apex (0.92 * 30 m)
+    return {"rods": [{"x": 10.0 * i, "y": 0.0, "h": 30.0} for i in range(rods)],
+            "section_heights": [{"height": 0.4 * j} for j in range(heights)],
+            "zone_class": "B", "scale_mm_per_m": 1.0}
+
+
+def _welded_pipeline(n):
+    return {"path": [(10.0 * i, 10.0 * (i % 2)) for i in range(n)],
+            "diameter_mm": 2.0}
+
+
+@pytest.mark.parametrize("mtype, props, count", [
+    pytest.param(ModuleType.FRAME, _frame(1), 5, id="frame-1"),
+    pytest.param(ModuleType.FRAME, _frame(10 ** 6), 5, id="frame-1e6"),
+    *(pytest.param(ModuleType.TABLE, _table(c, r),
+                   (c + 1) + (r + 2) + c * (r + 1), id=f"table-{c}x{r}")
+      for c, r in ((1, 0), (3, 2), (6, 40))),
+    *(pytest.param(ModuleType.LIGHTNING, _lightning(n, h), 2 * n + 2 * n * h,
+                   id=f"lightning-{n}x{h}")
+      for n, h in ((1, 1), (3, 4), (64, 64))),
+    *(pytest.param(ModuleType.PIPELINE, _welded_pipeline(n), 2 * (n - 1) + 1,
+                   id=f"welded-pipeline-{n}")
+      for n in (2, 3, 200)),
+])
+def test_element_count_is_linear_in_the_inputs(mtype, props, count):
+    assert len(create_module(mtype, props).geometry) == count
+
+
 # --- generic: every generator only emits drawable elements -------------------
 
 def test_generators_emit_known_element_kinds():

@@ -13,6 +13,7 @@ from modraft import (Arc, Circle, LineStyle, LineType, Point, Polyline, Rect,
                      Segment, Text, Transform, ZoneGrid, apply_transform,
                      element_bbox, element_from_json, element_to_json,
                      norm_deg, snap_points)
+from modraft.geometry import _as_real, _as_text, _field
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -234,10 +235,34 @@ def test_zone_grid_rejects_bad_field_types(fields):
         ZoneGrid(**args)
 
 
+def test_zone_grid_refuses_a_cell_size_too_large_for_a_real():
+    with pytest.raises(ValueError, match="^zone grid cell_w: value is too large$"):
+        ZoneGrid(Point(0, 0), 10 ** 400, 1.0, 1, 1)
+
+
 def test_zone_grid_accepts_int_cell_sizes():
     grid = ZoneGrid(Point(0, 0), 10, 5, 4, 4)
     assert (grid.cell_w, grid.cell_h) == (10.0, 5.0)
     assert isinstance(grid.cell_w, float)
+
+
+# --- JSON fields ---------------------------------------------------------------
+
+def test_field_reads_decodes_defaults_and_names_the_key():
+    record = {"w": 2, "name": 5}
+    assert _field(record, "w", _as_real) == 2.0
+    assert _field(record, "h", _as_real, 0.5) == 0.5
+    with pytest.raises(KeyError):
+        _field(record, "h", _as_real)
+    with pytest.raises(ValueError, match="^name: expected text, got int$"):
+        _field(record, "name", _as_text, "")
+
+
+@pytest.mark.parametrize("closed, got", [("no", "str"), (1, "int"), (None, "NoneType")])
+def test_polyline_refuses_a_closed_that_is_not_a_boolean(closed, got):
+    with pytest.raises(ValueError,
+                       match=f"^closed: expected true or false, got {got}$"):
+        Polyline((Point(0, 0), Point(1, 1)), closed)
 
 
 # --- snap points ---------------------------------------------------------------

@@ -261,6 +261,17 @@ def test_prototype_entry_with_an_unknown_key_is_reported():
         [], [("v", "bad prototype entry: unknown key 'origin'")])
 
 
+def test_prototype_name_used_twice_is_an_entry_error():
+    valve, frame = (create_module(ModuleType.VALVE, {}),
+                    create_module(ModuleType.FRAME, {"format": "A4"}))
+    doc = json.loads(save_prototypes([valve, frame], ["a", "b"]))
+    doc["entries"][1]["name"] = "a"
+    loaded, errors = load_prototypes(json.dumps(doc))
+    assert [(name, m.type) for name, m in loaded] == [("a", ModuleType.VALVE)]
+    assert errors == [("a", "bad prototype entry: name 'a' is already used "
+                            "by entry 0")]
+
+
 def test_prototype_library_with_an_unknown_key_is_a_format_error():
     doc = _valve_library()
     doc["names"] = ["v"]
@@ -553,25 +564,30 @@ def _integer_x(record):
     point[0] = int(point[0])
 
 
-@pytest.mark.parametrize("item, change", [
-    pytest.param(1, _drop("style"), id="segment-without-style"),
-    pytest.param(2, _drop("closed"), id="polyline-without-closed"),
-    pytest.param(3, _drop("angle_deg"), id="text-without-angle"),
-    pytest.param(1, _integer_x, id="segment-integer-x"),
-    pytest.param(2, _integer_x, id="polyline-integer-x"),
-    pytest.param(3, _integer_x, id="text-integer-x"),
-    pytest.param(3, lambda record: record.update(height_mm=2),
+_NOT_CANONICAL = r"free element is not canonical: stored as .* but saves as "
+
+
+@pytest.mark.parametrize("item, change, reason", [
+    pytest.param(1, _drop("style"), _NOT_CANONICAL, id="segment-without-style"),
+    pytest.param(2, _drop("closed"), _NOT_CANONICAL, id="polyline-without-closed"),
+    pytest.param(3, _drop("angle_deg"), _NOT_CANONICAL, id="text-without-angle"),
+    pytest.param(1, _integer_x, _NOT_CANONICAL, id="segment-integer-x"),
+    pytest.param(2, _integer_x, _NOT_CANONICAL, id="polyline-integer-x"),
+    pytest.param(3, _integer_x, _NOT_CANONICAL, id="text-integer-x"),
+    pytest.param(3, lambda record: record.update(height_mm=2), _NOT_CANONICAL,
                  id="text-integer-height"),
     pytest.param(2, lambda record: record.update(closed=0),
+                 r"bad free element: bad polyline element: closed: "
+                 r"expected true or false, got int$",
                  id="polyline-integer-closed"),
-    pytest.param(3, lambda record: record.update(extra=1), id="extra-key"),
+    pytest.param(3, lambda record: record.update(extra=1), _NOT_CANONICAL,
+                 id="extra-key"),
 ])
-def test_non_canonical_free_element_is_a_format_error(item, change):
+def test_non_canonical_free_element_is_a_format_error(item, change, reason):
     doc = _free_element_doc()
     load_drawing(json.dumps(doc))
     change(doc["items"][item]["element"])
-    _expect_format_error(doc, rf"^item {item}: free element is not canonical: "
-                              r"stored as .* but saves as ")
+    _expect_format_error(doc, rf"^item {item}: " + reason)
 
 
 def test_non_finite_free_element_is_a_format_error():

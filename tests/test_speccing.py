@@ -337,7 +337,8 @@ def test_catalog_field_validation():
     with pytest.raises(CatalogError, match="price"):
         load_catalog(json.dumps({"entries": {"X": bad_price}}))
     bad_text = dict(entry, name=42)
-    with pytest.raises(CatalogError, match="must be text"):
+    with pytest.raises(CatalogError,
+                       match="^entry 'X': name: expected text, got int$"):
         load_catalog(json.dumps({"entries": {"X": bad_text}}))
     with pytest.raises(CatalogError, match="not valid JSON"):
         load_catalog("{nope}")
