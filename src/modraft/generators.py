@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import SchemaViolation
-from .geometry import (Element, LineStyle, LineType, Point, Polyline, Circle,
-                       Segment, Text, _as_real, _as_text, _field,
+from .geometry import (Element, LineType, Point, Polyline, Circle, Segment,
+                       Text, _as_real, _as_text, _field, _shared_style,
                        element_from_json, offset_path)
 from .lightning import gen_lightning
 from .properties import VALVE_LENGTH, ModuleType, _read_records
@@ -48,9 +48,9 @@ TITLE_BLOCK_W = 185.0
 TITLE_BLOCK_H = 55.0
 TITLE_BLOCK_ROWS = (15.0, 15.0, 25.0)  # band heights, top to bottom
 
-_SOLID = LineStyle()
-_THIN = LineStyle(LineType.THIN_SOLID)
-_CENTERLINE = LineStyle(LineType.DASH_DOT)
+_SOLID = _shared_style()
+_THIN = _shared_style(LineType.THIN_SOLID)
+_CENTERLINE = _shared_style(LineType.DASH_DOT)
 
 
 def gen_user(props: dict) -> tuple[Element, ...]:
@@ -101,7 +101,7 @@ def gen_instrument(props: dict) -> tuple[Element, ...]:
     if not code:
         raise SchemaViolation("function_code", "must not be empty")
     line_type = props["kip_line_type"]
-    style = LineStyle(LineType(line_type)) if line_type else _SOLID
+    style = _shared_style(line_type) if line_type else _SOLID
     r = INSTRUMENT_RADIUS
     th = INSTRUMENT_TEXT_HEIGHT
     elements: list[Element] = [Circle(Point(0.0, 0.0), r, style)]

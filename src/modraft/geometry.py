@@ -8,6 +8,11 @@ Conventions: coordinates are millimetres in paper space with y up, angles are
 degrees counter-clockwise normalised to [0, 360), and every type here is an
 immutable value. Rectangle overlap is closed everywhere: touching boundaries
 count as intersecting, so conservative tests never drop a visible element.
+
+A drawing holds tens of thousands of these values, so they are lean: every
+class is slotted (no per-instance ``__dict__``), and the decoders and
+generators take each line style from :func:`_shared_style`, so equal styles
+are one object.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ def _cos_sin_deg(angle: float) -> tuple[float, float]:
     return math.cos(r), math.sin(r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """2D point in mm."""
 
@@ -121,9 +126,7 @@ def _as_point(value: object) -> Point:
 
 def _field(record: dict, key: str, decode, *default):
     """``decode(record[key])``, or the one ``default`` if the key is absent
-    (else ``KeyError``); a refusal reads ``"{key}: {reason}"``. Types made
-    in bulk pass a one-key dict of their own field: ``vars(self)`` would
-    give each instance a ``__dict__``, some 64 bytes."""
+    (else ``KeyError``); a refusal reads ``"{key}: {reason}"``."""
     if key not in record:
         if not default:
             raise KeyError(key)
@@ -134,7 +137,7 @@ def _field(record: dict, key: str, decode, *default):
         raise ValueError(f"{key}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transform:
     """Conformal affine map: x' = a*x + b*y + tx, y' = c*x + d*y + ty.
 
@@ -260,7 +263,7 @@ class LineType(str, Enum):
     THIN_SOLID = "thin_solid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineStyle:
     """Line type plus palette colour index (0..255)."""
 
@@ -273,10 +276,23 @@ class LineStyle:
             raise ValueError("colour index out of range 0..255")
 
 
-_DEFAULT_STYLE = LineStyle()
+# Every valid style: 4 line types x 256 colours, so the table cannot outgrow
+# 1,024 entries. Its keys are built styles, never raw record values: keyed
+# on those, a colour of True would find the entry for 1 and skip the check.
+_STYLES: dict[LineStyle, LineStyle] = {}
 
 
-@dataclass(frozen=True)
+def _shared_style(line_type: object = LineType.SOLID, color: object = 0) -> LineStyle:
+    """The one shared ``LineStyle(line_type, color)``, checked as that call
+    checks it."""
+    style = LineStyle(line_type, color)
+    return _STYLES.setdefault(style, style)
+
+
+_DEFAULT_STYLE = _shared_style()
+
+
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Straight segment between two points."""
 
@@ -285,7 +301,7 @@ class Segment:
     style: LineStyle = _DEFAULT_STYLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polyline:
     """Chain of vertices, optionally closed."""
 
@@ -301,7 +317,7 @@ class Polyline:
         _field({"closed": self.closed}, "closed", _as_bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """Circular arc, counter-clockwise from start_angle to end_angle."""
 
@@ -333,7 +349,7 @@ class Arc:
                      self.center.y + self.radius * sin_a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     """Full circle."""
 
@@ -348,7 +364,7 @@ class Circle:
         object.__setattr__(self, "radius", r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Text:
     """Single-line text anchored at its box's bottom-left corner.
 
@@ -379,7 +395,7 @@ class Text:
 Element = Union[Segment, Polyline, Arc, Circle, Text]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rect:
     """Axis-aligned rectangle given by its min and max corners."""
 
@@ -417,7 +433,7 @@ class Rect:
                 and self.min.y <= other.max.y and other.min.y <= self.max.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZoneGrid:
     """Uniform grid of rectangular zones laid over a drawing.
 
@@ -434,7 +450,8 @@ class ZoneGrid:
         try:
             for name, decode in (("cell_w", _as_real), ("cell_h", _as_real),
                                  ("nx", _as_int), ("ny", _as_int)):
-                object.__setattr__(self, name, _field(vars(self), name, decode))
+                value = _field({name: getattr(self, name)}, name, decode)
+                object.__setattr__(self, name, value)
         except ValueError as exc:
             raise ValueError(f"zone grid {exc}") from exc
         if not (self.cell_w > 0.0 and self.cell_h > 0.0):
@@ -673,7 +690,7 @@ def _style_from_json(doc: object) -> LineStyle:
     if not isinstance(doc, dict):
         raise ValueError("line style must be an object")
     try:
-        return LineStyle(LineType(doc["line_type"]), doc["color"])
+        return _shared_style(LineType(doc["line_type"]), doc["color"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad line style: {exc}") from exc
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoProtectionAtHeight, OutOfMethodRange, SchemaViolation
-from .geometry import (Circle, Element, LineStyle, Point, Segment, Text,
-                       _as_real, _field)
+from .geometry import (Circle, Element, Point, Segment, Text, _as_real,
+                       _field, _shared_style)
 from .properties import _read_records
 
 __all__ = [
@@ -185,7 +185,7 @@ def gen_lightning(props: dict) -> tuple[Element, ...]:
     "radius_dimensions" internal list.
     """
     params = params_from_props(props)
-    style = LineStyle()
+    style = _shared_style()
     elements: list[Element] = []
     centres = [_paper_point(params, rod.x, rod.y) for rod in params.rods]
     for c in centres:

@@ -105,6 +105,13 @@ def test_instrument_line_type_choice():
     assert circle.style.line_type is LineType.DASHED
 
 
+def test_instruments_of_one_line_type_share_one_style():
+    styles = [next(e for e in create_module(ModuleType.INSTRUMENT, {
+        "function_code": code, "kip_line_type": "dashed"}).geometry).style
+        for code in ("LT", "PI")]
+    assert styles[0] is styles[1]
+
+
 # --- table ------------------------------------------------------------------
 
 def test_table_layout_counts():

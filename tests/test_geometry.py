@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -13,7 +15,7 @@ from modraft import (Arc, Circle, LineStyle, LineType, Point, Polyline, Rect,
                      Segment, Text, Transform, ZoneGrid, apply_transform,
                      element_bbox, element_from_json, element_to_json,
                      norm_deg, snap_points)
-from modraft.geometry import _as_real, _as_text, _field
+from modraft.geometry import _STYLES, _as_real, _as_text, _field
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -342,3 +344,90 @@ def test_element_bbox_rejects_an_extent_that_overflows(element):
         element_bbox(element)
     with pytest.raises(ValueError, match="finite"):
         element_bbox(Segment(Point(0, 0), Point(1, 1)), element)
+
+
+# --- lean values ----------------------------------------------------------------
+
+_DASH_DOT_17 = LineStyle(LineType.DASH_DOT, 17)
+_SOLID_0_REPR = "LineStyle(line_type=<LineType.SOLID: 'solid'>, color=0)"
+_DASH_DOT_17_REPR = "LineStyle(line_type=<LineType.DASH_DOT: 'dash_dot'>, color=17)"
+
+# Every slotted class, each with the repr it has always had.
+LEAN_VALUES = [
+    (Point(1, -2.5), "Point(x=1.0, y=-2.5)"),
+    (Transform.rotation(90),
+     "Transform(a=0.0, b=-1.0, c=1.0, d=0.0, tx=0.0, ty=0.0)"),
+    (_DASH_DOT_17, _DASH_DOT_17_REPR),
+    (Segment(Point(0, 0), Point(1.5, 2), _DASH_DOT_17),
+     "Segment(p1=Point(x=0.0, y=0.0), p2=Point(x=1.5, y=2.0), "
+     f"style={_DASH_DOT_17_REPR})"),
+    (Polyline((Point(0, 0), Point(1, 1)), True),
+     "Polyline(points=(Point(x=0.0, y=0.0), Point(x=1.0, y=1.0)), "
+     f"closed=True, style={_SOLID_0_REPR})"),
+    (Arc(Point(1, 2), 3, -90, 45),
+     "Arc(center=Point(x=1.0, y=2.0), radius=3.0, start_angle=270.0, "
+     f"end_angle=45.0, style={_SOLID_0_REPR})"),
+    (Circle(Point(0, 0), 2),
+     f"Circle(center=Point(x=0.0, y=0.0), radius=2.0, style={_SOLID_0_REPR})"),
+    (Text(Point(1, 1), 3.5, 30, "A<b", _DASH_DOT_17),
+     "Text(anchor=Point(x=1.0, y=1.0), height_mm=3.5, angle_deg=30.0, "
+     f"content='A<b', style={_DASH_DOT_17_REPR})"),
+    (Rect.from_bounds(0, 0, 4, 2),
+     "Rect(min=Point(x=0.0, y=0.0), max=Point(x=4.0, y=2.0))"),
+    (ZoneGrid(Point(0, 0), 10, 20.5, 3, 2),
+     "ZoneGrid(origin=Point(x=0.0, y=0.0), cell_w=10.0, cell_h=20.5, nx=3, ny=2)"),
+]
+_LEAN_IDS = [type(value).__name__ for value, _ in LEAN_VALUES]
+
+
+@pytest.mark.parametrize("value, text", LEAN_VALUES, ids=_LEAN_IDS)
+def test_value_classes_are_slotted_and_keep_their_repr(value, text):
+    assert not hasattr(value, "__dict__")
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("clone", [
+    lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("value", [value for value, _ in LEAN_VALUES], ids=_LEAN_IDS)
+def test_slotted_values_survive_pickle_and_copy(value, clone):
+    other = clone(value)
+    assert type(other) is type(value)
+    assert other == value and hash(other) == hash(value)
+
+
+def _segment_record(style: dict) -> dict:
+    return {"kind": "segment", "p1": [0.0, 0.0], "p2": [1.0, 1.0], "style": style}
+
+
+def test_equal_style_records_decode_to_one_style_object():
+    first = element_from_json(_segment_record({"color": 7, "line_type": "dashed"}))
+    second = element_from_json(_segment_record({"line_type": "dashed", "color": 7}))
+    assert first.style is second.style
+    assert first.style == LineStyle(LineType.DASHED, 7)
+    plain = element_from_json({"kind": "circle", "center": [0.0, 0.0], "radius": 1.0})
+    assert plain.style is element_from_json(
+        _segment_record({"color": 0, "line_type": "solid"})).style
+
+
+def test_style_table_holds_each_valid_style_once():
+    def every_style():
+        return [element_from_json(_segment_record({"color": c, "line_type": t.value})).style
+                for t in LineType for c in range(256)]
+    first, again = every_style(), every_style()
+    assert all(a is b for a, b in zip(first, again))
+    assert len(_STYLES) == 4 * 256
+
+
+@pytest.mark.parametrize("color, reason", [
+    (True, "color: expected an integer, got bool"),
+    (256, "colour index out of range 0..255"),
+    (1.0, "color: expected an integer, got float"),
+], ids=["boolean", "too-large", "real"])
+def test_a_shared_style_is_still_checked(color, reason):
+    # Equal to the shared solid style of colour 1, yet still refused.
+    element_from_json(_segment_record({"color": 1, "line_type": "solid"}))
+    with pytest.raises(ValueError, match=f"^bad segment element: bad line style: {reason}$"):
+        element_from_json(_segment_record({"color": color, "line_type": "solid"}))
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        LineStyle(LineType.SOLID, color)
