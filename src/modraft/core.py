@@ -86,8 +86,6 @@ def placement_transform(mtype: ModuleType, props: dict) -> Transform:
         elif code in _SYMMETRY_AXIS_ANGLE:
             inner = Transform.mirror(_ORIGIN, _SYMMETRY_AXIS_ANGLE[code])
         scale = props["scale"]
-        if scale <= 0.0:
-            raise GenerationError("user module scale must be positive")
         if scale != 1.0:
             inner = inner.compose(Transform.scaling(scale))
         if not inner.is_identity():

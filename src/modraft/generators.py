@@ -55,16 +55,12 @@ _CENTERLINE = _shared_style(LineType.DASH_DOT)
 
 def gen_user(props: dict) -> tuple[Element, ...]:
     """Stored free-form elements, parsed from their record form."""
-    if not props["elements"]:
-        raise SchemaViolation("elements", "user module needs at least one element")
     return tuple(_read_records(props, "elements", element_from_json))
 
 
 def gen_pipeline(props: dict) -> tuple[Element, ...]:
     """Two offset runs at +-diameter/2, plus an optional centreline."""
     diameter = props["diameter_mm"]
-    if diameter <= 0.0:
-        raise SchemaViolation("diameter_mm", "must be positive")
     path = props["path"]
     corner = props["corner"]
     radius = props["fillet_radius"]
@@ -98,8 +94,6 @@ def gen_valve(props: dict) -> tuple[Element, ...]:
 def gen_instrument(props: dict) -> tuple[Element, ...]:
     """Instrument circle with function and position texts, chord if on-board."""
     code = props["function_code"]
-    if not code:
-        raise SchemaViolation("function_code", "must not be empty")
     line_type = props["kip_line_type"]
     style = _shared_style(line_type) if line_type else _SOLID
     r = INSTRUMENT_RADIUS
@@ -125,14 +119,6 @@ def _column(rec: dict) -> tuple[float, str]:
 
 def _table_layout(props: dict) -> tuple[Point, list[float], float, float, list[list[str]]]:
     columns = _read_records(props, "columns", _column)
-    if not columns:
-        raise SchemaViolation("columns", "table needs at least one column")
-    row_h = props["row_height_mm"]
-    header_h = props["header_height_mm"]
-    if row_h <= 0.0:
-        raise SchemaViolation("row_height_mm", "must be positive")
-    if header_h <= 0.0:
-        raise SchemaViolation("header_height_mm", "must be positive")
 
     def cells(rec: dict) -> list[str]:
         cells = rec.get("cells")
@@ -142,8 +128,8 @@ def _table_layout(props: dict) -> tuple[Point, list[float], float, float, list[l
         return cells
 
     headers = [header for _, header in columns]
-    return (props["position"], [width for width, _ in columns], row_h,
-            header_h, [headers] + _read_records(props, "rows", cells))
+    return (props["position"], [width for width, _ in columns], props["row_height_mm"],
+            props["header_height_mm"], [headers] + _read_records(props, "rows", cells))
 
 
 def gen_table(props: dict) -> tuple[Element, ...]:
@@ -185,8 +171,6 @@ def frame_size(props: dict) -> tuple[float, float]:
     fmt = props["format"]
     landscape = props["landscape"]
     k = props["multiplicity"]
-    if k < 1:
-        raise SchemaViolation("multiplicity", "must be at least 1")
     if fmt == "A4" and landscape:
         raise SchemaViolation("landscape", "A4 sheets are portrait-only")
     w, h = SHEET_SIZES[fmt]
@@ -221,8 +205,6 @@ def gen_frame(props: dict) -> tuple[Element, ...]:
 def gen_posdes(props: dict) -> tuple[Element, ...]:
     """Leader line to a horizontal 8 mm shelf with the position text above it."""
     text = props["position_text"]
-    if not text:
-        raise SchemaViolation("position_text", "must not be empty")
     leader_from = props["leader_from"]
     shelf_at = props["shelf_at"]
     leader = Segment(leader_from, shelf_at, _SOLID)

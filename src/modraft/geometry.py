@@ -40,7 +40,7 @@ _EPS = 1e-9
 
 def norm_deg(angle: float) -> float:
     """Normalise an angle in degrees to [0, 360)."""
-    a = float(angle) % 360.0
+    a = _as_real(angle) % 360.0
     if a >= 360.0 or a < 0.0:
         a = 0.0
     return a
@@ -69,8 +69,9 @@ class Point:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+        if type(self.x) is not float or type(self.y) is not float:
+            object.__setattr__(self, "x", _as_float(self.x))
+            object.__setattr__(self, "y", _as_float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("point coordinates must be finite")
 
@@ -78,20 +79,29 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
+def _as_float(value: object) -> float:
+    """A float, finite or not, from an int or float; booleans and strings
+    are not numbers here, though ``float()`` would take them. The value
+    constructors read their numbers with it and check the range themselves.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a real number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("value is too large") from exc
+
+
 def _as_real(value: object) -> float:
-    """A finite float from an int or float; booleans and strings are not
-    numbers here, though ``float()`` would take them.
+    """A finite float from an int or float.
 
     One of the four JSON-kind decoders, with :func:`_as_int`, :func:`_as_text`
     and :func:`_as_bool`. What is built from the results is not asked its
     kind again, only its range (a positive radius, a finite coordinate).
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a real number, got {type(value).__name__}")
-    try:
-        v = float(value)
-    except OverflowError as exc:
-        raise ValueError("value is too large") from exc
+    v = _as_float(value)
     if not math.isfinite(v):
         raise ValueError("value must be finite")
     return v
@@ -154,7 +164,7 @@ class Transform:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "tx", "ty"):
-            v = float(getattr(self, name))
+            v = _as_float(getattr(self, name))
             object.__setattr__(self, name, v)
             if not math.isfinite(v):
                 raise ValueError("transform coefficients must be finite")
@@ -185,7 +195,7 @@ class Transform:
 
     @staticmethod
     def scaling(factor: float) -> "Transform":
-        s = float(factor)
+        s = _as_float(factor)
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError("scale factor must be positive")
         return Transform(s, 0.0, 0.0, s, 0.0, 0.0)
@@ -328,7 +338,7 @@ class Arc:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        r = float(self.radius)
+        r = _as_float(self.radius)
         if not (math.isfinite(r) and r > 0.0):
             raise ValueError("arc radius must be positive")
         object.__setattr__(self, "radius", r)
@@ -358,7 +368,7 @@ class Circle:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        r = float(self.radius)
+        r = _as_float(self.radius)
         if not (math.isfinite(r) and r > 0.0):
             raise ValueError("circle radius must be positive")
         object.__setattr__(self, "radius", r)
@@ -379,7 +389,7 @@ class Text:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        h = float(self.height_mm)
+        h = _as_float(self.height_mm)
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError("text height must be positive")
         object.__setattr__(self, "height_mm", h)
@@ -599,7 +609,7 @@ def offset_path(points: Iterable[object], side_offset: float,
         raise GenerationError("path needs at least 2 points")
     dirs, lengths = _path_directions(pts)
     turns = _turn_angles(dirs)
-    d = float(side_offset)
+    d = _as_float(side_offset)
     normals = [(-u[1], u[0]) for u in dirs]
     min_turn = math.radians(MIN_JOIN_TURN_DEG)
 
@@ -619,7 +629,7 @@ def offset_path(points: Iterable[object], side_offset: float,
     if corner != "bent":
         raise ValueError(f"unknown corner mode {corner!r}")
 
-    radius = float(fillet_radius)
+    radius = _as_float(fillet_radius)
     if radius <= abs(d):
         raise GenerationError("fillet radius must exceed the offset magnitude")
 

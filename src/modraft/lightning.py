@@ -159,15 +159,10 @@ def params_from_props(props: dict) -> LightningParams:
                          lambda rec: Rod(*(_field(rec, key, _as_real) for key in "xyh")))
     heights = _read_records(props, "section_heights",
                             lambda rec: _field(rec, "height", _as_real))
-    scale = props["scale_mm_per_m"]
-    if scale <= 0.0:
-        raise SchemaViolation("scale_mm_per_m", "must be positive")
-    if not rods:
-        raise SchemaViolation("rods", "at least one rod is required")
     try:
         return LightningParams(tuple(rods), tuple(heights),
                                ZoneClass(props["zone_class"]),
-                               scale, props["plan_origin"])
+                               props["scale_mm_per_m"], props["plan_origin"])
     except ValueError as exc:
         raise SchemaViolation("section_heights", str(exc)) from exc
 

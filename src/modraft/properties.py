@@ -7,6 +7,9 @@ reading them back checks each tag against the schema and strips it, and
 :func:`validate_props` decodes the bare JSON values, so it is the one place
 a property value is coerced.
 
+The schema holds every rule on a single value, as a spec's ``rule``;
+generators keep only the checks that relate two values or read a record.
+
 Canonical property keys are ASCII identifiers. Their fixed Russian display
 names ship in ``data/property_names_ru.json`` (see
 :func:`russian_property_names`).
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import FileFormatError, KernelError, SchemaViolation
 from .geometry import (Point, _as_bool, _as_int, _as_point, _as_real, _as_text,
@@ -69,24 +72,40 @@ class Axis:
 
 @dataclass(frozen=True)
 class PropSpec:
-    """Declared kind plus default for one property key."""
+    """Kind, default and rule of one property key: ``rule`` maps a value
+    decoded to ``kind`` to the value kept, or raises ``ValueError(reason)``."""
 
     kind: PropKind
     required: bool = False
     default: object = None
-    choices: tuple[str, ...] = ()
+    rule: Callable[[object], object] | None = None
+
+
+def _refuse_unless(test: Callable[[object], bool], reason: str) -> Callable[[object], object]:
+    """A rule keeping each value that passes ``test``; ``{!r}`` in ``reason``
+    names a refused one."""
+    def rule(value: object) -> object:
+        if not test(value):
+            raise ValueError(reason.format(value))
+        return value
+    return rule
+
+
+def _one_of(*choices: str) -> Callable[[object], object]:
+    return _refuse_unless(choices.__contains__, f"value {{!r}} not one of {choices}")
 
 
 SYMMETRY_CODES = ("none", "mirror_x", "mirror_y", "both")
 
-_LINE_TYPE_CHOICES = ("", "solid", "dashed", "dash_dot", "thin_solid")
+_POSITIVE = _refuse_unless(lambda v: v > 0.0, "must be positive")
+_NOT_EMPTY = _refuse_unless(bool, "must not be empty")
 
 # Reserved placement keys present in every schema. Edits to placed geometry
 # rewrite these and regenerate.
 PLACEMENT_SCHEMA: dict[str, PropSpec] = {
     "layer": PropSpec(PropKind.INTEGER, default=0),
     "origin": PropSpec(PropKind.POINT, default=Point(0.0, 0.0)),
-    "angle_deg": PropSpec(PropKind.REAL, default=0.0),
+    "angle_deg": PropSpec(PropKind.REAL, default=0.0, rule=norm_deg),
     "mirrored": PropSpec(PropKind.BOOLEAN, default=False),
 }
 
@@ -98,22 +117,23 @@ _VALVE_ATTACH_DEFAULT = (Axis(Point(-VALVE_LENGTH, 0.0), 0.0),
 _SCHEMAS: dict[ModuleType, dict[str, PropSpec]] = {
     ModuleType.USER: {
         "attach": PropSpec(PropKind.AXIS_LIST, default=()),
-        "symmetry": PropSpec(PropKind.TEXT, default="none", choices=SYMMETRY_CODES),
+        "symmetry": PropSpec(PropKind.TEXT, default="none", rule=_one_of(*SYMMETRY_CODES)),
         "comment": PropSpec(PropKind.TEXT, default=""),
-        "elements": PropSpec(PropKind.RECORD_LIST, required=True),
-        "scale": PropSpec(PropKind.REAL, default=1.0),
+        "elements": PropSpec(PropKind.RECORD_LIST, required=True, rule=_refuse_unless(
+            bool, "user module needs at least one element")),
+        "scale": PropSpec(PropKind.REAL, default=1.0, rule=_POSITIVE),
     },
     ModuleType.PIPELINE: {
         "path": PropSpec(PropKind.POINT_LIST, required=True),
-        "diameter_mm": PropSpec(PropKind.REAL, required=True),
-        "corner": PropSpec(PropKind.TEXT, default="welded", choices=("welded", "bent")),
+        "diameter_mm": PropSpec(PropKind.REAL, required=True, rule=_POSITIVE),
+        "corner": PropSpec(PropKind.TEXT, default="welded", rule=_one_of("welded", "bent")),
         "fillet_radius": PropSpec(PropKind.REAL, default=0.0),
         "show_centerline": PropSpec(PropKind.BOOLEAN, default=True),
         "comment": PropSpec(PropKind.TEXT, default=""),
     },
     ModuleType.VALVE: {
         "attach": PropSpec(PropKind.AXIS_LIST, default=_VALVE_ATTACH_DEFAULT),
-        "symmetry": PropSpec(PropKind.TEXT, default="none", choices=SYMMETRY_CODES),
+        "symmetry": PropSpec(PropKind.TEXT, default="none", rule=_one_of(*SYMMETRY_CODES)),
         "comment": PropSpec(PropKind.TEXT, default=""),
         "face_to_face": PropSpec(PropKind.REAL, default=0.0),
         "designation": PropSpec(PropKind.TEXT, default=""),
@@ -139,47 +159,52 @@ _SCHEMAS: dict[ModuleType, dict[str, PropSpec]] = {
         "price": PropSpec(PropKind.REAL, default=0.0),
         "name_tech": PropSpec(PropKind.TEXT, default=""),
         "on_board": PropSpec(PropKind.BOOLEAN, default=False),
-        "function_code": PropSpec(PropKind.TEXT, required=True),
+        "function_code": PropSpec(PropKind.TEXT, required=True, rule=_NOT_EMPTY),
         "upper_index": PropSpec(PropKind.TEXT, default=""),
         "lower_index": PropSpec(PropKind.TEXT, default=""),
         "comment": PropSpec(PropKind.TEXT, default=""),
-        "kip_line_type": PropSpec(PropKind.TEXT, default="", choices=_LINE_TYPE_CHOICES),
+        "kip_line_type": PropSpec(PropKind.TEXT, default="", rule=_one_of(
+            "", "solid", "dashed", "dash_dot", "thin_solid")),
     },
     ModuleType.TABLE: {
         "position": PropSpec(PropKind.POINT, default=Point(0.0, 0.0)),
-        "columns": PropSpec(PropKind.RECORD_LIST, required=True),
-        "row_height_mm": PropSpec(PropKind.REAL, required=True),
-        "header_height_mm": PropSpec(PropKind.REAL, required=True),
+        "columns": PropSpec(PropKind.RECORD_LIST, required=True, rule=_refuse_unless(
+            bool, "table needs at least one column")),
+        "row_height_mm": PropSpec(PropKind.REAL, required=True, rule=_POSITIVE),
+        "header_height_mm": PropSpec(PropKind.REAL, required=True, rule=_POSITIVE),
         "rows": PropSpec(PropKind.RECORD_LIST, default=()),
         "comment": PropSpec(PropKind.TEXT, default=""),
     },
     ModuleType.FRAME: {
         "format": PropSpec(PropKind.TEXT, required=True,
-                           choices=("A4", "A3", "A2", "A1", "A0")),
+                           rule=_one_of("A4", "A3", "A2", "A1", "A0")),
         "landscape": PropSpec(PropKind.BOOLEAN, default=False),
-        "multiplicity": PropSpec(PropKind.INTEGER, default=1),
+        "multiplicity": PropSpec(PropKind.INTEGER, default=1, rule=_refuse_unless(
+            lambda k: k >= 1, "must be at least 1")),
         "comment": PropSpec(PropKind.TEXT, default=""),
     },
     ModuleType.POSDES: {
         "leader_from": PropSpec(PropKind.POINT, required=True),
         "shelf_at": PropSpec(PropKind.POINT, required=True),
-        "position_text": PropSpec(PropKind.TEXT, required=True),
+        "position_text": PropSpec(PropKind.TEXT, required=True, rule=_NOT_EMPTY),
         "object_kind": PropSpec(PropKind.TEXT, default=""),
         "spec_props": PropSpec(PropKind.RECORD, default=None),
         "comment": PropSpec(PropKind.TEXT, default=""),
     },
     ModuleType.LIGHTNING: {
-        "rods": PropSpec(PropKind.RECORD_LIST, required=True),
+        "rods": PropSpec(PropKind.RECORD_LIST, required=True, rule=_refuse_unless(
+            bool, "at least one rod is required")),
         "section_heights": PropSpec(PropKind.RECORD_LIST, required=True),
-        "zone_class": PropSpec(PropKind.TEXT, required=True, choices=("A", "B")),
-        "scale_mm_per_m": PropSpec(PropKind.REAL, required=True),
+        "zone_class": PropSpec(PropKind.TEXT, required=True, rule=_one_of("A", "B")),
+        "scale_mm_per_m": PropSpec(PropKind.REAL, required=True, rule=_POSITIVE),
         "plan_origin": PropSpec(PropKind.POINT, default=Point(0.0, 0.0)),
         "comment": PropSpec(PropKind.TEXT, default=""),
     },
     ModuleType.SIGNATURE: {
         "person": PropSpec(PropKind.TEXT, required=True),
         "position": PropSpec(PropKind.TEXT, required=True),
-        "password": PropSpec(PropKind.TEXT, default=""),
+        # consumed at signing time, never stored
+        "password": PropSpec(PropKind.TEXT, default="", rule=lambda _: ""),
         "date": PropSpec(PropKind.TEXT, required=True),
         "time": PropSpec(PropKind.TEXT, required=True),
         "digest": PropSpec(PropKind.TEXT, default=""),
@@ -245,15 +270,12 @@ _DECODERS = {PropKind.TEXT: _as_text, PropKind.REAL: _as_real,
              PropKind.POINT: _as_point}
 
 
-def _normalize_value(spec: PropSpec, value: object) -> object:
-    """One property value, normalised; a refusal is ``ValueError(reason)``."""
-    kind = spec.kind
+def _normalize_value(kind: PropKind, value: object) -> object:
+    """One property value decoded to its kind; a refusal is
+    ``ValueError(reason)``."""
     decode = _DECODERS.get(kind)
     if decode is not None:
-        value = decode(value)
-        if spec.choices and value not in spec.choices:
-            raise ValueError(f"value {value!r} not one of {spec.choices}")
-        return value
+        return decode(value)
     if kind is PropKind.POINT_LIST:
         if isinstance(value, (Point, str)) or not hasattr(value, "__iter__"):
             raise ValueError("expected a list of points")
@@ -304,8 +326,9 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
     """Validate ``props`` against the type's schema.
 
     Returns the normalised property set with every default filled in.
-    Unknown keys, kind mismatches and missing required values all raise
-    :class:`SchemaViolation`.
+    Unknown keys, kind mismatches, values a spec's ``rule`` refuses and
+    missing required values all raise :class:`SchemaViolation`, the first
+    in schema order.
     """
     schema = schema_for(mtype)
     for key in props:
@@ -315,16 +338,14 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
     for key, spec in schema.items():
         if key in props:
             try:
-                out[key] = _normalize_value(spec, props[key])
+                value = _normalize_value(spec.kind, props[key])
+                out[key] = value if spec.rule is None else spec.rule(value)
             except ValueError as exc:
                 raise SchemaViolation(key, str(exc)) from exc
         elif spec.required:
             raise SchemaViolation(key, "required property missing")
         else:
             out[key] = _default_for(spec)
-    out["angle_deg"] = norm_deg(out["angle_deg"])
-    if ModuleType(mtype) is ModuleType.SIGNATURE:
-        out["password"] = ""  # consumed at signing time, never stored
     return out
 
 

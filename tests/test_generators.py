@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
-from modraft import (Arc, Circle, GenerationError, LineType, ModuleType,
-                     Point, Polyline, SchemaViolation, Segment, Text,
-                     create_module)
+from modraft import (Arc, Circle, Drawing, LineType, ModuleType, Point,
+                     Polyline, Rect, SchemaViolation, Segment, Text,
+                     create_module, load_drawing, save_drawing, schema_for,
+                     validate_props)
 
 from propgen import random_props
 
@@ -321,52 +323,114 @@ _LIGHTNING = {"rods": [{"x": 0.0, "y": 0.0, "h": 20.0}],
               "zone_class": "B", "scale_mm_per_m": 1.0}
 
 
-@pytest.mark.parametrize("mtype, props, key", [
+_SYMMETRY_REFUSAL = "value 'diagonal' not one of ('none', 'mirror_x', 'mirror_y', 'both')"
+
+# One refused value per single-value rule of the schema: validate_props
+# refuses each, and so does everything that validates on its way in.
+_SCHEMA_RULE_CASES = [
     pytest.param(ModuleType.USER, {"elements": []}, "elements",
-                 id="user-no-elements"),
+                 "user module needs at least one element", id="user-no-elements"),
     pytest.param(ModuleType.PIPELINE, {"path": [(0, 0), (10, 0)],
                                        "diameter_mm": 0.0},
-                 "diameter_mm", id="pipeline-zero-diameter"),
+                 "diameter_mm", "must be positive", id="pipeline-zero-diameter"),
+    pytest.param(ModuleType.INSTRUMENT, {"function_code": ""}, "function_code",
+                 "must not be empty", id="instrument-empty-function-code"),
+    pytest.param(ModuleType.TABLE, {**_TABLE, "columns": []}, "columns",
+                 "table needs at least one column", id="table-no-columns"),
+    pytest.param(ModuleType.TABLE, {**_TABLE, "row_height_mm": 0.0},
+                 "row_height_mm", "must be positive", id="table-zero-row-height"),
+    pytest.param(ModuleType.TABLE, {**_TABLE, "header_height_mm": -1.0},
+                 "header_height_mm", "must be positive",
+                 id="table-negative-header-height"),
+    pytest.param(ModuleType.FRAME, {"format": "A3", "multiplicity": 0},
+                 "multiplicity", "must be at least 1", id="frame-zero-multiplicity"),
+    pytest.param(ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
+                                     "position_text": ""},
+                 "position_text", "must not be empty", id="posdes-empty-position"),
+    pytest.param(ModuleType.LIGHTNING, {**_LIGHTNING, "scale_mm_per_m": 0.0},
+                 "scale_mm_per_m", "must be positive", id="lightning-zero-scale"),
+    pytest.param(ModuleType.LIGHTNING, {**_LIGHTNING, "rods": []}, "rods",
+                 "at least one rod is required", id="lightning-no-rods"),
+    pytest.param(ModuleType.USER, {"elements": [_SEGMENT], "scale": 0.0}, "scale",
+                 "must be positive", id="user-zero-scale"),
+    pytest.param(ModuleType.USER, {"elements": [_SEGMENT], "symmetry": "diagonal"},
+                 "symmetry", _SYMMETRY_REFUSAL, id="user-unknown-symmetry"),
+    pytest.param(ModuleType.VALVE, {"symmetry": "diagonal"}, "symmetry",
+                 _SYMMETRY_REFUSAL, id="valve-unknown-symmetry"),
+    pytest.param(ModuleType.PIPELINE, {"path": [(0, 0), (10, 0)],
+                                       "diameter_mm": 4.0, "corner": "round"},
+                 "corner", "value 'round' not one of ('welded', 'bent')",
+                 id="pipeline-unknown-corner"),
+    pytest.param(ModuleType.INSTRUMENT, {"function_code": "PI",
+                                         "kip_line_type": "dotted"},
+                 "kip_line_type", "value 'dotted' not one of "
+                 "('', 'solid', 'dashed', 'dash_dot', 'thin_solid')",
+                 id="instrument-unknown-line-type"),
+    pytest.param(ModuleType.FRAME, {"format": "A9"}, "format",
+                 "value 'A9' not one of ('A4', 'A3', 'A2', 'A1', 'A0')",
+                 id="frame-unknown-format"),
+    pytest.param(ModuleType.LIGHTNING, {**_LIGHTNING, "zone_class": "C"},
+                 "zone_class", "value 'C' not one of ('A', 'B')",
+                 id="lightning-unknown-zone-class"),
+]
+
+# Rules that relate two values or read inside a record: generation owns them.
+_GENERATION_CASES = [
     pytest.param(ModuleType.PIPELINE, {"path": [(0, 0), (10, 0), (10, 10)],
                                        "diameter_mm": 4.0, "corner": "bent",
                                        "fillet_radius": 2.0},
-                 "fillet_radius", id="pipeline-fillet-within-half-diameter"),
-    pytest.param(ModuleType.INSTRUMENT, {"function_code": ""},
-                 "function_code", id="instrument-empty-function-code"),
-    pytest.param(ModuleType.TABLE, {**_TABLE, "columns": []}, "columns",
-                 id="table-no-columns"),
+                 "fillet_radius", "must exceed half the diameter for bent corners",
+                 id="pipeline-fillet-within-half-diameter"),
     pytest.param(ModuleType.TABLE,
                  {**_TABLE, "columns": [{"width_mm": 0.0, "header": "A"}]},
-                 "columns", id="table-zero-width"),
+                 "columns", "columns[0]: width_mm: must be positive",
+                 id="table-zero-width"),
     pytest.param(ModuleType.TABLE,
                  {**_TABLE, "columns": [{"width_mm": 20.0, "header": 5}]},
-                 "columns", id="table-header-not-text"),
-    pytest.param(ModuleType.TABLE, {**_TABLE, "row_height_mm": 0.0},
-                 "row_height_mm", id="table-zero-row-height"),
-    pytest.param(ModuleType.TABLE, {**_TABLE, "header_height_mm": -1.0},
-                 "header_height_mm", id="table-negative-header-height"),
+                 "columns", "columns[0]: header: expected text, got int",
+                 id="table-header-not-text"),
     pytest.param(ModuleType.TABLE, {**_TABLE, "rows": [{"cells": [1]}]},
-                 "rows", id="table-cell-not-text"),
-    pytest.param(ModuleType.FRAME, {"format": "A3", "multiplicity": 0},
-                 "multiplicity", id="frame-zero-multiplicity"),
-    pytest.param(ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (5, 5),
-                                     "position_text": ""},
-                 "position_text", id="posdes-empty-position"),
-    pytest.param(ModuleType.LIGHTNING, {**_LIGHTNING, "scale_mm_per_m": 0.0},
-                 "scale_mm_per_m", id="lightning-zero-scale"),
-    pytest.param(ModuleType.LIGHTNING, {**_LIGHTNING, "rods": []}, "rods",
-                 id="lightning-no-rods"),
-])
-def test_undrawable_property_is_a_schema_violation(mtype, props, key):
+                 "rows", "rows[0]: cells: expected one text per column",
+                 id="table-cell-not-text"),
+]
+
+
+@pytest.mark.parametrize("mtype, props, key, reason",
+                         _SCHEMA_RULE_CASES + _GENERATION_CASES)
+def test_undrawable_property_is_a_schema_violation(mtype, props, key, reason):
     with pytest.raises(SchemaViolation) as info:
         create_module(mtype, props)
-    assert info.value.key == key
+    assert (info.value.key, info.value.reason) == (key, reason)
+
+
+@pytest.mark.parametrize("mtype, props, key, reason", _SCHEMA_RULE_CASES)
+def test_validate_props_applies_every_schema_rule(mtype, props, key, reason):
+    with pytest.raises(SchemaViolation) as info:
+        validate_props(mtype, props)
+    assert (info.value.key, info.value.reason) == (key, reason)
+
+
+@pytest.mark.parametrize("mtype, props, key, reason", _SCHEMA_RULE_CASES)
+def test_stored_module_breaking_a_schema_rule_does_not_load(mtype, props, key, reason):
+    d = Drawing.new(Rect.from_bounds(0.0, 0.0, 800.0, 600.0))
+    d.add_module(ModuleType.VALVE, {})
+    d.add_module(mtype, random_props(random.Random(5), mtype))
+    doc = json.loads(save_drawing(d))
+    schema = schema_for(mtype)
+    doc["items"][1]["props"] = {k: {"kind": schema[k].kind.value,
+                                    "value": json.loads(json.dumps(v))}
+                                for k, v in props.items()}
+    with pytest.raises(SchemaViolation) as info:
+        load_drawing(json.dumps(doc))
+    assert str(info.value) == f"item 1 (module 2): property {key!r}: {reason}"
 
 
 @pytest.mark.parametrize("scale", [0.0, -2.0])
-def test_non_positive_user_scale_is_a_generation_error(scale):
-    with pytest.raises(GenerationError, match="scale must be positive"):
+def test_non_positive_user_scale_is_a_schema_violation(scale):
+    with pytest.raises(SchemaViolation) as info:
         create_module(ModuleType.USER, {"elements": [_SEGMENT], "scale": scale})
+    assert type(info.value) is SchemaViolation
+    assert (info.value.key, info.value.reason) == ("scale", "must be positive")
 
 
 _TRIANGLE = {"kind": "polyline", "points": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]}

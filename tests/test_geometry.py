@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modraft import (Arc, Circle, LineStyle, LineType, Point, Polyline, Rect,
-                     Segment, Text, Transform, ZoneGrid, apply_transform,
+from modraft import (Arc, Axis, Circle, LineStyle, LineType, Point, Polyline,
+                     Rect, Segment, Text, Transform, ZoneGrid, apply_transform,
                      element_bbox, element_from_json, element_to_json,
-                     norm_deg, snap_points)
+                     norm_deg, offset_path, snap_points)
 from modraft.geometry import _STYLES, _as_real, _as_text, _field
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -431,3 +431,51 @@ def test_a_shared_style_is_still_checked(color, reason):
         element_from_json(_segment_record({"color": color, "line_type": "solid"}))
     with pytest.raises(ValueError, match=f"^{reason}$"):
         LineStyle(LineType.SOLID, color)
+
+
+# --- value constructors read numbers by the real kind ------------------------
+
+_ORIGIN = Point(0.0, 0.0)
+_NUMBER_READERS = {
+    "Point": lambda v: Point(v, 0.0),
+    "Transform": lambda v: Transform(1.0, 0.0, 0.0, 1.0, v, 0.0),
+    "Transform.scaling": Transform.scaling,
+    "Arc": lambda v: Arc(_ORIGIN, v, 0.0, 90.0),
+    "Circle": lambda v: Circle(_ORIGIN, v),
+    "Text": lambda v: Text(_ORIGIN, v, 0.0, "x"),
+    "norm_deg": norm_deg,
+    "Axis": lambda v: Axis(_ORIGIN, v),
+    "offset_path-side_offset": lambda v: offset_path([(0, 0), (10, 0)], v),
+    "offset_path-fillet_radius": lambda v: offset_path(
+        [(0, 0), (10, 0), (10, 10)], 1.0, "bent", v),
+}
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("5", "expected a real number, got str"),
+    (True, "expected a real number, got bool"),
+    (10**400, "value is too large"),
+], ids=["string", "bool", "huge-int"])
+@pytest.mark.parametrize("build", _NUMBER_READERS.values(), ids=_NUMBER_READERS)
+def test_value_constructors_refuse_a_number_of_the_wrong_kind(build, value, reason):
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == reason
+
+
+_ANGLE_READERS = {
+    "Arc-start": lambda a: Arc(_ORIGIN, 1.0, a, 10.0),
+    "Arc-end": lambda a: Arc(_ORIGIN, 1.0, 10.0, a),
+    "Text": lambda a: Text(Point(1.0, 2.0), 2.0, a, "x"),
+    "Axis": lambda a: Axis(Point(1.0, 2.0), a),
+    "Transform.rotation": Transform.rotation,
+}
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("build", _ANGLE_READERS.values(), ids=_ANGLE_READERS)
+def test_a_non_finite_angle_is_refused(build, angle):
+    with pytest.raises(ValueError) as info:
+        build(angle)
+    assert str(info.value) == "value must be finite"
