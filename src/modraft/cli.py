@@ -87,11 +87,11 @@ def _grid_arg(text: str) -> tuple[int, int]:
     return sizes[0], sizes[1]
 
 
-def _types_arg(text: str) -> frozenset:
-    try:
-        return frozenset(ModuleType(name) for name in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad module type list: {text!r}") from None
+def _id_arg(text: str) -> int:
+    module_id = _parse_int(text)
+    if module_id is None:
+        raise argparse.ArgumentTypeError(f"bad module id {text!r}; use decimal digits")
+    return module_id
 
 
 def _type_arg(text: str) -> ModuleType:
@@ -101,6 +101,10 @@ def _type_arg(text: str) -> ModuleType:
         names = ", ".join(t.value for t in ModuleType)
         raise argparse.ArgumentTypeError(
             f"unknown module type {text!r} (choose from {names})") from None
+
+
+def _types_arg(text: str) -> frozenset:
+    return frozenset(map(_type_arg, text.split(",")))
 
 
 def _column_map_arg(text: str) -> dict:
@@ -374,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _file_command(sub, "set", cmd_set,
                       "change module properties and regenerate", rewrites=True)
-    p.add_argument("--id", type=int, required=True)
+    p.add_argument("--id", type=_id_arg, required=True)
     p.add_argument("--props", nargs="+", required=True, metavar="KEY=VALUE")
 
     p = _file_command(sub, "edit", cmd_edit, "move, rotate or mirror a module",
                       rewrites=True)
-    p.add_argument("--id", type=int, required=True)
+    p.add_argument("--id", type=_id_arg, required=True)
     p.add_argument("--move", metavar="DX,DY", type=_reads_numbers(
         lambda t: _parse_floats(t, 2, "--move")))
     p.add_argument("--rotate", metavar="CX,CY,DEG", type=_reads_numbers(
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _file_command(sub, "fill-table", cmd_fill_table,
                       "fill a table module from spec rows", rewrites=True)
-    p.add_argument("--id", type=int, required=True)
+    p.add_argument("--id", type=_id_arg, required=True)
     p.add_argument("--columns", type=_column_map_arg, required=True,
                    metavar="FIELD=INDEX,...")
     p.add_argument("--from", dest="sources", nargs="*", default=[],
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _file_command(sub, "catalog-apply", cmd_catalog_apply,
                       "copy a catalog entry onto a module", rewrites=True)
-    p.add_argument("--id", type=int, required=True)
+    p.add_argument("--id", type=_id_arg, required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--entry", required=True)
 
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "print protection radii at a section height")
     p.add_argument("--hx", required=True, metavar="METRES", type=_reads_numbers(
         lambda t: _parse_floats(t, 1, "--hx")[0]))
-    p.add_argument("--id", type=int)
+    p.add_argument("--id", type=_id_arg)
 
     p = _file_command(sub, "sign", cmd_sign, "sign a drawing", rewrites=True)
     p.add_argument("--person", required=True)

@@ -98,8 +98,8 @@ def _as_real(value: object) -> float:
     """A finite float from an int or float.
 
     One of the four JSON-kind decoders, with :func:`_as_int`, :func:`_as_text`
-    and :func:`_as_bool`. What is built from the results is not asked its
-    kind again, only its range (a positive radius, a finite coordinate).
+    and :func:`_as_bool`. A value class reads each of its own fields with
+    one of them, so a decoder that builds it hands over the raw fields.
     """
     v = _as_float(value)
     if not math.isfinite(v):
@@ -130,21 +130,34 @@ def _as_point(value: object) -> Point:
     if isinstance(value, Point):
         return value
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Point(_as_real(value[0]), _as_real(value[1]))
+        return Point(value[0], value[1])
     raise ValueError(f"not a point: {value!r}")
 
 
+def _named(key: str, value: object, decode):
+    """``decode(value)``; a refusal reads ``"{key}: {reason}"``."""
+    try:
+        return decode(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def _field(record: dict, key: str, decode, *default):
-    """``decode(record[key])``, or the one ``default`` if the key is absent
-    (else ``KeyError``); a refusal reads ``"{key}: {reason}"``."""
+    """``decode(record[key])`` named by :func:`_named`, or the one
+    ``default`` if the key is absent (else ``KeyError``)."""
     if key not in record:
         if not default:
             raise KeyError(key)
         return default[0]
-    try:
-        return decode(record[key])
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+    return _named(key, record[key], decode)
+
+
+def _positive(value: object, what: str) -> float:
+    """A finite float above zero, read by kind; else ``"{what} must be positive"``."""
+    v = _as_float(value)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{what} must be positive")
+    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,9 +208,7 @@ class Transform:
 
     @staticmethod
     def scaling(factor: float) -> "Transform":
-        s = _as_float(factor)
-        if not (math.isfinite(s) and s > 0.0):
-            raise ValueError("scale factor must be positive")
+        s = _positive(factor, "scale factor")
         return Transform(s, 0.0, 0.0, s, 0.0, 0.0)
 
     @staticmethod
@@ -282,7 +293,7 @@ class LineStyle:
 
     def __post_init__(self):
         object.__setattr__(self, "line_type", LineType(self.line_type))
-        if not 0 <= _field({"color": self.color}, "color", _as_int) <= 255:
+        if not 0 <= _named("color", self.color, _as_int) <= 255:
             raise ValueError("colour index out of range 0..255")
 
 
@@ -324,7 +335,7 @@ class Polyline:
         if len(pts) < 2:
             raise ValueError("polyline needs at least 2 points")
         object.__setattr__(self, "points", pts)
-        _field({"closed": self.closed}, "closed", _as_bool)
+        _named("closed", self.closed, _as_bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,10 +349,7 @@ class Arc:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        r = _as_float(self.radius)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError("arc radius must be positive")
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", _positive(self.radius, "arc radius"))
         start = norm_deg(self.start_angle)
         end = norm_deg(self.end_angle)
         if start == end:
@@ -368,10 +376,7 @@ class Circle:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        r = _as_float(self.radius)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError("circle radius must be positive")
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", _positive(self.radius, "circle radius"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,13 +394,9 @@ class Text:
     style: LineStyle = _DEFAULT_STYLE
 
     def __post_init__(self):
-        h = _as_float(self.height_mm)
-        if not (math.isfinite(h) and h > 0.0):
-            raise ValueError("text height must be positive")
-        object.__setattr__(self, "height_mm", h)
+        object.__setattr__(self, "height_mm", _positive(self.height_mm, "text height"))
         object.__setattr__(self, "angle_deg", norm_deg(self.angle_deg))
-        if not isinstance(self.content, str):
-            raise ValueError("text content must be a string")
+        _named("content", self.content, _as_text)
 
     @property
     def box_width(self) -> float:
@@ -457,13 +458,10 @@ class ZoneGrid:
     ny: int
 
     def __post_init__(self):
-        try:
-            for name, decode in (("cell_w", _as_real), ("cell_h", _as_real),
-                                 ("nx", _as_int), ("ny", _as_int)):
-                value = _field({name: getattr(self, name)}, name, decode)
-                object.__setattr__(self, name, value)
-        except ValueError as exc:
-            raise ValueError(f"zone grid {exc}") from exc
+        for name, decode in (("cell_w", _as_real), ("cell_h", _as_real),
+                             ("nx", _as_int), ("ny", _as_int)):
+            value = _named(f"zone grid {name}", getattr(self, name), decode)
+            object.__setattr__(self, name, value)
         if not (self.cell_w > 0.0 and self.cell_h > 0.0):
             raise ValueError("zone cells must have positive size")
         if self.nx < 1 or self.ny < 1:
@@ -700,7 +698,7 @@ def _style_from_json(doc: object) -> LineStyle:
     if not isinstance(doc, dict):
         raise ValueError("line style must be an object")
     try:
-        return _shared_style(LineType(doc["line_type"]), doc["color"])
+        return _shared_style(doc["line_type"], doc["color"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad line style: {exc}") from exc
 
@@ -741,14 +739,13 @@ def element_from_json(doc: object) -> Element:
             return Polyline(tuple(_as_point(p) for p in doc["points"]),
                             doc.get("closed", False), style)
         if kind == "arc":
-            return Arc(_as_point(doc["center"]), _as_real(doc["radius"]),
-                       _as_real(doc["start_angle"]), _as_real(doc["end_angle"]),
-                       style)
+            return Arc(_as_point(doc["center"]), doc["radius"],
+                       doc["start_angle"], doc["end_angle"], style)
         if kind == "circle":
-            return Circle(_as_point(doc["center"]), _as_real(doc["radius"]), style)
+            return Circle(_as_point(doc["center"]), doc["radius"], style)
         if kind == "text":
-            return Text(_as_point(doc["anchor"]), _as_real(doc["height_mm"]),
-                        _as_real(doc.get("angle_deg", 0.0)), doc["content"], style)
+            return Text(_as_point(doc["anchor"]), doc["height_mm"],
+                        doc.get("angle_deg", 0.0), doc["content"], style)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad {kind} element: {exc}") from exc
     raise ValueError(f"unknown element kind {kind!r}")

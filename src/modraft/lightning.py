@@ -21,7 +21,7 @@ from enum import Enum
 
 from .errors import NoProtectionAtHeight, OutOfMethodRange, SchemaViolation
 from .geometry import (Circle, Element, Point, Segment, Text, _as_real,
-                       _field, _shared_style)
+                       _field, _named, _positive, _shared_style)
 from .properties import _read_records
 
 __all__ = [
@@ -54,7 +54,7 @@ class Rod:
 
     def __post_init__(self):
         for name in ("x", "y", "h"):
-            object.__setattr__(self, name, _as_real(getattr(self, name)))
+            object.__setattr__(self, name, _named(name, getattr(self, name), _as_real))
         if self.h <= 0.0:
             raise ValueError("rod height must be positive")
         if self.h > MAX_ROD_HEIGHT:
@@ -83,10 +83,8 @@ class LightningParams:
             raise ValueError("section heights must be distinct and ascending")
         object.__setattr__(self, "section_heights", heights)
         object.__setattr__(self, "zone_class", ZoneClass(self.zone_class))
-        scale = _as_real(self.scale_mm_per_m)
-        if scale <= 0.0:
-            raise ValueError("plan scale must be positive")
-        object.__setattr__(self, "scale_mm_per_m", scale)
+        object.__setattr__(self, "scale_mm_per_m",
+                           _positive(self.scale_mm_per_m, "plan scale"))
 
 
 def _zone(h: float, zone_class: ZoneClass) -> tuple[float, float]:
@@ -155,8 +153,7 @@ def params_from_props(props: dict) -> LightningParams:
     if len(props["rods"]) * len(props["section_heights"]) > _MAX_ZONE_SECTIONS:
         raise SchemaViolation("section_heights", "rods times section heights "
                               f"exceeds {_MAX_ZONE_SECTIONS} zone sections")
-    rods = _read_records(props, "rods",
-                         lambda rec: Rod(*(_field(rec, key, _as_real) for key in "xyh")))
+    rods = _read_records(props, "rods", lambda rec: Rod(rec["x"], rec["y"], rec["h"]))
     heights = _read_records(props, "section_heights",
                             lambda rec: _field(rec, "height", _as_real))
     try:

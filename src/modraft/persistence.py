@@ -35,7 +35,7 @@ from typing import Iterable, Union
 from .canon import canonical_dumps, canonical_encode
 from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
-from .geometry import (Element, Point, Rect, ZoneGrid, _as_point,
+from .geometry import (Element, Rect, ZoneGrid, _as_point, _named,
                        _point_json, element_from_json, element_to_json)
 from .properties import (PLACEMENT_SCHEMA, ModuleType, props_from_json,
                          props_to_json, validate_props)
@@ -105,6 +105,8 @@ class Drawing:
         return m
 
     def add_element(self, element: Element) -> None:
+        if not isinstance(element, Element):
+            raise KernelError(f"not an element: a {type(element).__name__}")
         self.items.append(element)
 
     def replace_module(self, replacement: Module) -> Module:
@@ -194,13 +196,6 @@ def _parse_json(data: "bytes | str", object_pairs_hook=None) -> object:
         raise FileFormatError("JSON nested too deeply") from exc
 
 
-def _parse_point(doc: object, what: str) -> Point:
-    try:
-        return _as_point(doc)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-
-
 def _check_version(doc: dict) -> None:
     version = doc.get("format_version")
     if not (type(version) is int and version == FORMAT_VERSION):
@@ -245,10 +240,10 @@ def load_drawing(data: "bytes | str") -> Drawing:
     _check_version(doc)
     _check_keys(doc, _DRAWING_KEYS, "drawing structure")
     try:
-        extent = Rect(_parse_point(doc["extent"]["min"], "extent.min"),
-                      _parse_point(doc["extent"]["max"], "extent.max"))
+        extent = Rect(_named("extent.min", doc["extent"]["min"], _as_point),
+                      _named("extent.max", doc["extent"]["max"], _as_point))
         grid_doc = doc["zone_grid"]
-        grid = ZoneGrid(_parse_point(grid_doc["origin"], "zone_grid.origin"),
+        grid = ZoneGrid(_named("zone_grid.origin", grid_doc["origin"], _as_point),
                         grid_doc["cell_w"], grid_doc["cell_h"],
                         grid_doc["nx"], grid_doc["ny"])
         _check_canonical("extent", doc["extent"], _rect_json(extent))
@@ -344,6 +339,11 @@ def load_drawing_file(path: "str | Path") -> Drawing:
 _PLACEMENT_RESET = {key: spec.default for key, spec in PLACEMENT_SCHEMA.items()}
 
 
+def _is_prototype_name(name: object) -> bool:
+    """Prototype names are non-empty text, in files and in calls alike."""
+    return isinstance(name, str) and name != ""
+
+
 def save_prototypes(modules: Iterable[Module], names: Iterable[str]) -> bytes:
     """Serialise modules as a prototype library: names, types and properties
     only (placement reset to identity); geometry is never written."""
@@ -351,12 +351,13 @@ def save_prototypes(modules: Iterable[Module], names: Iterable[str]) -> bytes:
     names = list(names)
     if len(modules) != len(names):
         raise KernelError("one name is required per prototype")
+    for name in names:
+        if not _is_prototype_name(name):
+            raise KernelError(f"prototype name {name!r}: must be non-empty text")
     if len(set(names)) != len(names):
         raise KernelError("prototype names must be unique")
     entries = []
     for m, name in zip(modules, names):
-        if not name:
-            raise KernelError("prototype names must not be empty")
         props = validate_props(m.type, {**m.props, **_PLACEMENT_RESET})
         entries.append({"name": name, "props": props_to_json(m.type, props),
                         "type": m.type.value})
@@ -389,7 +390,7 @@ def load_prototypes(
         try:
             if not isinstance(entry, dict):
                 raise FileFormatError("prototype entries must be objects")
-            named = isinstance(entry.get("name"), str) and entry["name"] != ""
+            named = _is_prototype_name(entry.get("name"))
             name = entry["name"] if named else name
             _check_keys(entry, _ENTRY_KEYS, "prototype entry")
             if not named:

@@ -258,48 +258,47 @@ def _as_axis(value: object) -> Axis:
     if isinstance(value, dict):
         if "origin" not in value:
             raise ValueError("bad axis: no 'origin'")
-        return Axis(_as_point(value["origin"]),
-                    _as_real(value.get("angle_deg", 0.0)))
+        return Axis(_as_point(value["origin"]), value.get("angle_deg", 0.0))
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Axis(_as_point(value[0]), _as_real(value[1]))
+        return Axis(_as_point(value[0]), value[1])
     raise ValueError(f"expected an axis, got {value!r}")
 
 
-_DECODERS = {PropKind.TEXT: _as_text, PropKind.REAL: _as_real,
-             PropKind.INTEGER: _as_int, PropKind.BOOLEAN: _as_bool,
-             PropKind.POINT: _as_point}
+def _as_record(value: object) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a record, got {type(value).__name__}")
+    return _normalize_json(value)
 
 
-def _normalize_value(kind: PropKind, value: object) -> object:
-    """One property value decoded to its kind; a refusal is
-    ``ValueError(reason)``."""
-    decode = _DECODERS.get(kind)
-    if decode is not None:
-        return decode(value)
-    if kind is PropKind.POINT_LIST:
-        if isinstance(value, (Point, str)) or not hasattr(value, "__iter__"):
-            raise ValueError("expected a list of points")
-        return tuple(_as_point(p) for p in value)
-    if kind is PropKind.AXIS_LIST:
-        if isinstance(value, (Axis, str)) or not hasattr(value, "__iter__"):
-            raise ValueError("expected a list of axes")
-        return tuple(_as_axis(a) for a in value)
-    if kind is PropKind.RECORD:
-        if value is None:
-            return {}
-        if not isinstance(value, dict):
-            raise ValueError(f"expected a record, got {type(value).__name__}")
-        return _normalize_json(value)
-    # PropKind.RECORD_LIST, the last kind
-    if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
-        raise ValueError("expected a list of records")
-    out = []
-    for item in value:
-        norm = _normalize_json(item)
-        if not isinstance(norm, dict):
-            raise ValueError("list items must be records")
-        out.append(norm)
-    return tuple(out)
+def _as_list_item(value: object) -> dict:
+    record = _normalize_json(value)
+    if not isinstance(record, dict):
+        raise ValueError("list items must be records")
+    return record
+
+
+def _list_of(read: Callable[[object], object], what: str) -> Callable[[object], tuple]:
+    """A reader of a list each of whose items ``read`` reads. A value that
+    is not iterable, or is a text or a record, is not a list of ``what``."""
+    def read_list(value: object) -> tuple:
+        if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+            raise ValueError(f"expected a list of {what}")
+        return tuple(map(read, value))
+    return read_list
+
+
+# One reader per property kind; a refusal is ``ValueError(reason)``.
+_DECODERS: dict[PropKind, Callable[[object], object]] = {
+    PropKind.TEXT: _as_text, PropKind.REAL: _as_real,
+    PropKind.INTEGER: _as_int, PropKind.BOOLEAN: _as_bool,
+    PropKind.POINT: _as_point,
+    PropKind.POINT_LIST: _list_of(_as_point, "points"),
+    PropKind.AXIS_LIST: _list_of(_as_axis, "axes"),
+    PropKind.RECORD: _as_record,
+    PropKind.RECORD_LIST: _list_of(_as_list_item, "records"),
+}
 
 
 def _read_records(props: Mapping[str, object], key: str, read) -> list:
@@ -338,7 +337,7 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
     for key, spec in schema.items():
         if key in props:
             try:
-                value = _normalize_value(spec.kind, props[key])
+                value = _DECODERS[spec.kind](props[key])
                 out[key] = value if spec.rule is None else spec.rule(value)
             except ValueError as exc:
                 raise SchemaViolation(key, str(exc)) from exc

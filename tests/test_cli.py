@@ -286,7 +286,7 @@ def test_edit_that_overflows_the_placement_exits_1(drawing, capsys):
     assert run(capsys, "edit", drawing, "--id", "1", "--move=1e308,0")[0] == 0
     before = Path(drawing).read_bytes()
     for action, message in [
-            ("--move=1e308,0", "property 'origin': value must be finite"),
+            ("--move=1e308,0", "property 'origin': point coordinates must be finite"),
             ("--rotate=-1e308,-1e308,180",
              "valve module: transform coefficients must be finite"),
             ("--mirror=-1e308,5,90",
@@ -392,7 +392,7 @@ SPEC_PIN_STDOUT = (
     "2\tГОСТ 8732\tТруба\t\tм\t1\t12\t300\t57x3,5\n")
 
 
-def test_spec_stdout_is_pinned_for_every_specifying_type(tmp_path, capsys):
+def _spec_pin_drawing() -> Drawing:
     # a valve (no type_mark, unit or price), an instrument with them, a
     # posdes reading its spec_props record and a pipeline, which makes no row
     d = Drawing.new(Rect.from_bounds(0, 0, 800, 600))
@@ -412,9 +412,71 @@ def test_spec_stdout_is_pinned_for_every_specifying_type(tmp_path, capsys):
     d.add_module(ModuleType.PIPELINE, {"path": [(0, 0), (100, 0)],
                                        "diameter_mm": 5.0})
     d.add_module(ModuleType.VALVE, {**valve, "origin": (60, 0)})
+    return d
+
+
+def test_spec_stdout_is_pinned_for_every_specifying_type(tmp_path, capsys):
+    path = str(tmp_path / "spec.json")
+    save_drawing_file(_spec_pin_drawing(), path)
+    assert run(capsys, "spec", path) == (0, SPEC_PIN_STDOUT, "")
+
+
+def test_spec_types_keeps_only_the_named_types(tmp_path, capsys):
+    path = str(tmp_path / "spec.json")
+    save_drawing_file(_spec_pin_drawing(), path)
+    header, valve, instrument, posdes = SPEC_PIN_STDOUT.splitlines(keepends=True)
+    assert run(capsys, "spec", path, "--types", "valve") == (0, header + valve, "")
+    assert run(capsys, "spec", path, "--types", "posdes,instrument") == (
+        0, header + instrument + posdes, "")
+
+
+def test_spec_types_names_an_unknown_type(tmp_path, capsys):
+    path = str(tmp_path / "spec.json")
+    save_drawing_file(_spec_pin_drawing(), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["spec", path, "--types", "valve,bogus"])
+    assert exc.value.code == 2
+    names = ", ".join(t.value for t in ModuleType)
+    assert capsys.readouterr().err.endswith(
+        f"argument --types: unknown module type 'bogus' (choose from {names})\n")
+
+
+def test_fill_table_types_fills_only_the_named_types(tmp_path, capsys):
+    d = _spec_pin_drawing()
+    table = d.add_module(ModuleType.TABLE, {
+        "columns": [{"width_mm": 30.0, "header": "обозначение"}],
+        "row_height_mm": 8.0, "header_height_mm": 15.0})
     path = str(tmp_path / "spec.json")
     save_drawing_file(d, path)
-    assert run(capsys, "spec", path) == (0, SPEC_PIN_STDOUT, "")
+    assert run(capsys, "fill-table", path, "--id", str(table.id), "--columns",
+               "designation=0", "--types", "instrument,posdes") == (
+        0, "filled 2 rows\n", "")
+    assert list(load_drawing_file(path).module(table.id).props["rows"]) == [
+        {"cells": ["МП4-У"]}, {"cells": ["ГОСТ 8732"]}]
+
+
+# (subcommand and its arguments, with "{}" where the module id goes)
+_ID_OPTIONS = [
+    "set D --id {} --props mass=1",
+    "edit D --id {} --move=1,0",
+    "fill-table D --id {} --columns designation=0",
+    "catalog-apply D --id {} --catalog CAT --entry M-1",
+    "lightning-section D --hx 5 --id {}",
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", " 1", "+1", "-1", "-0", "1.0", "x"])
+@pytest.mark.parametrize("template", _ID_OPTIONS, ids=lambda t: t.split()[0])
+def test_module_id_is_read_as_decimal_digits(drawing, capsys, template, value):
+    run(capsys, "add", drawing, "--type", "valve")
+    before = Path(drawing).read_bytes()
+    argv = [drawing if token == "D" else token for token in template.split()]
+    with pytest.raises(SystemExit) as exc:
+        main([value if token == "{}" else token for token in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"argument --id: bad module id {value!r}; use decimal digits\n")
+    assert Path(drawing).read_bytes() == before
 
 
 def test_spec_missing_file_exits_1(drawing, tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, in its own temporary
+directory, with every warning an error and Python's development mode on
+(``-W error -X dev``)."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", "-X", "dev", str(demo)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -479,3 +479,84 @@ def test_a_non_finite_angle_is_refused(build, angle):
     with pytest.raises(ValueError) as info:
         build(angle)
     assert str(info.value) == "value must be finite"
+
+
+# --- decoders hand raw fields to the constructors that read them -------------
+
+_RECORDS = {
+    "segment": {"kind": "segment", "p1": [0.0, 0.0], "p2": [1.0, 1.0]},
+    "polyline": {"kind": "polyline", "points": [[0.0, 0.0], [1.0, 1.0]],
+                 "closed": False},
+    "arc": {"kind": "arc", "center": [0.0, 0.0], "radius": 1.0,
+            "start_angle": 0.0, "end_angle": 90.0},
+    "circle": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
+    "text": {"kind": "text", "anchor": [0.0, 0.0], "height_mm": 2.0,
+             "angle_deg": 0.0, "content": "a"},
+}
+_NUMBERS = ["5", True, 10**400, math.inf]
+_NOT_TEXT = [5, None, ["a"]]
+_NOT_BOOL = ["no", 1, None]
+_STYLE_PREFIX = "bad line style: "
+
+
+def _as_is(value):
+    return value
+
+
+# (record kind, field, values, the field's JSON for a value, the prefix the
+# style decoder adds, the constructor call that reads the value on its own)
+_FIELD_READERS = [
+    ("segment", "p1", _NUMBERS, lambda v: [v, 0.0], "", lambda v: Point(v, 0.0)),
+    ("arc", "center", _NUMBERS, lambda v: [0.0, v], "", lambda v: Point(0.0, v)),
+    ("arc", "radius", _NUMBERS, _as_is, "", lambda v: Arc(_ORIGIN, v, 0.0, 90.0)),
+    ("arc", "start_angle", _NUMBERS, _as_is, "", lambda v: Arc(_ORIGIN, 1.0, v, 90.0)),
+    ("arc", "end_angle", _NUMBERS, _as_is, "", lambda v: Arc(_ORIGIN, 1.0, 0.0, v)),
+    ("circle", "radius", _NUMBERS, _as_is, "", lambda v: Circle(_ORIGIN, v)),
+    ("text", "anchor", _NUMBERS, lambda v: [v, 0.0], "", lambda v: Point(v, 0.0)),
+    ("text", "height_mm", _NUMBERS, _as_is, "", lambda v: Text(_ORIGIN, v, 0.0, "a")),
+    ("text", "angle_deg", _NUMBERS, _as_is, "", lambda v: Text(_ORIGIN, 2.0, v, "a")),
+    ("text", "content", _NOT_TEXT, _as_is, "", lambda v: Text(_ORIGIN, 2.0, 0.0, v)),
+    ("polyline", "closed", _NOT_BOOL, _as_is, "",
+     lambda v: Polyline((_ORIGIN, Point(1.0, 1.0)), v)),
+    ("segment", "style", _NUMBERS, lambda v: {"line_type": "solid", "color": v},
+     _STYLE_PREFIX, lambda v: LineStyle(LineType.SOLID, v)),
+    ("segment", "style", ["bogus", 5, None], lambda v: {"line_type": v, "color": 0},
+     _STYLE_PREFIX, lambda v: LineStyle(v, 0)),
+]
+
+
+def _value_id(value) -> str:
+    return "huge-int" if value == 10**400 else repr(value)
+
+
+@pytest.mark.parametrize("kind, field, value, to_json, prefix, build", [
+    pytest.param(kind, field, value, to_json, prefix, build,
+                 id=f"{kind}-{field}-{_value_id(value)}")
+    for kind, field, values, to_json, prefix, build in _FIELD_READERS
+    for value in values])
+def test_element_record_refusal_is_the_constructors_own(kind, field, value,
+                                                        to_json, prefix, build):
+    with pytest.raises(ValueError) as alone:
+        build(value)
+    record = {**_RECORDS[kind], field: to_json(value)}
+    with pytest.raises(ValueError) as decoded:
+        element_from_json(record)
+    assert str(decoded.value) == f"bad {kind} element: {prefix}{alone.value}"
+
+
+def test_text_names_a_content_that_is_not_text():
+    with pytest.raises(ValueError) as info:
+        Text(Point(0, 0), 2.0, 0.0, 5)
+    assert str(info.value) == "content: expected text, got int"
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda v: Arc(_ORIGIN, v, 0.0, 90.0), "arc radius must be positive"),
+    (lambda v: Circle(_ORIGIN, v), "circle radius must be positive"),
+    (lambda v: Text(_ORIGIN, v, 0.0, "a"), "text height must be positive"),
+    (Transform.scaling, "scale factor must be positive"),
+], ids=["arc", "circle", "text", "scaling"])
+def test_an_infinite_radius_height_or_scale_is_not_positive(build, reason):
+    with pytest.raises(ValueError) as info:
+        build(math.inf)
+    assert str(info.value) == reason

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modraft import (Circle, LightningParams, ModuleType,
-                     NoProtectionAtHeight, OutOfMethodRange, Point, Rod, Text,
+                     NoProtectionAtHeight, OutOfMethodRange, Point, Rod,
+                     SchemaViolation, Text,
                      ZoneClass, apex_height, create_module, ground_radius,
                      is_protected, single_rod_radius, zone_sections)
 
@@ -182,6 +183,24 @@ def test_rod_and_params_refuse_text_and_booleans(make):
     """Numbers are read as property values are: never coerced by float()."""
     with pytest.raises(ValueError, match="expected a real number"):
         make()
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: Rod("5", 0.0, 1.0), "x: expected a real number, got str"),
+    (lambda: Rod(0.0, True, 1.0), "y: expected a real number, got bool"),
+    (lambda: Rod(0.0, 0.0, math.inf), "h: value must be finite"),
+    (lambda: _params(scale_mm_per_m=math.inf), "plan scale must be positive"),
+], ids=["rod-x", "rod-y", "rod-h", "plan-scale"])
+def test_rod_names_its_field_and_the_scale_is_positive(make, reason):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == reason
+
+
+def test_rod_record_fields_are_all_looked_up_before_any_is_read():
+    with pytest.raises(SchemaViolation) as info:
+        _plan_module(rods=[{"x": 0.0, "y": 0.0, "h": 20.0}, {"x": "5", "h": 20.0}])
+    assert info.value.reason == "rods[1]: missing 'y'"
 
 
 # --- plan-view geometry -------------------------------------------------------

@@ -327,7 +327,7 @@ def test_user_element_record_takes_only_real_numbers(record):
 def test_move_that_overflows_the_origin_is_a_schema_violation():
     m = move_module(create_module(ModuleType.VALVE, {}), 1e308, 0.0)
     assert m.props["origin"] == Point(1e308, 0.0)
-    with pytest.raises(SchemaViolation, match="value must be finite") as info:
+    with pytest.raises(SchemaViolation, match="point coordinates must be finite") as info:
         move_module(m, 1e308, 0.0)
     assert info.value.key == "origin"
 

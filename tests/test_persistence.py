@@ -1083,3 +1083,20 @@ def test_text_or_object_for_a_list_is_a_schema_violation(mtype, props, key,
     doc["items"][0]["props"][key]["value"] = value
     with pytest.raises(SchemaViolation, match=f"property '{key}': expected a"):
         load_drawing(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", [5, None, ["a"], ""])
+def test_save_prototypes_refuses_a_name_that_is_not_non_empty_text(name):
+    m = create_module(ModuleType.VALVE, {})
+    with pytest.raises(KernelError) as info:
+        save_prototypes([m, m], [name, name])
+    assert str(info.value) == f"prototype name {name!r}: must be non-empty text"
+
+
+@pytest.mark.parametrize("item", ["junk", None, Point(0.0, 0.0)],
+                         ids=["text", "none", "point"])
+def test_add_element_refuses_what_is_not_an_element(item):
+    d = Drawing.new(Rect.from_bounds(0, 0, 100, 100))
+    with pytest.raises(KernelError, match="^not an element: a "):
+        d.add_element(item)
+    assert d.items == []

@@ -209,3 +209,13 @@ def test_prop_kind_enumeration_is_complete():
     kinds = {spec.kind for mtype in ModuleType
              for spec in schema_for(mtype).values()}
     assert kinds == set(PropKind)
+
+
+@pytest.mark.parametrize("mtype, key, reason", [
+    (ModuleType.PIPELINE, "path", "expected a list of points"),
+    (ModuleType.VALVE, "attach", "expected a list of axes"),
+])
+def test_a_record_is_not_a_list_of_points_or_axes(mtype, key, reason):
+    with pytest.raises(SchemaViolation) as info:
+        validate_props(mtype, {key: {"origin": [0.0, 0.0]}})
+    assert (info.value.key, info.value.reason) == (key, reason)
