@@ -16,10 +16,11 @@ longer matches the snapshot, however the items list or grid was changed,
 rebuilds it first.
 
 Drawing coordinates are y-up; SVG is y-down, so the viewport is flipped
-vertically and arc sweeps and text rotations change sign. One function,
-``_element_svg``, maps and writes every element kind: a drawing point
-(x, y) becomes (x - viewport.min.x, viewport.max.y - y). Stroke attributes
-are built once per (line type, colour) and the palette is read once.
+vertically and arc sweeps and text rotations change sign. ``_elements_svg``
+maps and writes elements of every kind: a drawing point (x, y) becomes
+(x - viewport.min.x, viewport.max.y - y). The document is one join of one
+string per visible item: a module's ``<g>`` group, or a free element.
+Stroke attributes are built once per (line type, colour).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import functools
 import json
 import math
 from importlib import resources
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import KernelError
 from .geometry import (Arc, Circle, Element, LineType, Polyline, Rect,
@@ -135,9 +136,17 @@ def _fmt(value: float) -> str:
     return "0" if text in ("-0", "") else text
 
 
-def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
+def _trim(text: str) -> str:
+    """:func:`_fmt` for each quote-ended ``%.6f`` number in ``text``: its six
+    decimals go 3 + 2 + 1 at a time, and the point after them."""
+    return (text.replace('000"', '"').replace('00"', '"').replace('0"', '"')
+            .replace('."', '"').replace('"-0"', '"0"'))
+
+
+# Markup characters as entities; characters XML 1.0 forbids as U+FFFD.
+_ESCAPES = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", ord('"'): "&quot;",
+            **dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20),
+                             *range(0xD800, 0xE000), 0xFFFE, 0xFFFF], "\ufffd")}
 
 
 @functools.cache
@@ -150,45 +159,56 @@ def _stroke(line_type: LineType, color: int) -> str:
     return attrs if dash is None else f'{attrs} stroke-dasharray="{dash}"'
 
 
-def _element_svg(element: Element, x0: float, top: float) -> str:
-    """One element as SVG; a drawing point (x, y) maps to (x - x0, top - y)."""
-    stroke = _stroke(element.style.line_type, element.style.color)
-    if isinstance(element, Segment):
-        p1, p2 = element.p1, element.p2
-        return (f'<line x1="{_fmt(p1.x - x0)}" y1="{_fmt(top - p1.y)}" '
-                f'x2="{_fmt(p2.x - x0)}" y2="{_fmt(top - p2.y)}" {stroke}/>')
-    if isinstance(element, Polyline):
-        points = " ".join(f"{_fmt(p.x - x0)},{_fmt(top - p.y)}"
-                          for p in element.points)
-        tag = "polygon" if element.closed else "polyline"
-        return f'<{tag} points="{points}" fill="none" {stroke}/>'
-    if isinstance(element, Circle):
-        c = element.center
-        return (f'<circle cx="{_fmt(c.x - x0)}" cy="{_fmt(top - c.y)}" '
-                f'r="{_fmt(element.radius)}" fill="none" {stroke}/>')
-    if isinstance(element, Arc):
-        # A counter-clockwise sweep in y-up coordinates appears
-        # counter-clockwise on screen, which is SVG sweep direction 0.
-        s = element.point_at(element.start_angle)
-        e = element.point_at(element.end_angle)
-        r = _fmt(element.radius)
-        large = 1 if element.sweep_deg > 180.0 else 0
-        return (f'<path d="M {_fmt(s.x - x0)} {_fmt(top - s.y)} '
-                f'A {r} {r} 0 {large} 0 {_fmt(e.x - x0)} {_fmt(top - e.y)}" '
-                f'fill="none" {stroke}/>')
-    if isinstance(element, Text):
-        a = element.anchor
-        transform = f"translate({_fmt(a.x - x0)} {_fmt(top - a.y)})"
-        if element.angle_deg != 0.0:
-            transform += f" rotate({_fmt(-element.angle_deg)})"
-        length = ""
-        if element.content:
-            length = (f' textLength="{_fmt(element.box_width)}"'
-                      ' lengthAdjust="spacingAndGlyphs"')
-        return (f'<text transform="{transform}" font-size="{_fmt(element.height_mm)}" '
-                f'font-family="monospace" fill="{palette()[element.style.color]}" '
-                f'stroke="none"{length}>{_escape(element.content)}</text>')
-    raise TypeError(f"not an element: {element!r}")
+def _elements_svg(elements: Iterable[Element], x0: float, top: float) -> list[str]:
+    """Elements as SVG lines; a drawing point (x, y) maps to (x - x0, top - y)."""
+    lines = []
+    for element in elements:
+        stroke = _stroke(element.style.line_type, element.style.color)
+        if isinstance(element, Segment):
+            p1, p2 = element.p1, element.p2
+            head = '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"' % (
+                p1.x - x0, top - p1.y, p2.x - x0, top - p2.y)
+            if '0"' in head:
+                head = _trim(head)
+            line = f"{head} {stroke}/>"
+        elif isinstance(element, Polyline):
+            points = " ".join(f"{_fmt(p.x - x0)},{_fmt(top - p.y)}"
+                              for p in element.points)
+            tag = "polygon" if element.closed else "polyline"
+            line = f'<{tag} points="{points}" fill="none" {stroke}/>'
+        elif isinstance(element, Circle):
+            c = element.center
+            head = '<circle cx="%.6f" cy="%.6f" r="%.6f"' % (
+                c.x - x0, top - c.y, element.radius)
+            if '0"' in head:
+                head = _trim(head)
+            line = f'{head} fill="none" {stroke}/>'
+        elif isinstance(element, Arc):
+            # A counter-clockwise sweep in y-up coordinates appears
+            # counter-clockwise on screen, which is SVG sweep direction 0.
+            s = element.point_at(element.start_angle)
+            e = element.point_at(element.end_angle)
+            r = _fmt(element.radius)
+            large = 1 if element.sweep_deg > 180.0 else 0
+            line = (f'<path d="M {_fmt(s.x - x0)} {_fmt(top - s.y)} '
+                    f'A {r} {r} 0 {large} 0 {_fmt(e.x - x0)} {_fmt(top - e.y)}" '
+                    f'fill="none" {stroke}/>')
+        elif isinstance(element, Text):
+            a = element.anchor
+            transform = f"translate({_fmt(a.x - x0)} {_fmt(top - a.y)})"
+            if element.angle_deg != 0.0:
+                transform += f" rotate({_fmt(-element.angle_deg)})"
+            length = ""
+            if element.content:
+                length = (f' textLength="{_fmt(element.box_width)}"'
+                          ' lengthAdjust="spacingAndGlyphs"')
+            line = (f'<text transform="{transform}" font-size="{_fmt(element.height_mm)}" '
+                    f'font-family="monospace" fill="{palette()[element.style.color]}" '
+                    f'stroke="none"{length}>{element.content.translate(_ESCAPES)}</text>')
+        else:
+            raise TypeError(f"not an element: {element!r}")
+        lines.append(line)
+    return lines
 
 
 def render_svg(d: Drawing, viewport: "Rect | None" = None,
@@ -203,19 +223,20 @@ def render_svg(d: Drawing, viewport: "Rect | None" = None,
     if not (math.isfinite(vp.width) and math.isfinite(vp.height)):
         raise KernelError("viewport width and height must be finite")
     x0, top = vp.min.x, vp.max.y
-    lines = [
+    chunks = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(vp.width)}mm" '
         f'height="{_fmt(vp.height)}mm" '
         f'viewBox="0 0 {_fmt(vp.width)} {_fmt(vp.height)}">',
     ]
+    # One string per item, so the document is joined once and never copied.
     for item in visible_items(d, vp):
         if isinstance(item, Module):
-            lines.append(f'<g data-module-id="{item.id}" '
-                         f'data-module-type="{item.type.value}">')
-            lines.extend(_element_svg(e, x0, top) for e in item.geometry)
-            lines.append("</g>")
+            chunks.append("\n".join([
+                f'<g data-module-id="{item.id}" '
+                f'data-module-type="{item.type.value}">',
+                *_elements_svg(item.geometry, x0, top), "</g>"]))
         else:
-            lines.append(_element_svg(item, x0, top))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            chunks.extend(_elements_svg((item,), x0, top))
+    chunks.append("</svg>\n")
+    return "\n".join(chunks)

@@ -9,12 +9,13 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from modraft import (Arc, Circle, Drawing, KernelError, LineStyle, LineType,
                      ModuleType, Point, Polyline, Rect, Segment, Text,
                      ZoneGrid, element_bbox, move_module, palette,
                      render_svg, visible_items)
+from modraft.render import _fmt, _trim
 
 from propgen import PROP_MAKERS, random_props
 
@@ -234,6 +235,65 @@ def test_mixed_scene_svg_bytes_are_pinned():
     for tag in ("line", "polyline", "polygon", "circle", "path", "text", "g"):
         assert f"<{tag} " in svg
     assert hashlib.sha256(svg.encode()).hexdigest() == MIXED_SCENE_SHA256
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@given(_finite, _finite)
+@example(-0.0, 4e-7)
+@example(-4e-7, 5e-7)
+@example(-5e-7, 10.0)
+@example(100.0, 1e20)
+@example(1e300, -1e300)
+@example(0.5, 0.25)  # five and four trailing zeros
+@example(1.125, 2.0625)  # three and two
+def test_trim_is_fmt_for_every_quote_ended_number(u, v):
+    assert _trim('a="%.6f" b="%.6f"' % (u, v)) == f'a="{_fmt(u)}" b="{_fmt(v)}"'
+
+
+def test_segment_and_circle_lines_are_pinned():
+    # Each number hits one trimming branch: a value that rounds to -0, an
+    # integer, one trailing zero, six zeros after 100, and 0.000001.
+    d = Drawing.new(Rect.from_bounds(0, 0, 100, 100))
+    d.add_element(Segment(Point(-4e-7, 0), Point(12.34561, 80), LineStyle()))
+    d.add_element(Segment(Point(0.000001, 99.5), Point(100, 100.0000004), LineStyle()))
+    d.add_element(Circle(Point(0.000001, 90), 10.0, LineStyle()))
+    d.add_element(Circle(Point(-4e-7, 100.0000004), 2.5, LineStyle(LineType.DASHED, 7)))
+    assert render_svg(d).splitlines()[2:-1] == [
+        '<line x1="0" y1="100" x2="12.34561" y2="20" stroke="#000000" stroke-width="0.5"/>',
+        '<line x1="0.000001" y1="0.5" x2="100" y2="0" stroke="#000000" stroke-width="0.5"/>',
+        '<circle cx="0.000001" cy="10" r="10" fill="none" stroke="#000000" '
+        'stroke-width="0.5"/>',
+        '<circle cx="0" cy="0" r="2.5" fill="none" stroke="#ffffff" stroke-width="0.5" '
+        'stroke-dasharray="4,2"/>',
+    ]
+
+
+# Characters XML 1.0 forbids in a document; the renderer writes U+FFFD.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _rendered_text(content: str) -> str:
+    d = Drawing.new(Rect.from_bounds(0, 0, 100, 100))
+    d.add_element(Text(Point(10, 10), 5.0, 0.0, content, LineStyle()))
+    root = ET.fromstring(render_svg(d).encode("utf-8"))
+    (text,) = [c for c in root if c.tag.endswith("text")]
+    return text.text or ""
+
+
+@pytest.mark.parametrize("content", ["bell\x07", "nul\x00", "\ufffe", "\uffff",
+                                     "lone \ud800 surrogate", "\x0b\x0c\x1f"])
+def test_xml_forbidden_text_characters_render_as_replacement(content):
+    assert _rendered_text(content) == _XML_FORBIDDEN.sub("\ufffd", content)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_any_text_renders_to_well_formed_svg(content):
+    text = _rendered_text(content)
+    if not _XML_FORBIDDEN.search(content) and "\r" not in content:
+        assert text == content
 
 
 # --- the cell index behind visible_items --------------------------------
