@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 
+from .errors import KernelError
+
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=False, allow_nan=False)
@@ -21,4 +23,18 @@ def canonical_dumps(obj: object) -> str:
 
 def canonical_encode(obj: object) -> bytes:
     """Canonical JSON as UTF-8 bytes."""
-    return canonical_dumps(obj).encode("utf-8")
+    return _utf8(canonical_dumps(obj))
+
+
+def _lone_surrogate(char: str) -> str:
+    """Why text holding ``char``, a lone UTF-16 surrogate, has no bytes."""
+    return f"text holds the lone surrogate {char!r}, which UTF-8 cannot encode"
+
+
+def _utf8(text: str) -> bytes:
+    """``text`` as UTF-8; a lone surrogate, which a Python string can hold
+    but UTF-8 cannot, is a :class:`KernelError`."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise KernelError(_lone_surrogate(exc.object[exc.start])) from None

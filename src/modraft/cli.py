@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import math
 import re
 import sys
@@ -165,7 +166,7 @@ def _rewrite(args) -> int:
     line ("" for none), or None once it has reported a failure on stderr;
     a change that fails, by None or by raising, writes nothing."""
     d = load_drawing_file(args.drawing)
-    line = args.change(args, d)
+    line = globals()[args.change](args, d)
     if line is None:
         return 1
     save_drawing_file(d, args.out or args.drawing)
@@ -348,13 +349,17 @@ def _file_command(sub, name: str, func, help: str,
     p.add_argument("drawing")
     if rewrites:
         p.add_argument("--out")
-        p.set_defaults(func=_rewrite, change=func)
+        p.set_defaults(func=_rewrite.__name__, change=func.__name__)
     else:
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It names each handler, and
+    ``main`` looks the name up when it runs, so a handler rebound after
+    the first call (by a tracer, say) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="modraft",
         description="Parametric drawing modules: create, edit, render, "
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spec", help="aggregate specification rows")
     p.add_argument("drawings", nargs="+")
     p.add_argument("--types", type=_types_arg)
-    p.set_defaults(func=cmd_spec)
+    p.set_defaults(func=cmd_spec.__name__)
 
     p = _file_command(sub, "fill-table", cmd_fill_table,
                       "fill a table module from spec rows", rewrites=True)
@@ -415,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-dup", help="report duplicate position texts")
     p.add_argument("drawings", nargs="+")
-    p.set_defaults(func=cmd_check_dup)
+    p.set_defaults(func=cmd_check_dup.__name__)
 
     p = _file_command(sub, "proto-save", cmd_proto_save,
                       "save modules as prototypes")
@@ -481,9 +486,8 @@ def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(parser, argv))
-    del parser  # large and cyclic: let it go before the command runs
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (KernelError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .canon import canonical_encode
 from .errors import GenerationError
 from .generators import generate_local, internal_list_indices
 from .geometry import (Element, Point, Rect, Transform, ZoneGrid,
-                       apply_transform, element_bbox, element_to_json)
+                       _cos_sin_deg, _elements_bytes, _positive,
+                       apply_transform, element_bbox)
 from .properties import Axis, ModuleType, validate_props
 
 __all__ = [
@@ -63,34 +63,59 @@ class WorkingModule:
     geometry: tuple[Element, ...]
 
 
-_SYMMETRY_AXIS_ANGLE = {"mirror_x": 0.0, "mirror_y": 90.0}
+def _raw(t: Transform) -> tuple[float, ...]:
+    return (t.a, t.b, t.c, t.d, t.tx, t.ty)
+
+
+def _compose(outer: tuple, inner: tuple) -> tuple[float, ...]:
+    """The coefficients of ``Transform.compose``, with its very multiplies
+    and adds: a shorter form can differ in the last bit or in the sign of a
+    zero, and so in the bytes."""
+    a, b, c, d, tx, ty = outer
+    ia, ib, ic, id_, itx, ity = inner
+    return (a * ia + b * ic, a * ib + b * id_, c * ia + d * ic, c * ib + d * id_,
+            a * itx + b * ity + tx, c * itx + d * ity + ty)
+
+
 _ORIGIN = Point(0.0, 0.0)
+_IDENTITY = _raw(Transform.identity())
+_MIRROR_Y = _raw(Transform.mirror(_ORIGIN, 90.0))
+_SYMMETRY = {"both": _raw(Transform.rotation(180.0)),
+             "mirror_x": _raw(Transform.mirror(_ORIGIN, 0.0)),
+             "mirror_y": _MIRROR_Y}
+
+
+def _placement_raw(props: dict) -> tuple[float, ...]:
+    """translation(origin) . rotation(angle_deg) [. mirror], as coefficients."""
+    cos_a, sin_a = _cos_sin_deg(props["angle_deg"])
+    t = (cos_a, -sin_a, sin_a, cos_a, 0.0, 0.0)
+    if props["mirrored"]:
+        t = _compose(t, _MIRROR_Y)
+    origin = props["origin"]
+    return _compose((1.0, 0.0, 0.0, 1.0, origin.x, origin.y), t)
 
 
 def _placement_part(props: dict) -> Transform:
     """Placement transform excluding symbol-level scale and symmetry."""
-    t = Transform.rotation(props["angle_deg"])
-    if props["mirrored"]:
-        t = t.compose(Transform.mirror(_ORIGIN, 90.0))
-    return Transform.translation(props["origin"].x, props["origin"].y).compose(t)
+    return Transform(*_placement_raw(props))
 
 
 def placement_transform(mtype: ModuleType, props: dict) -> Transform:
-    """Local-to-paper transform for a module's normalised properties."""
-    t = _placement_part(props)
+    """Local-to-paper transform for a module's normalised properties.
+
+    One Transform, built and checked once, from the coefficients that
+    composing the placement's parts one by one would give.
+    """
+    t = _placement_raw(props)
     if ModuleType(mtype) is ModuleType.USER:
-        code = props["symmetry"]
-        inner = Transform.identity()
-        if code == "both":
-            inner = Transform.rotation(180.0)
-        elif code in _SYMMETRY_AXIS_ANGLE:
-            inner = Transform.mirror(_ORIGIN, _SYMMETRY_AXIS_ANGLE[code])
+        inner = _SYMMETRY.get(props["symmetry"], _IDENTITY)
         scale = props["scale"]
         if scale != 1.0:
-            inner = inner.compose(Transform.scaling(scale))
-        if not inner.is_identity():
-            t = t.compose(inner)
-    return t
+            s = _positive(scale, "scale factor")
+            inner = _compose(inner, (s, 0.0, 0.0, s, 0.0, 0.0))
+        if inner != _IDENTITY:
+            t = _compose(t, inner)
+    return Transform(*t)
 
 
 def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
@@ -202,5 +227,7 @@ def spawn_working_modules(m: Module, list_name: str) -> list[WorkingModule]:
 
 
 def geometry_bytes(elements: tuple[Element, ...]) -> bytes:
-    """Canonical byte form of an element sequence, for exact comparisons."""
-    return canonical_encode([element_to_json(e) for e in elements])
+    """Canonical byte form of an element sequence, for exact comparisons:
+    ``canonical_encode([element_to_json(e) for e in elements])``, written
+    directly."""
+    return _elements_bytes(elements)

@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import Iterable, Union
 
+from .canon import _utf8
 from .errors import GenerationError
 
 __all__ = [
@@ -724,6 +726,53 @@ def element_to_json(element: Element) -> dict:
                 "height_mm": element.height_mm, "angle_deg": element.angle_deg,
                 "content": element.content, "style": style}
     raise TypeError(f"not an element: {element!r}")
+
+
+# The canonical text of each style, written on first use: at most one entry
+# per valid style, 4 line types x 256 colours.
+_STYLE_TEXT: dict[LineStyle, str] = {}
+
+
+def _element_text(e: Element) -> str:
+    """``canonical_dumps(element_to_json(e))``, written in one format call.
+
+    Keys come in sorted order, reals go through ``%r`` (``float.__repr__``,
+    the encoder's own rule) and text through ``encode_basestring``, the
+    encoder's writer without ``ensure_ascii``. Every real of an element is
+    finite by construction, so nothing here needs the encoder's NaN check.
+    """
+    style = _STYLE_TEXT.get(e.style)
+    if style is None:
+        style = _STYLE_TEXT[e.style] = '{"color":%d,"line_type":"%s"}' % (
+            e.style.color, e.style.line_type.value)
+    if isinstance(e, Segment):
+        p1, p2 = e.p1, e.p2
+        return '{"kind":"segment","p1":[%r,%r],"p2":[%r,%r],"style":%s}' % (
+            p1.x, p1.y, p2.x, p2.y, style)
+    if isinstance(e, Polyline):
+        return '{"closed":%s,"kind":"polyline","points":[%s],"style":%s}' % (
+            "true" if e.closed else "false",
+            ",".join(["[%r,%r]" % (p.x, p.y) for p in e.points]), style)
+    if isinstance(e, Arc):
+        c = e.center
+        return ('{"center":[%r,%r],"end_angle":%r,"kind":"arc","radius":%r,'
+                '"start_angle":%r,"style":%s}') % (
+            c.x, c.y, e.end_angle, e.radius, e.start_angle, style)
+    if isinstance(e, Circle):
+        c = e.center
+        return '{"center":[%r,%r],"kind":"circle","radius":%r,"style":%s}' % (
+            c.x, c.y, e.radius, style)
+    if isinstance(e, Text):
+        a = e.anchor
+        return ('{"anchor":[%r,%r],"angle_deg":%r,"content":%s,"height_mm":%r,'
+                '"kind":"text","style":%s}') % (
+            a.x, a.y, e.angle_deg, encode_basestring(e.content), e.height_mm, style)
+    raise TypeError(f"not an element: {e!r}")
+
+
+def _elements_bytes(elements: Iterable[Element]) -> bytes:
+    """``canonical_encode([element_to_json(e) for e in elements])``."""
+    return _utf8("[" + ",".join(map(_element_text, elements)) + "]")
 
 
 def element_from_json(doc: object) -> Element:

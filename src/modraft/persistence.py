@@ -20,23 +20,29 @@ canonical files.
 Each module's geometry is encoded once — by load's comparison, or by the
 first save or digest — and kept on the module as ``geometry_json``; saves
 and digests splice those bytes into the document and encode only the
-properties and the frame. Prototype libraries store (name, type,
-properties) only — no geometry records — with placement reset to identity.
+properties and the frame. Geometry bytes, of modules and free elements
+alike, come from one writer, ``geometry._element_text``: it writes the
+canonical text of ``element_to_json(e)`` directly, not through the JSON
+encoder. Text holding a lone surrogate has no UTF-8 bytes, so a drawing
+that holds one neither loads nor saves. Prototype libraries store (name,
+type, properties) only — no geometry records — with placement reset to
+identity.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Union
 
-from .canon import canonical_dumps, canonical_encode
+from .canon import _lone_surrogate, _utf8, canonical_dumps, canonical_encode
 from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
-from .geometry import (Element, Rect, ZoneGrid, _as_point, _named,
-                       _point_json, element_from_json, element_to_json)
+from .geometry import (Element, Rect, ZoneGrid, _as_point, _element_text,
+                       _named, _point_json, element_from_json)
 from .properties import (PLACEMENT_SCHEMA, ModuleType, props_from_json,
                          props_to_json, validate_props)
 
@@ -140,6 +146,7 @@ def _rect_json(rect: Rect) -> dict:
 
 
 _MODULE_ITEM = b'{"geometry":%b,"id":%d,"kind":"module","props":%b,"type":%b}'
+_ELEMENT_ITEM = '{"element":%s,"kind":"element"}'
 _TYPE_JSON = {t: canonical_encode(t.value) for t in ModuleType}
 
 
@@ -154,12 +161,13 @@ def canonical_bytes(d: Drawing, exclude_signatures: bool = False) -> bytes:
     The document is assembled from fragments, keys in sorted order: each
     module item splices in the module's cached ``geometry_json`` and
     encodes only its properties, which are mutable and so never cached.
+    Geometry bytes, cached or free, come from one writer,
+    ``geometry._element_text``, not from the JSON encoder.
     """
     items = []
     for item in d.items:
         if not isinstance(item, Module):
-            items.append(canonical_encode(
-                {"element": element_to_json(item), "kind": "element"}))
+            items.append(_utf8(_ELEMENT_ITEM % _element_text(item)))
         elif not (exclude_signatures and item.type is ModuleType.SIGNATURE):
             props = canonical_encode(props_to_json(item.type, item.props))
             items.append(_MODULE_ITEM % (item.geometry_json, item.id, props,
@@ -219,11 +227,28 @@ def _check_keys(doc: dict, keys: frozenset, what: str) -> None:
             else f"missing key {min(missing)!r}"))
 
 
-def _check_canonical(what: str, stored: object, saved: object) -> None:
-    stored, saved = canonical_dumps(stored), canonical_dumps(saved)
+def _check_canonical(what: str, stored: object, saved: str) -> None:
+    """``stored``, a parsed value, encodes to ``saved``, canonical text."""
+    stored = canonical_dumps(stored)
     if stored != saved:
         raise FileFormatError(f"{what} is not canonical: stored as "
                               f"{_clip(stored)} but saves as {_clip(saved)}")
+
+
+# A lone UTF-16 surrogate parses into a Python string but has no UTF-8
+# bytes, so a drawing holding one could not be saved. UTF-8 bytes spell one
+# only as a JSON escape, which canonical files never hold, so one search of
+# the input gates the exact check of every item; a str may also hold one
+# as itself.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+_SURROGATE_IN_TEXT = re.compile(r"\\u[dD][89a-fA-F]|[\ud800-\udfff]")
+
+
+def _check_surrogates(item_doc: object) -> None:
+    found = _SURROGATE.search(json.dumps(item_doc, ensure_ascii=False))
+    if found:
+        raise FileFormatError(_lone_surrogate(found.group()))
 
 
 def load_drawing(data: "bytes | str") -> Drawing:
@@ -232,9 +257,11 @@ def load_drawing(data: "bytes | str") -> Drawing:
     Every module is regenerated from its stored properties; stored geometry
     that disagrees raises :class:`IntegrityMismatch`. The frame around the
     items must hold exactly the defined keys, and ``extent`` and
-    ``zone_grid`` must be canonical.
+    ``zone_grid`` must be canonical. No text may hold a lone surrogate.
     """
     doc = _parse_json(data)
+    gate = _SURROGATE_IN_TEXT if isinstance(data, str) else _SURROGATE_ESCAPE
+    suspect = gate.search(data) is not None
     if not isinstance(doc, dict):
         raise FileFormatError("drawing file must contain a JSON object")
     _check_version(doc)
@@ -246,8 +273,9 @@ def load_drawing(data: "bytes | str") -> Drawing:
         grid = ZoneGrid(_named("zone_grid.origin", grid_doc["origin"], _as_point),
                         grid_doc["cell_w"], grid_doc["cell_h"],
                         grid_doc["nx"], grid_doc["ny"])
-        _check_canonical("extent", doc["extent"], _rect_json(extent))
-        _check_canonical("zone_grid", grid_doc, _grid_json(grid))
+        _check_canonical("extent", doc["extent"],
+                         canonical_dumps(_rect_json(extent)))
+        _check_canonical("zone_grid", grid_doc, canonical_dumps(_grid_json(grid)))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FileFormatError(f"bad drawing structure: {exc}") from exc
     next_id, items_doc = doc["next_id"], doc["items"]
@@ -260,6 +288,8 @@ def load_drawing(data: "bytes | str") -> Drawing:
     seen_ids: set[int] = set()
     for index, item_doc in enumerate(items_doc):
         try:
+            if suspect:
+                _check_surrogates(item_doc)
             d.items.append(_load_item(item_doc, next_id, seen_ids))
         except RecursionError as exc:
             raise FileFormatError(
@@ -286,7 +316,7 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
         try:
             record = item_doc["element"]
             element = element_from_json(record)
-            _check_canonical("free element", record, element_to_json(element))
+            _check_canonical("free element", record, _element_text(element))
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad free element: {exc}") from exc
         return element
@@ -310,7 +340,7 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
     seen_ids.add(module_id)
     m = create_module(mtype, props, module_id=module_id)
     if stored_bytes != m.geometry_json:
-        raise _mismatch(stored, [element_to_json(e) for e in m.geometry])
+        raise _mismatch(stored, m.geometry)
     return m
 
 
@@ -318,10 +348,10 @@ def _clip(text: str, limit: int = 120) -> str:
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
-def _mismatch(stored: list, regenerated: list) -> IntegrityMismatch:
+def _mismatch(stored: list, regenerated: "tuple[Element, ...]") -> IntegrityMismatch:
     """Name the first record where stored and regenerated geometry differ."""
     pairs = zip_longest(map(canonical_dumps, stored),
-                        map(canonical_dumps, regenerated), fillvalue="nothing")
+                        map(_element_text, regenerated), fillvalue="nothing")
     i, (was, now) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
     return IntegrityMismatch(
         f"geometry does not match its properties: element {i} is stored as "

@@ -782,3 +782,42 @@ def test_spec_and_fill_table_exit_1_on_a_null_spec_designation(drawing, capsys):
     assert Path(drawing).read_bytes() == before
     code, out, err = run(capsys, "check-dup", drawing)
     assert code == 0 and out.strip() == "no duplicate positions" and err == ""
+
+
+# --- one parser per process ------------------------------------------------------
+
+def test_one_parser_serves_every_subcommand_in_a_process(drawing, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "add", drawing, "--type", "valve")[:2] == (0, "module 1 valve\n")
+    assert run(capsys, "edit", drawing, "--id", "1", "--move", "7,0")[0] == 0
+    code, out, _ = run(capsys, "list", drawing)
+    assert code == 0 and "origin=(7,0)" in out
+    svg = str(tmp_path / "v.svg")
+    assert run(capsys, "render", drawing, "--out", svg)[0] == 0
+    assert run(capsys, "fill-table", drawing, "--id", "1", "--columns", "qty=0")[0] == 1
+    # the shared defaults of --props and --from are never filled in
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    defaults = {action.dest: action.default for sub in subcommands.values()
+                for action in sub._actions if action.nargs == "*"}
+    assert defaults == {"props": [], "sources": []}
+
+
+@pytest.mark.parametrize("name, argv, expected", [
+    ("cmd_edit", ["edit", "{d}", "--id", "1", "--move", "7,0"], 0),
+    ("cmd_list", ["list", "{d}"], 0),
+], ids=["rewriting", "reading"])
+def test_a_handler_rebound_after_the_first_call_is_the_one_that_runs(
+        drawing, capsys, monkeypatch, name, argv, expected):
+    from modraft import cli
+    assert run(capsys, "add", drawing, "--type", "valve")[0] == 0  # parser built
+    calls = []
+    original = getattr(cli, name)
+
+    def counting(*args):
+        calls.append(args[0].drawing)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert run(capsys, *(a.format(d=drawing) for a in argv))[0] == expected
+    assert calls == [drawing]

@@ -8,14 +8,15 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modraft import (Arc, Axis, Circle, LineStyle, LineType, Point, Polyline,
                      Rect, Segment, Text, Transform, ZoneGrid, apply_transform,
-                     element_bbox, element_from_json, element_to_json,
-                     norm_deg, offset_path, snap_points)
-from modraft.geometry import _STYLES, _as_real, _as_text, _field
+                     canonical_encode, element_bbox, element_from_json,
+                     element_to_json, norm_deg, offset_path, snap_points)
+from modraft.geometry import (_STYLES, _as_real, _as_text, _elements_bytes,
+                              _field)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -295,6 +296,33 @@ def test_element_json_round_trip_every_kind():
     ]
     for element in elements:
         assert element_from_json(element_to_json(element)) == element
+
+
+# Every finite binary64 value, so -0.0, subnormals and 1e+16 all occur.
+any_real = st.floats(allow_nan=False, allow_infinity=False)
+any_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+any_point = st.builds(Point, any_real, any_real)
+any_style = st.builds(LineStyle, st.sampled_from(LineType), st.integers(0, 255))
+any_element = st.one_of(
+    st.builds(Segment, any_point, any_point, any_style),
+    st.builds(Polyline, st.lists(any_point, min_size=2, max_size=6),
+              st.booleans(), any_style),
+    st.tuples(any_point, any_positive, any_real, any_real, any_style)
+    .filter(lambda f: norm_deg(f[2]) != norm_deg(f[3]))
+    .map(lambda f: Arc(*f)),
+    st.builds(Circle, any_point, any_positive, any_style),
+    st.builds(Text, any_point, any_positive, any_real, st.text(), any_style),
+)
+
+
+@given(st.lists(any_element, max_size=6))
+@example([Segment(Point(-0.0, 1e16), Point(5e-324, -1.7976931348623157e308)),
+          Text(Point(0.1, 1e-7), 1e22, -0.0, '"\\\x00\x1f\u2028 Ду50 😀'),
+          Arc(Point(0.0, 0.0), 5e-324, 359.99999999999994, 0.0)])
+@settings(max_examples=300, deadline=None)
+def test_element_writer_equals_the_encoder(elements):
+    assert _elements_bytes(elements) == canonical_encode(
+        [element_to_json(e) for e in elements])
 
 
 def test_element_from_json_rejects_junk():

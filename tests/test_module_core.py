@@ -342,3 +342,73 @@ def test_rigid_edit_that_overflows_the_placement_is_a_generation_error(edit):
     m = move_module(create_module(ModuleType.VALVE, {}), 1e308, 0.0)
     with pytest.raises(GenerationError, match="^valve module: "):
         edit(m)
+
+
+# --- placement is one Transform with the compose chain's arithmetic -------------
+
+_O = Point(0.0, 0.0)
+
+
+def _part_by_compose(props: dict) -> Transform:
+    """The placement without user scale or symmetry, as a chain of
+    Transform.compose calls, one Transform per part: the reference for every
+    bit of the rigid edits' placement part."""
+    t = Transform.rotation(props["angle_deg"])
+    if props["mirrored"]:
+        t = t.compose(Transform.mirror(_O, 90.0))
+    return Transform.translation(props["origin"].x, props["origin"].y).compose(t)
+
+
+def _placement_by_compose(mtype: ModuleType, props: dict) -> Transform:
+    """The reference for every bit of placement_transform, likewise."""
+    t = _part_by_compose(props)
+    if mtype is ModuleType.USER:
+        code = props["symmetry"]
+        inner = Transform.identity()
+        if code == "both":
+            inner = Transform.rotation(180.0)
+        elif code == "mirror_x":
+            inner = Transform.mirror(_O, 0.0)
+        elif code == "mirror_y":
+            inner = Transform.mirror(_O, 90.0)
+        if props["scale"] != 1.0:
+            inner = inner.compose(Transform.scaling(props["scale"]))
+        if not inner.is_identity():
+            t = t.compose(inner)
+    return t
+
+
+def _bits(t: Transform) -> list[str]:
+    # float.hex tells -0.0 from 0.0, which Transform equality does not
+    return [float.hex(v) for v in (t.a, t.b, t.c, t.d, t.tx, t.ty)]
+
+
+def _outcome(build):
+    try:
+        return _bits(build())
+    except ValueError as exc:
+        return repr(exc)
+
+
+@given(st.sampled_from([ModuleType.USER, ModuleType.VALVE]),
+       st.one_of(st.sampled_from([0.0, -0.0, 90.0, 180.0, 270.0, 360.0, -90.0,
+                                  45.0, 101.5, 1e-300, -1e-300]),
+                 st.floats(-720, 720)),
+       st.booleans(),
+       st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1e308]),
+                 st.floats(allow_nan=False, allow_infinity=False)),
+       st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e4, 1e4)),
+       st.sampled_from(["none", "both", "mirror_x", "mirror_y"]),
+       st.one_of(st.just(1.0), st.floats(1e-3, 1e3),
+                 st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+@settings(max_examples=400, deadline=None)
+def test_placement_has_the_bits_of_the_compose_chain(mtype, angle, mirrored, ox, oy,
+                                                     symmetry, scale):
+    from modraft import placement_transform
+    from modraft.core import _placement_part
+    props = {"angle_deg": angle, "mirrored": mirrored, "origin": Point(ox, oy),
+             "symmetry": symmetry, "scale": scale}
+    assert _outcome(lambda: placement_transform(mtype, props)) == _outcome(
+        lambda: _placement_by_compose(mtype, props))
+    assert _outcome(lambda: _placement_part(props)) == _outcome(
+        lambda: _part_by_compose(props))

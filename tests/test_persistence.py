@@ -736,9 +736,10 @@ def test_spliced_bytes_equal_the_reference_encoding(seed, n_modules, free,
 
 @pytest.fixture()
 def encoded(monkeypatch) -> list:
-    """Every element passed to geometry.element_to_json, at every binding."""
+    """Every element passed to geometry._element_text, the writer of element
+    bytes, at every binding."""
     calls = []
-    original = geometry.element_to_json
+    original = geometry._element_text
 
     def counting(element):
         calls.append(element)
@@ -746,8 +747,8 @@ def encoded(monkeypatch) -> list:
 
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("modraft")
-                and getattr(module, "element_to_json", None) is original):
-            monkeypatch.setattr(module, "element_to_json", counting)
+                and getattr(module, "_element_text", None) is original):
+            monkeypatch.setattr(module, "_element_text", counting)
     return calls
 
 
@@ -1100,3 +1101,66 @@ def test_add_element_refuses_what_is_not_an_element(item):
     with pytest.raises(KernelError, match="^not an element: a "):
         d.add_element(item)
     assert d.items == []
+
+
+# --- a lone surrogate has no UTF-8 bytes, so no drawing may hold one -----------
+
+def _posdes_doc(position_text: str) -> dict:
+    """A one-module drawing whose stored props, and only those, hold
+    ``position_text``."""
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.POSDES, random_props(random.Random(1), ModuleType.POSDES))
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["position_text"]["value"] = position_text
+    return doc
+
+
+def _lone_text_doc(content: str) -> dict:
+    doc = _free_element_doc()
+    doc["items"][3]["element"]["content"] = content
+    return doc
+
+
+@pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+@pytest.mark.parametrize("doc, where", [
+    (_posdes_doc("\ud800"), r"item 0 \(module 1\)"),
+    (_posdes_doc("a\udfff"), r"item 0 \(module 1\)"),
+    (_lone_text_doc("x\udbff"), "item 3"),
+], ids=["module-high", "module-low", "free-text"])
+def test_a_lone_surrogate_escape_does_not_load(doc, where, as_bytes):
+    text = json.dumps(doc)  # ensure_ascii: the surrogate is a \ud800-style escape
+    assert "\\ud" in text
+    with pytest.raises(FileFormatError, match=f"^{where}: text holds the lone "
+                       "surrogate '\\\\ud[89a-f]..', which UTF-8 cannot encode$"):
+        load_drawing(text.encode() if as_bytes else text)
+
+
+def test_a_lone_surrogate_in_a_str_does_not_load():
+    text = json.dumps(_lone_text_doc("\ud800"), ensure_ascii=False)
+    assert "\ud800" in text
+    with pytest.raises(FileFormatError, match="^item 3: text holds the lone surrogate"):
+        load_drawing(text)
+
+
+def test_an_escaped_surrogate_pair_loads_as_its_character():
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.POSDES, {
+        **random_props(random.Random(1), ModuleType.POSDES), "position_text": "😀"})
+    d.add_element(Text(Point(0, 0), 2.5, 0.0, "😀"))
+    data = json.dumps(json.loads(save_drawing(d))).encode()
+    assert data.count(b"\\ud83d\\ude00") == 3  # props, geometry, free text
+    assert save_drawing(load_drawing(data)) == save_drawing(d)
+
+
+def test_a_lone_surrogate_in_memory_saves_as_a_kernel_error():
+    free = Drawing.new(EXTENT)
+    free.add_element(Text(Point(0, 0), 2.5, 0.0, "x\ud800"))  # accepted in memory
+    module = Drawing.new(EXTENT)
+    module.add_module(ModuleType.POSDES, {
+        **random_props(random.Random(1), ModuleType.POSDES), "position_text": "\udc00"})
+    for d in (free, module):
+        for write in (save_drawing, compute_digest):
+            with pytest.raises(KernelError,
+                               match="^text holds the lone surrogate") as info:
+                write(d)
+            assert not isinstance(info.value, UnicodeError)
