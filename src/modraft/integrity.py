@@ -2,9 +2,11 @@
 
 The digest covers the canonical bytes of the drawing with every signature
 module excluded, so signing (which adds a signature module) never
-invalidates an existing signature. The authentication code is an
-HMAC-SHA-256 over the digest and the signer fields, keyed by the signer's
-password; the password itself is never stored.
+invalidates an existing signature. It hashes those bytes fragment by
+fragment, as saving writes them, without building the whole document. The
+authentication code is an HMAC-SHA-256 over the digest and the signer
+fields, keyed by the signer's password; the password itself is never
+stored.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .persistence import Drawing, canonical_bytes
+from .persistence import Drawing, _fragments
 from .properties import ModuleType
 
 __all__ = ["SignatureStatus", "compute_digest", "signature_mac",
@@ -31,7 +33,10 @@ _SEP = b"\x1f"
 
 def compute_digest(d: Drawing) -> str:
     """Hex SHA-256 of the drawing's canonical bytes, signatures excluded."""
-    return hashlib.sha256(canonical_bytes(d, exclude_signatures=True)).hexdigest()
+    digest = hashlib.sha256()
+    for fragment in _fragments(d, exclude_signatures=True):
+        digest.update(fragment)
+    return digest.hexdigest()
 
 
 def signature_mac(digest_hex: str, person: str, position: str,

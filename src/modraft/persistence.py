@@ -18,14 +18,18 @@ values are decoded by :func:`validate_props` alone and normalised on load
 canonical files.
 
 Each module's geometry is encoded once — by load's comparison, or by the
-first save or digest — and kept on the module as ``geometry_json``; saves
-and digests splice those bytes into the document and encode only the
-properties and the frame. Geometry bytes, of modules and free elements
-alike, come from one writer, ``geometry._element_text``: it writes the
-canonical text of ``element_to_json(e)`` directly, not through the JSON
-encoder. Text holding a lone surrogate has no UTF-8 bytes, so a drawing
-that holds one neither loads nor saves. Prototype libraries store (name,
-type, properties) only — no geometry records — with placement reset to
+first save or digest — and kept on the module as ``geometry_json``. Saves
+and digests read one stream of fragments, ``_fragments``: the frame's
+head, then each item, then its tail, where a module item passes its cached
+``geometry_json`` on as it is and writes only its properties. A save joins
+the fragments; a digest hashes them one by one and never holds the whole
+document. Bytes come from one writer per thing, not from the JSON encoder:
+``geometry._element_text`` for elements, of modules and free ones alike,
+and ``properties._props_bytes``, one writer per property kind, for
+property sets, in drawings and prototype libraries alike. Text holding a
+lone surrogate has no UTF-8 bytes, so a drawing or prototype library that
+holds one neither loads nor saves. Prototype libraries store (name, type,
+properties) only — no geometry records — with placement reset to
 identity.
 """
 
@@ -36,15 +40,15 @@ import re
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .canon import _lone_surrogate, _utf8, canonical_dumps, canonical_encode
 from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Rect, ZoneGrid, _as_point, _element_text,
                        _named, _point_json, element_from_json)
-from .properties import (PLACEMENT_SCHEMA, ModuleType, props_from_json,
-                         props_to_json, validate_props)
+from .properties import (PLACEMENT_SCHEMA, ModuleType, _props_bytes,
+                         props_from_json, validate_props)
 
 __all__ = [
     "FORMAT_VERSION", "Drawing", "DrawingItem",
@@ -145,9 +149,36 @@ def _rect_json(rect: Rect) -> dict:
     return {"max": _point_json(rect.max), "min": _point_json(rect.min)}
 
 
-_MODULE_ITEM = b'{"geometry":%b,"id":%d,"kind":"module","props":%b,"type":%b}'
+_MODULE_REST = b',"id":%d,"kind":"module","props":%b,"type":%b}'
 _ELEMENT_ITEM = '{"element":%s,"kind":"element"}'
 _TYPE_JSON = {t: canonical_encode(t.value) for t in ModuleType}
+
+
+def _fragments(d: Drawing, exclude_signatures: bool) -> Iterator[bytes]:
+    """The canonical bytes of a drawing, fragment by fragment: the frame's
+    head, each item, then the frame's tail, keys in sorted order. A module
+    item passes its cached ``geometry_json`` on as it is and writes its
+    properties, which are mutable and so never cached."""
+    frame = {"extent": _rect_json(d.extent), "format_version": FORMAT_VERSION,
+             "items": [], "zone_grid": _grid_json(d.zone_grid)}
+    if not exclude_signatures:
+        frame["next_id"] = d.next_id
+    # Every other frame value is a number, so the empty list is found once.
+    head, tail = canonical_encode(frame).split(b'"items":[]')
+    yield head + b'"items":['
+    comma = b""
+    for item in d.items:
+        if not isinstance(item, Module):
+            yield comma + _utf8(_ELEMENT_ITEM % _element_text(item))
+        elif exclude_signatures and item.type is ModuleType.SIGNATURE:
+            continue
+        else:
+            yield comma + b'{"geometry":'
+            yield item.geometry_json
+            yield _MODULE_REST % (item.id, _props_bytes(item.type, item.props),
+                                  _TYPE_JSON[item.type])
+        comma = b","
+    yield b"]" + tail
 
 
 def canonical_bytes(d: Drawing, exclude_signatures: bool = False) -> bytes:
@@ -158,27 +189,10 @@ def canonical_bytes(d: Drawing, exclude_signatures: bool = False) -> bytes:
     never changes the bytes it signed: a drawing supports any number of
     signatures without later ones invalidating earlier ones.
 
-    The document is assembled from fragments, keys in sorted order: each
-    module item splices in the module's cached ``geometry_json`` and
-    encodes only its properties, which are mutable and so never cached.
-    Geometry bytes, cached or free, come from one writer,
-    ``geometry._element_text``, not from the JSON encoder.
+    The bytes are the join of :func:`_fragments`, which digests hash one
+    by one.
     """
-    items = []
-    for item in d.items:
-        if not isinstance(item, Module):
-            items.append(_utf8(_ELEMENT_ITEM % _element_text(item)))
-        elif not (exclude_signatures and item.type is ModuleType.SIGNATURE):
-            props = canonical_encode(props_to_json(item.type, item.props))
-            items.append(_MODULE_ITEM % (item.geometry_json, item.id, props,
-                                         _TYPE_JSON[item.type]))
-    frame = {"extent": _rect_json(d.extent), "format_version": FORMAT_VERSION,
-             "items": [], "zone_grid": _grid_json(d.zone_grid)}
-    if not exclude_signatures:
-        frame["next_id"] = d.next_id
-    # Every other frame value is a number, so the empty list is found once.
-    head, tail = canonical_encode(frame).split(b'"items":[]')
-    return head + b'"items":[' + b",".join(items) + b"]" + tail
+    return b"".join(_fragments(d, exclude_signatures))
 
 
 def save_drawing(d: Drawing) -> bytes:
@@ -367,6 +381,8 @@ def load_drawing_file(path: "str | Path") -> Drawing:
 
 
 _PLACEMENT_RESET = {key: spec.default for key, spec in PLACEMENT_SCHEMA.items()}
+_LIBRARY = b'{"entries":[%b],"format_version":%d}'
+_ENTRY = b'{"name":%b,"props":%b,"type":%b}'
 
 
 def _is_prototype_name(name: object) -> bool:
@@ -386,12 +402,10 @@ def save_prototypes(modules: Iterable[Module], names: Iterable[str]) -> bytes:
             raise KernelError(f"prototype name {name!r}: must be non-empty text")
     if len(set(names)) != len(names):
         raise KernelError("prototype names must be unique")
-    entries = []
-    for m, name in zip(modules, names):
-        props = validate_props(m.type, {**m.props, **_PLACEMENT_RESET})
-        entries.append({"name": name, "props": props_to_json(m.type, props),
-                        "type": m.type.value})
-    return canonical_encode({"entries": entries, "format_version": FORMAT_VERSION})
+    entries = [_ENTRY % (canonical_encode(name), _props_bytes(
+        m.type, validate_props(m.type, {**m.props, **_PLACEMENT_RESET})),
+        _TYPE_JSON[m.type]) for m, name in zip(modules, names)]
+    return _LIBRARY % (b",".join(entries), FORMAT_VERSION)
 
 
 def load_prototypes(
@@ -401,10 +415,13 @@ def load_prototypes(
 
     Returns ((name, module) pairs, errors). An entry holds exactly a
     non-empty text ``name`` that no earlier entry used, a ``type`` and
-    ``props``; a bad one is reported in ``errors`` as (its name, or
-    ``entry N``, message) and the remaining entries still load.
+    ``props``, and no text holding a lone surrogate; a bad one is reported
+    in ``errors`` as (its name, or ``entry N``, message) and the remaining
+    entries still load.
     """
     doc = _parse_json(data)
+    gate = _SURROGATE_IN_TEXT if isinstance(data, str) else _SURROGATE_ESCAPE
+    suspect = gate.search(data) is not None
     if not isinstance(doc, dict):
         raise FileFormatError("prototype file must contain a JSON object")
     _check_version(doc)
@@ -421,7 +438,10 @@ def load_prototypes(
             if not isinstance(entry, dict):
                 raise FileFormatError("prototype entries must be objects")
             named = _is_prototype_name(entry.get("name"))
-            name = entry["name"] if named else name
+            if named and not (suspect and _SURROGATE.search(entry["name"])):
+                name = entry["name"]
+            if suspect:
+                _check_surrogates(entry)
             _check_keys(entry, _ENTRY_KEYS, "prototype entry")
             if not named:
                 raise FileFormatError("bad prototype entry: name must be non-empty text")

@@ -7,6 +7,14 @@ reading them back checks each tag against the schema and strips it, and
 :func:`validate_props` decodes the bare JSON values, so it is the one place
 a property value is coerced.
 
+Each property kind has one reader and one writer. The readers
+(``_DECODERS``) decode a JSON value to the kind's value class; the writers
+(``_WRITERS``) write a decoded value straight to canonical JSON text, and
+``_props_bytes`` writes a whole property set in one format call per module,
+keys in sorted order, with the kind tags fixed per type. Its bytes are
+exactly ``canonical_encode(props_to_json(mtype, props))``; that reference
+form is kept public for tests and callers that want the tagged dicts.
+
 The schema holds every rule on a single value, as a spec's ``rule``;
 generators keep only the checks that relate two values or read a record.
 
@@ -22,8 +30,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from json.encoder import encode_basestring
 from typing import Callable, Mapping
 
+from .canon import _utf8, canonical_dumps
 from .errors import FileFormatError, KernelError, SchemaViolation
 from .geometry import (Point, _as_bool, _as_int, _as_point, _as_real, _as_text,
                        _point_json, norm_deg)
@@ -363,10 +373,60 @@ def _value_to_json(value: object) -> object:
 
 def props_to_json(mtype: ModuleType, props: Mapping[str, object]) -> dict:
     """Kind-tagged JSON form of a normalised property set; the tags come
-    from the schema."""
+    from the schema. Files are written by ``_props_bytes``, whose bytes are
+    this form's canonical encoding."""
     schema = schema_for(mtype)
     return {key: {"kind": schema[key].kind.value, "value": _value_to_json(value)}
             for key, value in props.items()}
+
+
+def _point_text(p: Point) -> str:
+    return "[%r,%r]" % (p.x, p.y)
+
+
+def _axis_text(a: Axis) -> str:
+    o = a.origin
+    return '{"angle_deg":%r,"origin":[%r,%r]}' % (a.angle_deg, o.x, o.y)
+
+
+# One writer per property kind: the canonical JSON text of a value its
+# reader decoded, as the encoder writes it (reals and integers by their
+# ``__repr__``, text by ``encode_basestring``, the encoder's writer without
+# ``ensure_ascii``). Decoded reals and points are finite floats, so nothing
+# here needs the encoder's NaN check. Records are free-form JSON, so the
+# encoder writes them.
+_WRITERS: dict[PropKind, Callable[[object], str]] = {
+    PropKind.TEXT: encode_basestring, PropKind.REAL: float.__repr__,
+    PropKind.INTEGER: int.__repr__,
+    PropKind.BOOLEAN: {True: "true", False: "false"}.__getitem__,
+    PropKind.POINT: _point_text,
+    PropKind.POINT_LIST: lambda ps: "[" + ",".join(map(_point_text, ps)) + "]",
+    PropKind.AXIS_LIST: lambda axes: "[" + ",".join(map(_axis_text, axes)) + "]",
+    PropKind.RECORD: canonical_dumps,
+    PropKind.RECORD_LIST: canonical_dumps,
+}
+
+
+def _layout(mtype: ModuleType) -> tuple[str, tuple]:
+    """The format string of a type's tagged property set, keys in sorted
+    order, and the (key, writer) pair of each of its ``%s`` slots."""
+    schema = schema_for(mtype)
+    keys = sorted(schema)
+    template = "{" + ",".join(
+        '%s:{"kind":"%s","value":%%s}' % (canonical_dumps(key), schema[key].kind.value)
+        for key in keys) + "}"
+    return template, tuple((key, _WRITERS[schema[key].kind]) for key in keys)
+
+
+_LAYOUTS = {mtype: _layout(mtype) for mtype in ModuleType}
+
+
+def _props_bytes(mtype: ModuleType, props: Mapping[str, object]) -> bytes:
+    """``canonical_encode(props_to_json(mtype, props))`` of a normalised
+    property set, written in one format call. A lone surrogate in a text
+    value is a :class:`KernelError`, as from the encoder."""
+    template, fields = _LAYOUTS[mtype]
+    return _utf8(template % tuple([write(props[key]) for key, write in fields]))
 
 
 def props_from_json(mtype: ModuleType, doc: object) -> dict[str, object]:

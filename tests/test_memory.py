@@ -6,7 +6,8 @@ points take 152 bytes on CPython 3.10 to 3.13, and the style is shared; a
 per-instance ``__dict__`` or a style per segment each push past the bound.
 A render holds one string per visible item and the joined document, about
 twice the document; a string per element or a copy of the document pushes
-past its bound.
+past its bound. A digest hashes the canonical bytes fragment by fragment,
+so it never holds the document at all.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import random
 import tracemalloc
 
-from modraft import (Drawing, LineType, ModuleType, Rect, element_from_json,
-                     render_svg)
+from modraft import (Drawing, LineType, ModuleType, Rect, canonical_bytes,
+                     compute_digest, element_from_json, render_svg)
 
 SEGMENTS = 20_000
 MAX_BYTES_PER_SEGMENT = 200
@@ -44,16 +45,22 @@ def test_decoded_segments_keep_at_most_200_bytes_each():
 MAX_RENDER_PEAK_PER_SVG_BYTE = 2.5
 
 
-def test_render_peak_is_at_most_two_and_a_half_documents():
-    rng = random.Random(19)
+def _user_sheet(seed: int) -> Drawing:
+    """300 user modules of 15 segments each, 4,500 segments in all."""
+    rng = random.Random(seed)
     d = Drawing.new(Rect.from_bounds(0, 0, 1000, 1000))
-    for _ in range(300):  # 4,500 segments in 15-segment user modules
+    for _ in range(300):
         x, y = rng.uniform(0, 900), rng.uniform(0, 900)
         d.add_module(ModuleType.USER, {"elements": [
             {"kind": "segment", "p1": [x + rng.uniform(0, 80), y + rng.uniform(0, 80)],
              "p2": [x + rng.uniform(0, 80), y + rng.uniform(0, 80)],
              "style": {"color": rng.randrange(256), "line_type": "solid"}}
             for _ in range(15)]})
+    return d
+
+
+def test_render_peak_is_at_most_two_and_a_half_documents():
+    d = _user_sheet(19)
     render_svg(d)  # builds the cull index outside the traced render
     tracemalloc.start()
     try:
@@ -64,3 +71,19 @@ def test_render_peak_is_at_most_two_and_a_half_documents():
     assert svg.count("<line ") == 4_500
     ratio = peak / len(svg)
     assert ratio <= MAX_RENDER_PEAK_PER_SVG_BYTE, f"peak {ratio:.2f}x the document"
+
+
+MAX_DIGEST_PEAK_PER_DOCUMENT_BYTE = 0.05
+
+
+def test_a_digest_never_holds_the_document():
+    d = _user_sheet(21)
+    size = len(canonical_bytes(d, exclude_signatures=True))  # caches geometry
+    tracemalloc.start()
+    try:
+        compute_digest(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / size
+    assert ratio <= MAX_DIGEST_PEAK_PER_DOCUMENT_BYTE, f"peak {ratio:.3f}x the document"

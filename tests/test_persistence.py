@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -18,7 +19,7 @@ from modraft import (Arc, Circle, Drawing, FileFormatError, GenerationError,
                      element_to_json, geometry_bytes,
                      load_drawing, load_drawing_file, load_prototypes,
                      move_module, save_drawing, save_drawing_file,
-                     save_prototypes, sign_drawing)
+                     save_prototypes, sign_drawing, validate_props)
 from modraft import geometry
 from modraft.properties import props_from_json, props_to_json
 
@@ -270,6 +271,63 @@ def test_prototype_name_used_twice_is_an_entry_error():
     assert [(name, m.type) for name, m in loaded] == [("a", ModuleType.VALVE)]
     assert errors == [("a", "bad prototype entry: name 'a' is already used "
                             "by entry 0")]
+
+
+_IDENTITY = {"layer": 0, "origin": Point(0.0, 0.0), "angle_deg": 0.0,
+             "mirrored": False}
+
+
+def test_prototype_library_bytes_equal_the_reference_encoding():
+    for seed in range(40):
+        rng = random.Random(seed)
+        modules = [create_module(t, random_props(rng, t)) for t in PROP_MAKERS]
+        names = [f'{m.type.value} "{seed}"\\ ✓' for m in modules]
+        entries = [{"name": name, "type": m.type.value, "props": props_to_json(
+            m.type, validate_props(m.type, {**m.props, **_IDENTITY}))}
+            for m, name in zip(modules, names)]
+        assert save_prototypes(modules, names) == canonical_encode(
+            {"entries": entries, "format_version": 1})
+
+
+def _posdes_library() -> dict:
+    """A library of a posdes entry named ``p`` and a valve named ``good``."""
+    posdes = create_module(ModuleType.POSDES,
+                           random_props(random.Random(1), ModuleType.POSDES))
+    return json.loads(save_prototypes([posdes, create_module(ModuleType.VALVE, {})],
+                                      ["p", "good"]))
+
+
+def _set_position_text(text: str):
+    return lambda entry: entry["props"]["position_text"].update(value=text)
+
+
+_LONE = "text holds the lone surrogate '\\ud800', which UTF-8 cannot encode"
+
+
+@pytest.mark.parametrize("form", ["bytes-escape", "str-escape", "str"])
+@pytest.mark.parametrize("change, name", [
+    (_set_position_text("\ud800"), "p"),
+    (_set_position_text("a\ud800b"), "p"),
+    (lambda entry: entry.update(name="p\ud800"), "entry 0"),
+], ids=["props", "props-inside", "name"])
+def test_a_lone_surrogate_in_a_prototype_entry_is_an_entry_error(change, name, form):
+    doc = _posdes_library()
+    change(doc["entries"][0])
+    text = json.dumps(doc, ensure_ascii=form != "str")
+    assert ("\\ud800" in text) == (form != "str")
+    loaded, errors = load_prototypes(text.encode() if form == "bytes-escape" else text)
+    assert [n for n, _ in loaded] == ["good"]
+    assert errors == [(name, _LONE)]
+    save_prototypes([m for _, m in loaded], ["good"])
+
+
+def test_an_escaped_surrogate_pair_in_a_prototype_loads_as_its_character():
+    doc = _posdes_library()
+    _set_position_text("😀")(doc["entries"][0])
+    data = json.dumps(doc).encode()
+    assert b"\\ud83d\\ude00" in data
+    loaded, errors = load_prototypes(data)
+    assert errors == [] and loaded[0][1].props["position_text"] == "😀"
 
 
 def test_prototype_library_with_an_unknown_key_is_a_format_error():
@@ -732,6 +790,23 @@ def test_spliced_bytes_equal_the_reference_encoding(seed, n_modules, free,
         data = canonical_bytes(d, exclude_signatures)
         assert data == _reference_bytes(d, exclude_signatures)
         assert canonical_encode(json.loads(data)) == data
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6),
+       st.lists(free_elements, max_size=4), st.integers(0, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_the_streamed_digest_hashes_the_canonical_bytes(seed, n_modules, free,
+                                                       n_signatures, loaded):
+    d = _random_drawing(seed, n_modules)
+    rng = random.Random(seed)
+    for element in free:
+        d.items.insert(rng.randint(0, len(d.items)), element)
+    for k in range(n_signatures):
+        sign_drawing(d, f"Подписант {k}", "ГИП", "2024-05-01", "14:05", f"pw {k}")
+    if loaded:
+        d = load_drawing(save_drawing(d))
+    data = canonical_bytes(d, exclude_signatures=True)
+    assert compute_digest(d) == hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture()

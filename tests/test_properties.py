@@ -8,10 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from modraft import (Axis, ModuleType, Point, PropKind, SchemaViolation,
-                     canonical_encode, russian_property_names, schema_for,
-                     validate_props)
-from modraft.properties import props_from_json, props_to_json
+from modraft import (Axis, KernelError, ModuleType, Point, PropKind,
+                     SchemaViolation, canonical_encode, russian_property_names,
+                     schema_for, validate_props)
+from modraft.properties import (_WRITERS, _props_bytes, props_from_json,
+                                props_to_json)
 
 from propgen import PROP_MAKERS, random_props
 
@@ -219,3 +220,125 @@ def test_a_record_is_not_a_list_of_points_or_axes(mtype, key, reason):
     with pytest.raises(SchemaViolation) as info:
         validate_props(mtype, {key: {"origin": [0.0, 0.0]}})
     assert (info.value.key, info.value.reason) == (key, reason)
+
+
+# --- one writer per property kind ----------------------------------------------
+
+def _reference(mtype: ModuleType, props: dict) -> bytes:
+    return canonical_encode(props_to_json(mtype, props))
+
+
+def test_every_kind_has_one_writer():
+    assert set(_WRITERS) == set(PropKind)
+
+
+# Characters the encoder escapes or that UTF-8 writes in several bytes.
+_AWKWARD = '"\\\x00\x01\x08\t\n\x0c\r\x1f\x7f\u2028\u2029\ufeff\U0001f600\U00010000é/<&'
+hostile_text = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                                 st.sampled_from(_AWKWARD)), max_size=12)
+hostile_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e308,
+                     0.1, 1e16, 1e-7]),
+    st.integers(-10**300, 10**300))  # an integer given for a real
+hostile_ints = st.one_of(st.integers(), st.integers(-10**1000, 10**1000))
+hostile_points = st.tuples(hostile_reals, hostile_reals)
+hostile_axes = st.one_of(
+    st.tuples(hostile_points, hostile_reals),
+    st.fixed_dictionaries({"origin": hostile_points},
+                          optional={"angle_deg": hostile_reals}))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), hostile_ints, hostile_text,
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(hostile_text, inner, max_size=3)),
+    max_leaves=8)
+hostile_records = st.dictionaries(hostile_text, json_values, max_size=4)
+HOSTILE = {
+    PropKind.TEXT: hostile_text, PropKind.REAL: hostile_reals,
+    PropKind.INTEGER: hostile_ints, PropKind.BOOLEAN: st.booleans(),
+    PropKind.POINT: hostile_points,
+    PropKind.POINT_LIST: st.lists(hostile_points, max_size=4),
+    PropKind.AXIS_LIST: st.lists(hostile_axes, max_size=3),
+    PropKind.RECORD: st.one_of(st.none(), hostile_records),
+    PropKind.RECORD_LIST: st.lists(hostile_records, max_size=3),
+}
+
+
+@st.composite
+def hostile_props(draw) -> tuple:
+    """A generated property set of any type, with some values replaced by
+    hostile ones of their kind; a replacement the schema refuses is dropped."""
+    mtype = draw(st.sampled_from(list(ModuleType)))
+    props = random_props(draw(st.randoms(use_true_random=False)), mtype)
+    for key, spec in schema_for(mtype).items():
+        if draw(st.booleans()):
+            candidate = {**props, key: draw(HOSTILE[spec.kind])}
+            try:
+                validate_props(mtype, candidate)
+            except SchemaViolation:
+                continue
+            props = candidate
+    return mtype, props
+
+
+@given(hostile_props())
+@settings(max_examples=300, deadline=None)
+def test_the_writer_equals_the_reference_on_hostile_values(case):
+    mtype, props = case
+    props = validate_props(mtype, props)
+    assert _props_bytes(mtype, props) == _reference(mtype, props)
+
+
+@pytest.mark.parametrize("change", [
+    {"position_text": "\ud800"},
+    {"comment": "a\udfff"},
+    {"spec_props": {"name": "x\udbff"}},
+    {"spec_props": {"\udc00": 1}},
+], ids=["text", "text-low", "record-value", "record-key"])
+def test_a_lone_surrogate_is_the_same_kernel_error_from_the_writer(change):
+    mtype = ModuleType.POSDES
+    props = validate_props(mtype, {**random_props(random.Random(1), mtype), **change})
+    with pytest.raises(KernelError, match="^text holds the lone surrogate") as writer:
+        _props_bytes(mtype, props)
+    with pytest.raises(KernelError) as reference:
+        _reference(mtype, props)
+    assert str(writer.value) == str(reference.value)
+
+
+# The type each kind's reader decodes to; the writers rely on it (a real
+# goes through float.__repr__, an integer through int.__repr__).
+DECODED_TYPE = {
+    PropKind.TEXT: str, PropKind.REAL: float, PropKind.INTEGER: int,
+    PropKind.BOOLEAN: bool, PropKind.POINT: Point, PropKind.POINT_LIST: tuple,
+    PropKind.AXIS_LIST: tuple, PropKind.RECORD: dict, PropKind.RECORD_LIST: tuple,
+}
+# Decoded values to try each rule on: each rule keeps at least one.
+RULE_SAMPLES = {
+    PropKind.TEXT: ["x", "", "none", "welded", "A4", "A", "solid"],
+    PropKind.REAL: [1.0, 0.0, -1.0, 370.0],
+    PropKind.INTEGER: [1, 0, 5],
+    PropKind.RECORD_LIST: [({"a": 1},), ()],
+}
+
+
+def _kept(rule, value) -> list:
+    try:
+        return [rule(value)]
+    except ValueError:
+        return []
+
+
+def test_schema_defaults_and_rules_keep_the_decoded_type():
+    for mtype in ModuleType:
+        for key, spec in schema_for(mtype).items():
+            if spec.kind in (PropKind.REAL, PropKind.INTEGER) and not spec.required:
+                assert type(spec.default) is DECODED_TYPE[spec.kind], key
+            if spec.rule is not None:
+                kept = [v for sample in RULE_SAMPLES[spec.kind]
+                        for v in _kept(spec.rule, sample)]
+                assert kept, f"{mtype.value}.{key}: no sample passes the rule"
+                for value in kept:
+                    assert type(value) is DECODED_TYPE[spec.kind], key
+
