@@ -222,7 +222,7 @@ def cmd_list(args) -> int:
 def cmd_render(args) -> int:
     d = load_drawing_file(args.drawing)
     svg = render_svg(d, args.viewport)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    Path(args.out).write_bytes(svg.encode("utf-8"))
     return 0
 
 

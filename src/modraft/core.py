@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
+from .canon import _utf8
 from .errors import GenerationError
 from .generators import generate_local, internal_list_indices
-from .geometry import (Element, Point, Rect, Transform, ZoneGrid,
-                       _cos_sin_deg, _elements_bytes, _positive,
+from .geometry import (Element, Point, Rect, Transform, ZoneGrid, _compose,
+                       _cos_sin_deg, _element_text, _positive, _raw,
                        apply_transform, element_bbox)
 from .properties import Axis, ModuleType, validate_props
 
@@ -63,20 +64,6 @@ class WorkingModule:
     geometry: tuple[Element, ...]
 
 
-def _raw(t: Transform) -> tuple[float, ...]:
-    return (t.a, t.b, t.c, t.d, t.tx, t.ty)
-
-
-def _compose(outer: tuple, inner: tuple) -> tuple[float, ...]:
-    """The coefficients of ``Transform.compose``, with its very multiplies
-    and adds: a shorter form can differ in the last bit or in the sign of a
-    zero, and so in the bytes."""
-    a, b, c, d, tx, ty = outer
-    ia, ib, ic, id_, itx, ity = inner
-    return (a * ia + b * ic, a * ib + b * id_, c * ia + d * ic, c * ib + d * id_,
-            a * itx + b * ity + tx, c * itx + d * ity + ty)
-
-
 _ORIGIN = Point(0.0, 0.0)
 _IDENTITY = _raw(Transform.identity())
 _MIRROR_Y = _raw(Transform.mirror(_ORIGIN, 90.0))
@@ -86,7 +73,8 @@ _SYMMETRY = {"both": _raw(Transform.rotation(180.0)),
 
 
 def _placement_raw(props: dict) -> tuple[float, ...]:
-    """translation(origin) . rotation(angle_deg) [. mirror], as coefficients."""
+    """translation(origin) . rotation(angle_deg) [. mirror], as coefficients
+    composed by ``geometry._compose``."""
     cos_a, sin_a = _cos_sin_deg(props["angle_deg"])
     t = (cos_a, -sin_a, sin_a, cos_a, 0.0, 0.0)
     if props["mirrored"]:
@@ -104,7 +92,8 @@ def placement_transform(mtype: ModuleType, props: dict) -> Transform:
     """Local-to-paper transform for a module's normalised properties.
 
     One Transform, built and checked once, from the coefficients that
-    composing the placement's parts one by one would give.
+    composing the placement's parts one by one would give: the arithmetic
+    is ``geometry._compose``, the one ``Transform.compose`` runs.
     """
     t = _placement_raw(props)
     if ModuleType(mtype) is ModuleType.USER:
@@ -230,4 +219,4 @@ def geometry_bytes(elements: tuple[Element, ...]) -> bytes:
     """Canonical byte form of an element sequence, for exact comparisons:
     ``canonical_encode([element_to_json(e) for e in elements])``, written
     directly."""
-    return _elements_bytes(elements)
+    return _utf8("[" + ",".join(map(_element_text, elements)) + "]")

@@ -15,7 +15,7 @@ from .geometry import (Element, LineType, Point, Polyline, Circle, Segment,
                        Text, _as_real, _as_text, _field, _shared_style,
                        element_from_json, offset_path)
 from .lightning import gen_lightning
-from .properties import VALVE_LENGTH, ModuleType, _read_records
+from .properties import SHEET_SIZES, VALVE_LENGTH, ModuleType, _read_records
 
 if TYPE_CHECKING:
     from .core import Module
@@ -39,9 +39,6 @@ POSDES_TEXT_GAP = 0.5
 
 SIGNATURE_TEXT_HEIGHT = 3.5
 
-# Portrait sheet sizes in mm (ГОСТ 2.301).
-SHEET_SIZES = {"A4": (210.0, 297.0), "A3": (297.0, 420.0), "A2": (420.0, 594.0),
-               "A1": (594.0, 841.0), "A0": (841.0, 1189.0)}
 FRAME_MARGIN_LEFT = 20.0
 FRAME_MARGIN = 5.0
 TITLE_BLOCK_W = 185.0

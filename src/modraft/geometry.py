@@ -23,7 +23,6 @@ from enum import Enum
 from json.encoder import encode_basestring
 from typing import Iterable, Union
 
-from .canon import _utf8
 from .errors import GenerationError
 
 __all__ = [
@@ -259,14 +258,7 @@ class Transform:
 
     def compose(self, inner: "Transform") -> "Transform":
         """Transform equal to applying ``inner`` first, then this one."""
-        return Transform(
-            self.a * inner.a + self.b * inner.c,
-            self.a * inner.b + self.b * inner.d,
-            self.c * inner.a + self.d * inner.c,
-            self.c * inner.b + self.d * inner.d,
-            self.a * inner.tx + self.b * inner.ty + self.tx,
-            self.c * inner.tx + self.d * inner.ty + self.ty,
-        )
+        return Transform(*_compose(_raw(self), _raw(inner)))
 
     def inverse(self) -> "Transform":
         det = self.det
@@ -277,6 +269,20 @@ class Transform:
         return Transform(ia, ib, ic, id_,
                          -(ia * self.tx + ib * self.ty),
                          -(ic * self.tx + id_ * self.ty))
+
+
+def _raw(t: Transform) -> tuple[float, ...]:
+    return (t.a, t.b, t.c, t.d, t.tx, t.ty)
+
+
+def _compose(outer: tuple, inner: tuple) -> tuple[float, ...]:
+    """Coefficients of applying ``inner``, then ``outer``, for placement and
+    ``Transform.compose`` alike. Keep each multiply and add: a shorter form
+    can differ in the last bit or in the sign of a zero, and so in bytes."""
+    a, b, c, d, tx, ty = outer
+    ia, ib, ic, id_, itx, ity = inner
+    return (a * ia + b * ic, a * ib + b * id_, c * ia + d * ic, c * ib + d * id_,
+            a * itx + b * ity + tx, c * itx + d * ity + ty)
 
 
 class LineType(str, Enum):
@@ -768,11 +774,6 @@ def _element_text(e: Element) -> str:
                 '"kind":"text","style":%s}') % (
             a.x, a.y, e.angle_deg, encode_basestring(e.content), e.height_mm, style)
     raise TypeError(f"not an element: {e!r}")
-
-
-def _elements_bytes(elements: Iterable[Element]) -> bytes:
-    """``canonical_encode([element_to_json(e) for e in elements])``."""
-    return _utf8("[" + ",".join(map(_element_text, elements)) + "]")
 
 
 def element_from_json(doc: object) -> Element:

@@ -200,22 +200,26 @@ def save_drawing(d: Drawing) -> bytes:
     return canonical_bytes(d)
 
 
-def _parse_json(data: "bytes | str", object_pairs_hook=None) -> object:
+def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
     """Decode a UTF-8 JSON file; a key repeated in one object is read
-    last-wins unless ``object_pairs_hook`` decides otherwise."""
+    last-wins unless ``object_pairs_hook`` decides otherwise. Also return
+    the lone-surrogate check for one item: :func:`_check_surrogates`, or a
+    no-op when one search of the input finds no sign of a surrogate."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        doc = json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
         raise FileFormatError("JSON nested too deeply") from exc
+    screen = _SURROGATE_IN_TEXT if isinstance(data, str) else _SURROGATE_ESCAPE
+    return doc, _check_surrogates if screen.search(data) else _no_surrogates
 
 
 def _check_version(doc: dict) -> None:
@@ -250,10 +254,11 @@ def _check_canonical(what: str, stored: object, saved: str) -> None:
 
 
 # A lone UTF-16 surrogate parses into a Python string but has no UTF-8
-# bytes, so a drawing holding one could not be saved. UTF-8 bytes spell one
+# bytes, so an item holding one could not be saved. UTF-8 bytes spell one
 # only as a JSON escape, which canonical files never hold, so one search of
 # the input gates the exact check of every item; a str may also hold one
-# as itself.
+# as itself, but that pattern has no literal prefix and is far slower, so
+# the text decoded from bytes never gets it.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 _SURROGATE_IN_TEXT = re.compile(r"\\u[dD][89a-fA-F]|[\ud800-\udfff]")
@@ -265,6 +270,10 @@ def _check_surrogates(item_doc: object) -> None:
         raise FileFormatError(_lone_surrogate(found.group()))
 
 
+def _no_surrogates(item_doc: object) -> None:
+    """The check when the input shows no sign of a surrogate."""
+
+
 def load_drawing(data: "bytes | str") -> Drawing:
     """Parse and verify a drawing file.
 
@@ -273,9 +282,7 @@ def load_drawing(data: "bytes | str") -> Drawing:
     items must hold exactly the defined keys, and ``extent`` and
     ``zone_grid`` must be canonical. No text may hold a lone surrogate.
     """
-    doc = _parse_json(data)
-    gate = _SURROGATE_IN_TEXT if isinstance(data, str) else _SURROGATE_ESCAPE
-    suspect = gate.search(data) is not None
+    doc, check_surrogates = _parse_json(data)
     if not isinstance(doc, dict):
         raise FileFormatError("drawing file must contain a JSON object")
     _check_version(doc)
@@ -302,8 +309,7 @@ def load_drawing(data: "bytes | str") -> Drawing:
     seen_ids: set[int] = set()
     for index, item_doc in enumerate(items_doc):
         try:
-            if suspect:
-                _check_surrogates(item_doc)
+            check_surrogates(item_doc)
             d.items.append(_load_item(item_doc, next_id, seen_ids))
         except RecursionError as exc:
             raise FileFormatError(
@@ -419,9 +425,7 @@ def load_prototypes(
     in ``errors`` as (its name, or ``entry N``, message) and the remaining
     entries still load.
     """
-    doc = _parse_json(data)
-    gate = _SURROGATE_IN_TEXT if isinstance(data, str) else _SURROGATE_ESCAPE
-    suspect = gate.search(data) is not None
+    doc, check_surrogates = _parse_json(data)
     if not isinstance(doc, dict):
         raise FileFormatError("prototype file must contain a JSON object")
     _check_version(doc)
@@ -438,10 +442,9 @@ def load_prototypes(
             if not isinstance(entry, dict):
                 raise FileFormatError("prototype entries must be objects")
             named = _is_prototype_name(entry.get("name"))
-            if named and not (suspect and _SURROGATE.search(entry["name"])):
+            if named and not _SURROGATE.search(entry["name"]):
                 name = entry["name"]
-            if suspect:
-                _check_surrogates(entry)
+            check_surrogates(entry)
             _check_keys(entry, _ENTRY_KEYS, "prototype entry")
             if not named:
                 raise FileFormatError("bad prototype entry: name must be non-empty text")

@@ -35,8 +35,8 @@ from typing import Callable, Mapping
 
 from .canon import _utf8, canonical_dumps
 from .errors import FileFormatError, KernelError, SchemaViolation
-from .geometry import (Point, _as_bool, _as_int, _as_point, _as_real, _as_text,
-                       _point_json, norm_deg)
+from .geometry import (LineType, Point, _as_bool, _as_int, _as_point, _as_real,
+                       _as_text, _point_json, norm_deg)
 
 __all__ = [
     "ModuleType", "PropKind", "Axis", "PropSpec",
@@ -107,6 +107,10 @@ def _one_of(*choices: str) -> Callable[[object], object]:
 
 SYMMETRY_CODES = ("none", "mirror_x", "mirror_y", "both")
 
+# Portrait sheet sizes in mm (ГОСТ 2.301), by frame format.
+SHEET_SIZES = {"A4": (210.0, 297.0), "A3": (297.0, 420.0), "A2": (420.0, 594.0),
+               "A1": (594.0, 841.0), "A0": (841.0, 1189.0)}
+
 _POSITIVE = _refuse_unless(lambda v: v > 0.0, "must be positive")
 _NOT_EMPTY = _refuse_unless(bool, "must not be empty")
 
@@ -174,7 +178,7 @@ _SCHEMAS: dict[ModuleType, dict[str, PropSpec]] = {
         "lower_index": PropSpec(PropKind.TEXT, default=""),
         "comment": PropSpec(PropKind.TEXT, default=""),
         "kip_line_type": PropSpec(PropKind.TEXT, default="", rule=_one_of(
-            "", "solid", "dashed", "dash_dot", "thin_solid")),
+            "", *(t.value for t in LineType))),
     },
     ModuleType.TABLE: {
         "position": PropSpec(PropKind.POINT, default=Point(0.0, 0.0)),
@@ -186,8 +190,7 @@ _SCHEMAS: dict[ModuleType, dict[str, PropSpec]] = {
         "comment": PropSpec(PropKind.TEXT, default=""),
     },
     ModuleType.FRAME: {
-        "format": PropSpec(PropKind.TEXT, required=True,
-                           rule=_one_of("A4", "A3", "A2", "A1", "A0")),
+        "format": PropSpec(PropKind.TEXT, required=True, rule=_one_of(*SHEET_SIZES)),
         "landscape": PropSpec(PropKind.BOOLEAN, default=False),
         "multiplicity": PropSpec(PropKind.INTEGER, default=1, rule=_refuse_unless(
             lambda k: k >= 1, "must be at least 1")),

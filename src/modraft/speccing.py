@@ -215,7 +215,10 @@ def fill_table_module(d: Drawing, table_id: int, rows: Iterable[SpecRow],
 
 
 def load_catalog(data: "bytes | str") -> Catalog:
-    """Parse a catalog file: {"entries": {id: {the seven fields}}}."""
+    """Parse a catalog file: {"entries": {id: {the seven fields}}}.
+
+    Each entry, its id included, gets the drawing reader's lone-surrogate
+    check. A bad entry raises :class:`CatalogError` naming it."""
     def reject_duplicates(pairs):
         obj = dict(pairs)
         if len(obj) != len(pairs):
@@ -225,7 +228,7 @@ def load_catalog(data: "bytes | str") -> Catalog:
         return obj
 
     try:
-        doc = _parse_json(data, reject_duplicates)
+        doc, check_surrogates = _parse_json(data, reject_duplicates)
     except FileFormatError as exc:
         raise CatalogError(str(exc)) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
@@ -239,10 +242,11 @@ def load_catalog(data: "bytes | str") -> Catalog:
                 f"entry {entry_id!r} must have exactly the fields "
                 f"{', '.join(CATALOG_FIELDS)}")
         try:
+            check_surrogates((entry_id, entry))
             clean = {name: _field(entry, name,
                                   _as_real if name == "price" else _as_text)
                      for name in CATALOG_FIELDS}
-        except ValueError as exc:
+        except (FileFormatError, ValueError) as exc:
             raise CatalogError(f"entry {entry_id!r}: {exc}") from exc
         if clean["price"] < 0:
             raise CatalogError(f"entry {entry_id!r}: price must be non-negative")

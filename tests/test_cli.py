@@ -10,9 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from modraft import (Drawing, ModuleType, Rect, load_drawing_file,
-                     load_prototypes, save_drawing_file, single_rod_radius,
-                     ZoneClass)
+from modraft import (Drawing, ModuleType, Point, Rect, Text, load_drawing_file,
+                     load_prototypes, render_svg, save_drawing_file,
+                     single_rod_radius, ZoneClass)
 from modraft.cli import _join_negative_values, build_parser, main
 
 
@@ -365,6 +365,22 @@ def test_render_writes_svg(drawing, tmp_path, capsys):
     assert vp.read_text("utf-8") == vp2.read_text("utf-8")
 
 
+@pytest.mark.parametrize("viewport", [None, "-100,-100,300,300"])
+def test_render_writes_exactly_the_utf8_of_render_svg(tmp_path, capsys, viewport):
+    d = Drawing.new(Rect.from_bounds(0, 0, 400, 300))
+    d.add_module(ModuleType.VALVE, {"origin": (50, 50), "name": "Кран"})
+    d.add_element(Text(Point(10, 20), 3.5, 0.0, "Ду50 <&>"))
+    path = tmp_path / "d.json"
+    save_drawing_file(d, path)
+    out = tmp_path / "out.svg"
+    argv = ["render", str(path), "--out", str(out)]
+    code, _, _ = run(capsys, *argv, *(["--viewport", viewport] if viewport else []))
+    expected = render_svg(load_drawing_file(path),
+                          viewport and Rect.from_bounds(-100, -100, 300, 300))
+    assert code == 0 and "\n" in expected
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
 def _add_spec_modules(capsys, drawing):
     run(capsys, "add", drawing, "--type", "valve",
         "--props", "designation=15кч18п", "name=Вентиль", "mass=1.5")
@@ -588,6 +604,24 @@ def test_catalog_apply(drawing, tmp_path, capsys):
     assert code == 0
     m = load_drawing_file(drawing).module(1)
     assert m.props["name"] == "Манометр" and m.props["price"] == 99.5
+
+
+@pytest.mark.parametrize("field", ["name", "unit"])
+def test_catalog_apply_refuses_a_lone_surrogate_naming_the_entry(drawing, tmp_path,
+                                                                 capsys, field):
+    run(capsys, "add", drawing, "--type", "instrument", "--props", "function_code=PI")
+    catalog = tmp_path / "cat.json"
+    catalog.write_bytes(json.dumps({"entries": {"M-1": {
+        "name": "Манометр", "type_mark": "МП-100", "manufacturer_code": "МЗ",
+        "item_code": "1001", "unit": "шт", "unit_code": "796", "price": 99.5,
+        field: "\ud800"}}}).encode())
+    before = Path(drawing).read_bytes()
+    code, out, err = run(capsys, "catalog-apply", drawing, "--id", "1",
+                         "--catalog", str(catalog), "--entry", "M-1")
+    assert (code, out) == (1, "")
+    assert err == ("error: entry 'M-1': text holds the lone surrogate '\\ud800', "
+                   "which UTF-8 cannot encode\n")
+    assert Path(drawing).read_bytes() == before
 
 
 def test_catalog_apply_unknown_entry(drawing, tmp_path, capsys):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from modraft import (Arc, Axis, Circle, LineStyle, LineType, Point, Polyline,
                      Rect, Segment, Text, Transform, ZoneGrid, apply_transform,
                      canonical_encode, element_bbox, element_from_json,
-                     element_to_json, norm_deg, offset_path, snap_points)
-from modraft.geometry import (_STYLES, _as_real, _as_text, _elements_bytes,
-                              _field)
+                     element_to_json, geometry_bytes, norm_deg, offset_path,
+                     snap_points)
+from modraft.geometry import _STYLES, _as_real, _as_text, _field
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -321,7 +321,7 @@ any_element = st.one_of(
           Arc(Point(0.0, 0.0), 5e-324, 359.99999999999994, 0.0)])
 @settings(max_examples=300, deadline=None)
 def test_element_writer_equals_the_encoder(elements):
-    assert _elements_bytes(elements) == canonical_encode(
+    assert geometry_bytes(elements) == canonical_encode(
         [element_to_json(e) for e in elements])
 
 

@@ -17,26 +17,36 @@ After every step:
 
 Budget: ``max_examples=60`` runs of at most ``stateful_step_count=30``
 steps, 5-7 s on a 2-core host with Python 3.11.
+
+A second machine, ``CliLifecycle``, runs the lifecycle through ``cli.main``
+on a file; its docstring gives its checks and budget.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import random
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
-from modraft import (Axis, Drawing, Module, ModuleType, Point, Rect,
-                     SchemaViolation, Segment, Text, Transform, align_by_attach,
-                     canonical_encode, collect_spec_rows, compute_digest,
-                     create_module, element_bbox, fill_table_module,
-                     load_drawing, mirror_module, move_module,
+from modraft import (Axis, Drawing, KernelError, Module, ModuleType, Point,
+                     PropKind, Rect, SchemaViolation, Segment, Text, Transform,
+                     align_by_attach, apply_catalog_entry, canonical_encode,
+                     collect_spec_rows, compute_digest, create_module,
+                     element_bbox, fill_table_module, load_catalog,
+                     load_drawing, load_prototypes, mirror_module, move_module,
                      placement_transform, rotate_module, save_drawing,
-                     sign_drawing, signature_mac, verify_signatures,
-                     visible_items)
+                     save_prototypes, schema_for, sign_drawing, signature_mac,
+                     verify_signatures, visible_items)
+from modraft import cli
 from modraft.properties import props_to_json
 
 from propgen import PROP_MAKERS, random_props
@@ -307,3 +317,256 @@ class DrawingLifecycle(RuleBasedStateMachine):
 DrawingLifecycle.TestCase.settings = settings(max_examples=60, stateful_step_count=30,
                                               deadline=None)
 TestDrawingLifecycle = DrawingLifecycle.TestCase
+
+
+# --- the same lifecycle through the command line ----------------------------------
+
+# Catalog fields, a good entry and one whose name no UTF-8 file can hold.
+CATALOG_ENTRY = {"name": "Манометр", "type_mark": "МП-100", "manufacturer_code": "МЗ",
+                 "item_code": "1001", "unit": "шт", "unit_code": "796", "price": 99.5}
+BAD_CATALOG_ERROR = ("error: entry 'e1': text holds the lone surrogate '\\ud800', "
+                     "which UTF-8 cannot encode\n")
+PROTOTYPE_NAMES = ("кран", "a", "b=c")
+numbers = st.one_of(st.sampled_from([-0.0, 0.0, -1e-300, -250.5]), offsets)
+refusals = st.sampled_from([False, False, True])
+
+
+def _tokens(mtype: ModuleType, props: dict) -> list[str]:
+    """``KEY=VALUE`` tokens that ``--props`` reads back as ``props``: text
+    verbatim, every other kind as a Python literal."""
+    schema = schema_for(mtype)
+    return [f"{key}={value}" if schema[key].kind is PropKind.TEXT else f"{key}={value!r}"
+            for key, value in props.items()]
+
+
+def _fails(d: Drawing) -> None:
+    """The model change of a command that only reads, and must exit 1."""
+    raise KernelError("the command fails")
+
+
+def _number_option(option: str, values, joined: bool) -> list[str]:
+    """``--opt=V`` or ``--opt V``; V may start with a minus sign either way."""
+    text = ",".join(map(repr, values))
+    return [f"{option}={text}"] if joined else [option, text]
+
+
+class CliLifecycle(RuleBasedStateMachine):
+    """``cli.main`` on one drawing file, in one process, beside a model
+    drawing that the same changes drive through the library.
+
+    A change runs on a copy of the model, which replaces the model only if
+    the change succeeds. After every step:
+
+    - the exit code is 0, 1 or 2, and stderr holds no traceback;
+    - the command succeeds exactly when the library change does;
+    - the file equals ``save_drawing`` of the model, and a step that exits
+      non-zero leaves it byte-identical;
+    - one cached parser served every command.
+
+    The drawing starts with a table, the modules that fill its rows and a
+    prototype library. There is no ``remove`` subcommand, so no rule
+    removes a module.
+
+    Budget: ``max_examples=30`` runs of at most ``stateful_step_count=20``
+    steps, 3-4 s on a 2-core host with Python 3.11.
+    """
+
+    @initialize(seed=picks)
+    def start(self, seed):
+        self.dir = tempfile.TemporaryDirectory(prefix="modraft-cli-")
+        root = Path(self.dir.name)
+        self.path = str(root / "d.json")
+        self.catalog = root / "catalog.json"
+        self.catalog.write_text(json.dumps({"entries": {"M-1": CATALOG_ENTRY}}), "utf-8")
+        self.bad_catalog = root / "bad.json"
+        self.bad_catalog.write_bytes(json.dumps({"entries": {
+            "M-1": CATALOG_ENTRY, "e1": {**CATALOG_ENTRY, "name": "\ud800"}}}).encode())
+        self.library = str(root / "lib.json")
+        self.model = Drawing.new(EXTENT)
+        code, _, _ = self._cli("new", self.path, "--extent", "-400,-400,400,400")
+        assert code == 0 and Path(self.path).read_bytes() == save_drawing(self.model)
+        # a table for fill-table to fill, rows for it, and prototypes to load
+        for offset, mtype in enumerate((ModuleType.TABLE, ModuleType.VALVE,
+                                        ModuleType.INSTRUMENT, ModuleType.POSDES)):
+            self.add(mtype, seed + offset, refused=False)
+        self.proto_save([1, 2], list(PROTOTYPE_NAMES[:2]))
+
+    def teardown(self):
+        if hasattr(self, "dir"):
+            self.dir.cleanup()
+
+    # --- running a command beside the model -------------------------------
+
+    def _cli(self, *argv: str) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def _step(self, argv: list, change) -> tuple[int, str, str]:
+        """Run ``change`` on a copy of the model and ``argv`` through the CLI."""
+        m = self.model
+        model = Drawing(m.extent, m.zone_grid, m.next_id, list(m.items))
+        try:
+            change(model)
+        except (KernelError, ValueError, OverflowError):
+            ok = False
+        else:
+            ok, self.model = True, model
+        before = Path(self.path).read_bytes()
+        code, out, err = self._cli(*argv)
+        after = Path(self.path).read_bytes()
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+        assert (code == 0) == ok, (argv, code, err)
+        assert code == 0 or after == before
+        assert after == save_drawing(self.model)
+        assert cli.build_parser.cache_info().currsize == 1
+        return code, out, err
+
+    def _module_id(self, pick: int, *, signatures: bool = True) -> int:
+        """A module's id, or, for one pick in eight, one that names no module."""
+        ids = [m.id for m in self.model.modules()
+               if signatures or m.type is not ModuleType.SIGNATURE]
+        return _pick(ids, pick) if ids and pick % 8 != 7 else self.model.next_id
+
+    # --- rules ------------------------------------------------------------
+
+    @precondition(lambda self: len(self.model.modules()) < MAX_MODULES)
+    @rule(mtype=st.sampled_from(list(PROP_MAKERS)), seed=picks, refused=refusals)
+    def add(self, mtype, seed, refused):
+        props = random_props(random.Random(seed), mtype)
+        if refused and mtype in REFUSED:
+            key, value = REFUSED[mtype]
+            props[key] = value
+        self._step(["add", self.path, "--type", mtype.value, "--props",
+                    *_tokens(mtype, props)],
+                   lambda d: d.add_module(mtype, props))
+
+    @rule(pick=picks, seed=picks, refused=refusals)
+    def set(self, pick, seed, refused):
+        module_id = self._module_id(pick, signatures=False)
+        mtype = next((m.type for m in self.model.modules() if m.id == module_id),
+                     ModuleType.VALVE)
+        updates = random_props(random.Random(seed), mtype)
+        if refused:
+            updates = dict([REFUSED[mtype]])
+        self._step(["set", self.path, "--id", str(module_id), "--props",
+                    *_tokens(mtype, updates)],
+                   lambda d: d.set_module_properties(module_id, updates))
+
+    @rule(pick=picks, dx=numbers, dy=numbers, joined=st.booleans())
+    def move(self, pick, dx, dy, joined):
+        module_id = self._module_id(pick)
+        self._step(["edit", self.path, "--id", str(module_id),
+                    *_number_option("--move", (dx, dy), joined)],
+                   lambda d: d.replace_module(move_module(d.module(module_id), dx, dy)))
+
+    @rule(pick=picks, about=st.tuples(numbers, numbers), angle=angles, joined=st.booleans())
+    def rotate(self, pick, about, angle, joined):
+        module_id = self._module_id(pick)
+        self._step(["edit", self.path, "--id", str(module_id),
+                    *_number_option("--rotate", (*about, angle), joined)],
+                   lambda d: d.replace_module(
+                       rotate_module(d.module(module_id), angle, Point(*about))))
+
+    @rule(pick=picks, origin=st.tuples(numbers, numbers), angle=angles, joined=st.booleans())
+    def mirror(self, pick, origin, angle, joined):
+        module_id = self._module_id(pick)
+        self._step(["edit", self.path, "--id", str(module_id),
+                    *_number_option("--mirror", (*origin, angle), joined)],
+                   lambda d: d.replace_module(
+                       mirror_module(d.module(module_id), Point(*origin), angle)))
+
+    @precondition(lambda self: len(self.model.modules()) < MAX_MODULES)
+    @rule(signer=st.sampled_from(SIGNERS),
+          date=st.sampled_from(["2026-10-19", "2026-10-19", "19.10.2026"]))
+    def sign(self, signer, date):
+        person, position, password = signer
+        self._step(["sign", self.path, "--person", person, "--position", position,
+                    "--date", date, "--time", "09:30", "--password", password],
+                   lambda d: sign_drawing(d, person, position, date, "09:30", password))
+
+    @rule(password=st.sampled_from([None, *PASSWORDS.values(), "wrong"]))
+    def verify(self, password):
+        statuses = verify_signatures(self.model, password)
+        intact = all(s.integrity == "valid" for s in statuses)
+        good = intact and all(s.authenticity != "broken" for s in statuses)
+        argv = ["verify", self.path] + ([] if password is None else ["--password", password])
+        code, out, _ = self._step(argv, (lambda d: None) if good else _fails)
+        assert out.startswith(f"integrity: {'valid' if intact else 'broken'}\n")
+
+    @rule(picks_=st.lists(picks, min_size=1, max_size=2),
+          names=st.lists(st.sampled_from(PROTOTYPE_NAMES), min_size=2, max_size=2))
+    def proto_save(self, picks_, names):
+        ids = [self._module_id(pick) for pick in picks_]
+        names = names[:len(ids)]
+        expected = []
+        entries = [f"--entry={i}={name}" for i, name in zip(ids, names)]
+
+        def save(d):
+            expected.append(save_prototypes([d.module(i) for i in ids], names))
+
+        code, _, _ = self._step(["proto-save", self.path, self.library, *entries], save)
+        if code == 0:
+            assert Path(self.library).read_bytes() == expected[0]
+
+    @precondition(lambda self: len(self.model.modules()) < MAX_MODULES)
+    @rule(name=st.sampled_from(PROTOTYPE_NAMES), at=st.none() | st.tuples(numbers, numbers),
+          angle=st.none() | angles)
+    def proto_load(self, name, at, angle):
+        entries, _ = load_prototypes(Path(self.library).read_bytes())
+
+        def place(d):
+            proto = dict(entries).get(name)
+            if proto is None:
+                raise KernelError(f"no prototype named {name!r}")
+            props = dict(proto.props)
+            if at is not None:
+                props["origin"] = Point(*at)
+            if angle is not None:
+                props["angle_deg"] = angle
+            d.add_module(proto.type, props)
+
+        argv = ["proto-load", self.path, self.library, "--name", name]
+        argv += [] if at is None else ["--at", ",".join(map(repr, at))]
+        argv += [] if angle is None else ["--angle", repr(angle)]
+        self._step(argv, place)
+
+    @rule(pick=picks, qty_column=st.integers(0, 3))
+    def fill_table(self, pick, qty_column):
+        tables = [m.id for m in self.model.modules() if m.type is ModuleType.TABLE]
+        module_id = _pick(tables, pick) if tables and pick % 4 else self._module_id(pick)
+
+        def fill(d):
+            rows, errors = collect_spec_rows([(self.path, d)])
+            if errors:
+                raise KernelError("spec errors")
+            fill_table_module(d, module_id, rows, {"position": 0, "qty": qty_column})
+
+        self._step(["fill-table", self.path, "--id", str(module_id),
+                    "--columns", f"position=0,qty={qty_column}"], fill)
+
+    @rule(pick=picks, bad=refusals)
+    def catalog_apply(self, pick, bad):
+        specifying = [m.id for m in self.model.modules()
+                      if m.type in (ModuleType.VALVE, ModuleType.INSTRUMENT, ModuleType.POSDES)]
+        module_id = _pick(specifying, pick) if specifying and pick % 4 else self._module_id(pick)
+        catalog = self.bad_catalog if bad else self.catalog
+        entry = "e1" if bad else "M-1"
+
+        def apply(d):
+            found = load_catalog(catalog.read_bytes())
+            d.replace_module(apply_catalog_entry(d.module(module_id), found, entry))
+
+        code, _, err = self._step(["catalog-apply", self.path, "--id", str(module_id),
+                                   "--catalog", str(catalog), "--entry", entry], apply)
+        if bad:
+            assert (code, err) == (1, BAD_CATALOG_ERROR)
+
+
+CliLifecycle.TestCase.settings = settings(max_examples=30, stateful_step_count=20,
+                                          deadline=None)
+TestCliLifecycle = CliLifecycle.TestCase

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from modraft import (Axis, Circle, GenerationError, ModuleType, Point, Rect,
                      SchemaViolation, Segment, Text, ZoneGrid, align_by_attach,
@@ -412,3 +412,44 @@ def test_placement_has_the_bits_of_the_compose_chain(mtype, angle, mirrored, ox,
         lambda: _placement_by_compose(mtype, props))
     assert _outcome(lambda: _placement_part(props)) == _outcome(
         lambda: _part_by_compose(props))
+
+
+def _compose_as_written(outer: Transform, inner: Transform) -> Transform:
+    """Transform.compose's six expressions, written out: the reference for
+    every bit of the one compose arithmetic that it and placement share."""
+    return Transform(
+        outer.a * inner.a + outer.b * inner.c,
+        outer.a * inner.b + outer.b * inner.d,
+        outer.c * inner.a + outer.d * inner.c,
+        outer.c * inner.b + outer.d * inner.d,
+        outer.a * inner.tx + outer.b * inner.ty + outer.tx,
+        outer.c * inner.tx + outer.d * inner.ty + outer.ty,
+    )
+
+
+_ANY = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  1.0, -1.0, 1e308, -1e308]),
+                 st.floats(allow_nan=False, allow_infinity=False))
+_ANY_POINT = st.builds(Point, _ANY, _ANY)
+
+
+@st.composite
+def _transforms(draw) -> Transform:
+    """A rotation, mirror, translation or scaling with any finite arguments;
+    arguments whose transform is not finite are drawn again."""
+    make, *args = draw(st.one_of(
+        st.tuples(st.just(Transform.rotation), _ANY, st.none() | _ANY_POINT),
+        st.tuples(st.just(Transform.mirror), _ANY_POINT, _ANY),
+        st.tuples(st.just(Transform.translation), _ANY, _ANY),
+        st.tuples(st.just(Transform.scaling), _ANY)))
+    try:
+        return make(*args)
+    except ValueError:
+        reject()
+
+
+@given(_transforms(), _transforms())
+@settings(max_examples=300, deadline=None)
+def test_compose_has_the_bits_of_its_written_out_expressions(outer, inner):
+    assert _outcome(lambda: outer.compose(inner)) == _outcome(
+        lambda: _compose_as_written(outer, inner))

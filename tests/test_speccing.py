@@ -346,6 +346,35 @@ def test_catalog_field_validation():
         load_catalog("{}")
 
 
+_LONE = "text holds the lone surrogate '\\ud800', which UTF-8 cannot encode"
+
+
+@pytest.mark.parametrize("form", ["bytes-escape", "str-escape", "str"])
+@pytest.mark.parametrize("entry_id, field, value", [
+    ("e1", "name", "\ud800"),
+    ("e1", "unit", "шт\ud800"),
+    ("e\ud800", None, None),
+], ids=["name", "unit", "id"])
+def test_a_lone_surrogate_in_a_catalog_entry_is_a_catalog_error(entry_id, field, value,
+                                                                form):
+    entry = dict(CATALOG_DOC["entries"]["V-100"])
+    if field is not None:
+        entry[field] = value
+    text = json.dumps({"entries": {**CATALOG_DOC["entries"], entry_id: entry}},
+                      ensure_ascii=form != "str")
+    assert ("\\ud800" in text) == (form != "str")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(text.encode() if form == "bytes-escape" else text)
+    assert str(info.value) == f"entry {entry_id!r}: {_LONE}"
+
+
+def test_an_escaped_surrogate_pair_in_a_catalog_loads_as_its_character():
+    data = json.dumps({"entries": {"😀": dict(CATALOG_DOC["entries"]["V-100"],
+                                             name="😀")}}).encode()
+    assert data.count(b"\\ud83d\\ude00") == 2
+    assert load_catalog(data).entry("😀")["name"] == "😀"
+
+
 def test_apply_catalog_to_instrument():
     cat = load_catalog(json.dumps(CATALOG_DOC))
     m = create_module(ModuleType.INSTRUMENT, {"function_code": "PI"})
