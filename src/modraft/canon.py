@@ -3,6 +3,7 @@
 One serialisation rule for everything that is hashed, signed or compared
 byte-for-byte: keys sorted lexicographically, no insignificant whitespace,
 UTF-8, reals as Python's shortest round-tripping decimal, NaN/Inf rejected.
+:func:`_utf8` is the one place text becomes UTF-8, in files, MACs and SVG.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=False, allow_nan=False)
 
 
-def canonical_dumps(obj: object) -> str:
-    """Serialise ``obj`` to the canonical JSON text form."""
-    return _ENCODER.encode(obj)
+# Serialise an object to the canonical JSON text form.
+canonical_dumps = _ENCODER.encode
 
 
 def canonical_encode(obj: object) -> bytes:
@@ -26,15 +26,11 @@ def canonical_encode(obj: object) -> bytes:
     return _utf8(canonical_dumps(obj))
 
 
-def _lone_surrogate(char: str) -> str:
-    """Why text holding ``char``, a lone UTF-16 surrogate, has no bytes."""
-    return f"text holds the lone surrogate {char!r}, which UTF-8 cannot encode"
-
-
 def _utf8(text: str) -> bytes:
-    """``text`` as UTF-8; a lone surrogate, which a Python string can hold
-    but UTF-8 cannot, is a :class:`KernelError`."""
+    """``text`` as UTF-8, and the one test for a lone surrogate: a Python
+    string can hold one but UTF-8 cannot, so it is a :class:`KernelError`."""
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise KernelError(_lone_surrogate(exc.object[exc.start])) from None
+        raise KernelError(f"text holds the lone surrogate {exc.object[exc.start]!r}, "
+                          "which UTF-8 cannot encode") from None

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .canon import _utf8
 from .core import mirror_module, move_module, rotate_module
 from .errors import KernelError, NoProtectionAtHeight
 from .geometry import Point, Rect
@@ -222,7 +223,7 @@ def cmd_list(args) -> int:
 def cmd_render(args) -> int:
     d = load_drawing_file(args.drawing)
     svg = render_svg(d, args.viewport)
-    Path(args.out).write_bytes(svg.encode("utf-8"))
+    Path(args.out).write_bytes(_utf8(svg))
     return 0
 
 

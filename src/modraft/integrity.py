@@ -6,7 +6,7 @@ invalidates an existing signature. It hashes those bytes fragment by
 fragment, as saving writes them, without building the whole document. The
 authentication code is an HMAC-SHA-256 over the digest and the signer
 fields, keyed by the signer's password; the password itself is never
-stored.
+stored. Signer fields and passwords become UTF-8 through ``canon._utf8``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
+from .canon import _utf8
 from .persistence import Drawing, _fragments
 from .properties import ModuleType
 
@@ -28,7 +29,7 @@ __all__ = ["SignatureStatus", "compute_digest", "signature_mac",
 DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 TIME_RE = re.compile(r"^\d{2}:\d{2}$")
 
-_SEP = b"\x1f"
+_SEP = "\x1f"
 
 
 def compute_digest(d: Drawing) -> str:
@@ -44,12 +45,12 @@ def signature_mac(digest_hex: str, person: str, position: str,
     """Hex HMAC-SHA-256 binding signer identity to a drawing digest.
 
     Message layout: raw digest bytes then person, position, date and time
-    as UTF-8, all five parts joined by a 0x1F unit separator.
+    as UTF-8, all five parts joined by a 0x1F unit separator. A lone
+    surrogate in a field or the password is ``_utf8``'s :class:`KernelError`.
     """
-    message = _SEP.join([bytes.fromhex(digest_hex), person.encode("utf-8"),
-                         position.encode("utf-8"), date.encode("utf-8"),
-                         time.encode("utf-8")])
-    return hmac.new(password.encode("utf-8"), message, hashlib.sha256).hexdigest()
+    message = bytes.fromhex(digest_hex) + _utf8(
+        _SEP + _SEP.join([person, position, date, time]))
+    return hmac.new(_utf8(password), message, hashlib.sha256).hexdigest()
 
 
 def validate_signer_fields(person: str, position: str, date: str, time: str,

@@ -28,25 +28,27 @@ document. Bytes come from one writer per thing, not from the JSON encoder:
 and ``properties._props_bytes``, one writer per property kind, for
 property sets, in drawings and prototype libraries alike. Text holding a
 lone surrogate has no UTF-8 bytes, so a drawing or prototype library that
-holds one neither loads nor saves. Prototype libraries store (name, type,
-properties) only — no geometry records — with placement reset to
-identity.
+holds one neither loads nor saves: ``canon._utf8`` is the one rule, and
+a ``str`` input is screened as its UTF-8 bytes are. Prototype libraries
+store (name, type, properties) only — no geometry records — with
+placement reset to identity.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .canon import _lone_surrogate, _utf8, canonical_dumps, canonical_encode
+from .canon import _utf8, canonical_dumps, canonical_encode
 from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Rect, ZoneGrid, _as_point, _element_text,
-                       _named, _point_json, element_from_json)
+                       _named, _point_json, element_from_json, element_to_json)
 from .properties import (PLACEMENT_SCHEMA, ModuleType, _props_bytes,
                          props_from_json, validate_props)
 
@@ -117,6 +119,10 @@ class Drawing:
     def add_element(self, element: Element) -> None:
         if not isinstance(element, Element):
             raise KernelError(f"not an element: a {type(element).__name__}")
+        try:
+            element_from_json(element_to_json(element))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise KernelError(f"bad element: {exc}") from None
         self.items.append(element)
 
     def replace_module(self, replacement: Module) -> Module:
@@ -204,12 +210,17 @@ def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
     """Decode a UTF-8 JSON file; a key repeated in one object is read
     last-wins unless ``object_pairs_hook`` decides otherwise. Also return
     the lone-surrogate check for one item: :func:`_check_surrogates`, or a
-    no-op when one search of the input finds no sign of a surrogate."""
+    no-op when one search of the input's UTF-8 bytes finds no escape of a
+    surrogate, nor ``_utf8`` a surrogate in a ``str`` as itself."""
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = data if isinstance(data, str) else data.decode("utf-8")
+        screened = _SURROGATE_ESCAPE.search(
+            _utf8(data) if isinstance(data, str) else data)
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except KernelError:
+        screened = True
     try:
         doc = json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
@@ -218,8 +229,7 @@ def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
         ) from exc
     except RecursionError as exc:
         raise FileFormatError("JSON nested too deeply") from exc
-    screen = _SURROGATE_IN_TEXT if isinstance(data, str) else _SURROGATE_ESCAPE
-    return doc, _check_surrogates if screen.search(data) else _no_surrogates
+    return doc, _check_surrogates if screened else _no_surrogates
 
 
 def _check_version(doc: dict) -> None:
@@ -256,18 +266,16 @@ def _check_canonical(what: str, stored: object, saved: str) -> None:
 # A lone UTF-16 surrogate parses into a Python string but has no UTF-8
 # bytes, so an item holding one could not be saved. UTF-8 bytes spell one
 # only as a JSON escape, which canonical files never hold, so one search of
-# the input gates the exact check of every item; a str may also hold one
-# as itself, but that pattern has no literal prefix and is far slower, so
-# the text decoded from bytes never gets it.
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
+# the input's bytes gates the exact check of every item.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
-_SURROGATE_IN_TEXT = re.compile(r"\\u[dD][89a-fA-F]|[\ud800-\udfff]")
 
 
 def _check_surrogates(item_doc: object) -> None:
-    found = _SURROGATE.search(json.dumps(item_doc, ensure_ascii=False))
-    if found:
-        raise FileFormatError(_lone_surrogate(found.group()))
+    """``_utf8``'s verdict on the item's JSON text, as a FileFormatError."""
+    try:
+        _utf8(json.dumps(item_doc, ensure_ascii=False))
+    except KernelError as exc:
+        raise FileFormatError(*exc.args) from None
 
 
 def _no_surrogates(item_doc: object) -> None:
@@ -442,8 +450,10 @@ def load_prototypes(
             if not isinstance(entry, dict):
                 raise FileFormatError("prototype entries must be objects")
             named = _is_prototype_name(entry.get("name"))
-            if named and not _SURROGATE.search(entry["name"]):
-                name = entry["name"]
+            if named:
+                with suppress(FileFormatError):
+                    check_surrogates(entry["name"])
+                    name = entry["name"]
             check_surrogates(entry)
             _check_keys(entry, _ENTRY_KEYS, "prototype entry")
             if not named:

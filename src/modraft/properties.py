@@ -328,19 +328,13 @@ def _read_records(props: Mapping[str, object], key: str, read) -> list:
     return out
 
 
-def _default_for(spec: PropSpec) -> object:
-    if spec.kind is PropKind.RECORD:
-        return dict(spec.default) if spec.default else {}
-    return spec.default
-
-
 def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, object]:
     """Validate ``props`` against the type's schema.
 
-    Returns the normalised property set with every default filled in.
-    Unknown keys, kind mismatches, values a spec's ``rule`` refuses and
-    missing required values all raise :class:`SchemaViolation`, the first
-    in schema order.
+    Returns the normalised property set; a missing optional value is its
+    spec's ``default``, read as a given value is read. Unknown keys, kind
+    mismatches, values a spec's ``rule`` refuses and missing required
+    values all raise :class:`SchemaViolation`, the first in schema order.
     """
     schema = schema_for(mtype)
     for key in props:
@@ -348,16 +342,13 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
             raise SchemaViolation(key, f"unknown property for type {ModuleType(mtype).value!r}")
     out: dict[str, object] = {}
     for key, spec in schema.items():
-        if key in props:
-            try:
-                value = _DECODERS[spec.kind](props[key])
-                out[key] = value if spec.rule is None else spec.rule(value)
-            except ValueError as exc:
-                raise SchemaViolation(key, str(exc)) from exc
-        elif spec.required:
+        if spec.required and key not in props:
             raise SchemaViolation(key, "required property missing")
-        else:
-            out[key] = _default_for(spec)
+        try:
+            value = _DECODERS[spec.kind](props.get(key, spec.default))
+            out[key] = value if spec.rule is None else spec.rule(value)
+        except ValueError as exc:
+            raise SchemaViolation(key, str(exc)) from exc
     return out
 
 

@@ -702,6 +702,39 @@ def test_sign_validates_fields(drawing, capsys):
     assert code == 1 and "person" in err
 
 
+_LONE_ERR = ("error: text holds the lone surrogate '\\udcff', "
+             "which UTF-8 cannot encode\n")
+
+
+@pytest.mark.parametrize("option", ["--person", "--position", "--password"])
+def test_sign_refuses_a_lone_surrogate_and_leaves_the_file(drawing, capsys, option):
+    run(capsys, "add", drawing, "--type", "valve")
+    before = Path(drawing).read_bytes()
+    argv = ["sign", drawing, *SIGN_ARGS, "--password", "pw"]
+    argv[argv.index(option) + 1] = "\udcff"
+    assert run(capsys, *argv) == (1, "", _LONE_ERR)
+    assert Path(drawing).read_bytes() == before
+
+
+def test_verify_refuses_a_lone_surrogate_password(drawing, capsys):
+    run(capsys, "sign", drawing, *SIGN_ARGS, "--password", "pw")
+    before = Path(drawing).read_bytes()
+    assert run(capsys, "verify", drawing, "--password", "\udcff") == (1, "", _LONE_ERR)
+    assert Path(drawing).read_bytes() == before
+
+
+@pytest.mark.skipif(os.name != "posix", reason="an argv byte that is not UTF-8 is POSIX")
+def test_a_non_utf8_argument_byte_exits_1_without_a_traceback(drawing):
+    # The child reads the byte 0xff in its argv as the lone surrogate '\udcff'.
+    main(["sign", drawing, *SIGN_ARGS, "--password", "pw"])
+    before = Path(drawing).read_bytes()
+    for argv in (["sign", drawing, *SIGN_ARGS, "--password", b"\xff"],
+                 ["verify", drawing, "--password", b"\xff"]):
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", _LONE_ERR)
+        assert Path(drawing).read_bytes() == before
+
+
 def test_second_signature_keeps_first(drawing, capsys):
     run(capsys, "add", drawing, "--type", "valve")
     run(capsys, "sign", drawing, *SIGN_ARGS, "--password", "pw1")

@@ -9,9 +9,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from modraft import (Drawing, ModuleType, Rect, compute_digest, integrity,
-                     move_module, sign_drawing, signature_mac,
-                     validate_signer_fields, verify_signatures)
+from modraft import (Drawing, KernelError, ModuleType, Rect, compute_digest,
+                     integrity, move_module, save_drawing, sign_drawing,
+                     signature_mac, validate_signer_fields, verify_signatures)
 from modraft.integrity import verify_signature_module
 
 from propgen import PROP_MAKERS, random_props
@@ -202,6 +202,40 @@ def test_sign_rejects_bad_fields_without_touching_drawing():
                      time="12:00", password="pw")
     assert len(d.modules()) == 2
     assert d.next_id == 3
+
+
+# --- a lone surrogate in a signer field or password has no UTF-8 bytes ----------
+
+_LONE = "^text holds the lone surrogate '\\\\udcff', which UTF-8 cannot encode$"
+
+
+@pytest.mark.parametrize("field", ["person", "position", "password"])
+def test_signing_with_a_lone_surrogate_is_a_kernel_error(field):
+    d = _drawing()
+    before = save_drawing(d)
+    fields = {**SIGNER, "password": "pw", field: "\udcff"}
+    with pytest.raises(KernelError, match=_LONE) as info:
+        sign_drawing(d, **fields)
+    assert not isinstance(info.value, UnicodeError)
+    assert save_drawing(d) == before and d.next_id == 3
+
+
+@pytest.mark.parametrize("by_person", [False, True], ids=["one", "per-person"])
+@pytest.mark.parametrize("field", ["person", "position", "date", "time", "password"])
+def test_verifying_with_a_lone_surrogate_is_a_kernel_error(field, by_person):
+    d = _drawing()
+    m = sign_drawing(d, **SIGNER, password="pw")
+    if field != "password":
+        d.set_module_properties(m.id, {field: "\udcff"})  # held in memory only
+    password = "\udcff" if field == "password" else "pw"
+    person = d.module(m.id).props["person"]
+    passwords = {person: password} if by_person else password
+    with pytest.raises(KernelError, match=_LONE) as info:
+        verify_signatures(d, passwords)
+    assert not isinstance(info.value, UnicodeError)
+    with pytest.raises(KernelError, match=_LONE):
+        verify_signature_module(d, d.module(m.id), password)
+    assert verify_signatures(d)[0].authenticity == "unchecked"
 
 
 # --- one digest per verify ----------------------------------------------------

@@ -16,12 +16,13 @@ from modraft import (Arc, Circle, Drawing, FileFormatError, GenerationError,
                      Module, ModuleType, Point, Polyline, Rect,
                      SchemaViolation, Segment, Text, ZoneGrid, canonical_bytes,
                      canonical_encode, compute_digest, create_module,
-                     element_to_json, geometry_bytes,
+                     element_to_json, geometry_bytes, load_catalog,
                      load_drawing, load_drawing_file, load_prototypes,
                      move_module, save_drawing, save_drawing_file,
                      save_prototypes, sign_drawing, validate_props)
 from modraft import geometry
 from modraft.properties import props_from_json, props_to_json
+from modraft.speccing import CATALOG_FIELDS
 
 from propgen import PROP_MAKERS, random_props
 
@@ -1178,6 +1179,41 @@ def test_add_element_refuses_what_is_not_an_element(item):
     assert d.items == []
 
 
+@pytest.mark.parametrize("element", [
+    Segment((0, 0), (1, 1)),
+    Segment(Point(0, 0), Point(1, 1), "solid"),
+    Segment(Point(0, 0), 5),
+    Polyline(((0, 0), (1, 1))),
+    Circle(Point(0, 0), 1.0, LineType.DASHED),
+    Text(Point(0, 0), 2.5, 0.0, "x", None),
+], ids=["tuple-points", "text-style", "number-point", "tuple-vertices",
+        "enum-style", "no-style"])
+def test_add_element_refuses_what_the_element_reader_refuses(element):
+    d = Drawing.new(EXTENT)
+    d.add_element(Segment(Point(0, 0), Point(1, 1)))
+    before = list(d.items)
+    with pytest.raises(KernelError, match="^bad element: ") as info:
+        d.add_element(element)
+    assert not isinstance(info.value, (AttributeError, TypeError, ValueError))
+    assert d.items == before
+    assert load_drawing(save_drawing(d)).items == before
+
+
+@pytest.mark.parametrize("element", [
+    Segment(Point(0, 0), Point(1, 1)),
+    Segment(Point(0, 0), Point(1, 1), LineStyle(LineType.DASHED, 3)),
+    Polyline((Point(0, 0), Point(1, 1), Point(2, 0)), True),
+    Arc(Point(5, 5), 2.0, 10.0, 350.0),
+    Circle(Point(0, 0), 1.0),
+    Text(Point(0, 0), 2.5, 30.0, "Клапан 😀"),
+], ids=["segment", "styled", "polyline", "arc", "circle", "text"])
+def test_add_element_stores_a_valid_element_as_given(element):
+    d = Drawing.new(EXTENT)
+    d.add_element(element)
+    assert d.items == [element] and d.items[0] is element
+    assert load_drawing(save_drawing(d)).items == [element]
+
+
 # --- a lone surrogate has no UTF-8 bytes, so no drawing may hold one -----------
 
 def _posdes_doc(position_text: str) -> dict:
@@ -1239,3 +1275,75 @@ def test_a_lone_surrogate_in_memory_saves_as_a_kernel_error():
                                match="^text holds the lone surrogate") as info:
                 write(d)
             assert not isinstance(info.value, UnicodeError)
+
+
+# --- a str input is screened and refused exactly as its UTF-8 bytes are --------
+
+_MARK = "MARKTEXT"
+
+# JSON-text spellings put where the marker was: an escaped lone surrogate,
+# an escaped pair, the lone surrogate itself (a str can hold it, bytes
+# cannot), and an escaped backslash before "ud800", which is six characters
+# of plain text and loads.
+_HOSTILE = {"lone-escape": "\\ud800", "pair-escape": "\\ud83d\\ude00",
+            "raw": "\ud800", "backslash-u": "\\\\ud800", "none": _MARK}
+
+
+def _drawing_text(rng: random.Random) -> str:
+    d = Drawing.new(EXTENT)
+    for _ in range(rng.randrange(3)):
+        mtype = rng.choice(list(PROP_MAKERS))
+        d.add_module(mtype, random_props(rng, mtype))
+    d.add_module(ModuleType.POSDES, {**random_props(rng, ModuleType.POSDES),
+                                     "position_text": _MARK})
+    d.add_element(Text(Point(1, 2), 2.5, 0.0, rng.choice(["", "x"]) + _MARK))
+    rng.shuffle(d.items)
+    return save_drawing(d).decode()
+
+
+def _library_text(rng: random.Random) -> str:
+    types = rng.sample([t for t in PROP_MAKERS if t is not ModuleType.SIGNATURE], 2)
+    modules = [create_module(ModuleType.VALVE, {"comment": _MARK}),
+               *(create_module(t, random_props(rng, t)) for t in types)]
+    return save_prototypes(modules, ["a", rng.choice(["b", "b" + _MARK]), "c"]).decode()
+
+
+def _catalog_text(rng: random.Random) -> str:
+    entry = dict.fromkeys(CATALOG_FIELDS, "шт") | {"price": 1.5}
+    marked = dict(entry, **{rng.choice(CATALOG_FIELDS[:-1]): _MARK})
+    entries = {"e0": entry, rng.choice(["e1", "e" + _MARK]): marked}
+    return json.dumps({"entries": entries}, ensure_ascii=False)
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except KernelError as exc:
+        return type(exc), str(exc)
+
+
+def _read_drawing(data):
+    return save_drawing(load_drawing(data))
+
+
+def _read_library(data):
+    loaded, errors = load_prototypes(data)
+    return [(name, save_prototypes([m], [name])) for name, m in loaded], errors
+
+
+@given(st.sampled_from([(_drawing_text, _read_drawing),
+                        (_library_text, _read_library),
+                        (_catalog_text, load_catalog)]),
+       st.sampled_from(sorted(_HOSTILE)), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_a_str_loads_exactly_as_its_utf8_bytes(kind, hostile, seed):
+    write, read = kind
+    text = write(random.Random(seed)).replace(_MARK, _HOSTILE[hostile])
+    # Bytes cannot hold a surrogate itself; they get its escape instead.
+    data = text.replace("\ud800", "\\ud800").encode()
+    expected = _outcome(read, data)
+    assert _outcome(read, text) == expected
+    assert _outcome(read, bytearray(data)) == expected
+    refused = (isinstance(expected, tuple) and isinstance(expected[0], type)
+               or read is _read_library and expected[1] != [])
+    assert refused == (hostile in ("lone-escape", "raw")), expected

@@ -53,6 +53,21 @@ def test_validate_fills_every_default():
     assert len(props["attach"]) == 2  # the two pipe connection axes
 
 
+def test_a_missing_value_is_its_default_read_as_a_given_value():
+    rng = random.Random(3)
+    for mtype in ModuleType:
+        full = validate_props(mtype, random_props(rng, mtype))
+        for key, spec in schema_for(mtype).items():
+            if spec.required:
+                continue
+            rest = {k: v for k, v in full.items() if k != key}
+            filled = validate_props(mtype, rest)
+            assert _props_bytes(mtype, filled) == _props_bytes(
+                mtype, validate_props(mtype, {**rest, key: spec.default})), key
+            if spec.kind is PropKind.RECORD:  # fresh for each property set
+                assert filled[key] is not validate_props(mtype, rest)[key], key
+
+
 def test_unknown_key_rejected():
     with pytest.raises(SchemaViolation) as err:
         validate_props(ModuleType.VALVE, {"pressure": 10})
