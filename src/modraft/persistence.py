@@ -211,11 +211,16 @@ def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
     last-wins unless ``object_pairs_hook`` decides otherwise. Also return
     the lone-surrogate check for one item: :func:`_check_surrogates`, or a
     no-op when one search of the input's UTF-8 bytes finds no escape of a
-    surrogate, nor ``_utf8`` a surrogate in a ``str`` as itself."""
+    surrogate, nor ``_utf8`` a surrogate in a ``str`` as itself; and those
+    bytes (none for such a ``str``)."""
+    data = data.tobytes() if isinstance(data, memoryview) else data
+    if not isinstance(data, (bytes, bytearray, str)):
+        raise FileFormatError(f"a file is bytes or text, not {type(data).__name__}")
+    raw = b""
     try:
         text = data if isinstance(data, str) else data.decode("utf-8")
-        screened = _SURROGATE_ESCAPE.search(
-            _utf8(data) if isinstance(data, str) else data)
+        raw = _utf8(data) if isinstance(data, str) else data
+        screened = _SURROGATE_ESCAPE.search(raw)
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
@@ -229,7 +234,7 @@ def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
         ) from exc
     except RecursionError as exc:
         raise FileFormatError("JSON nested too deeply") from exc
-    return doc, _check_surrogates if screened else _no_surrogates
+    return doc, _check_surrogates if screened else _no_surrogates, raw
 
 
 def _check_version(doc: dict) -> None:
@@ -289,8 +294,10 @@ def load_drawing(data: "bytes | str") -> Drawing:
     that disagrees raises :class:`IntegrityMismatch`. The frame around the
     items must hold exactly the defined keys, and ``extent`` and
     ``zone_grid`` must be canonical. No text may hold a lone surrogate.
+    Canonical bytes prove every item's byte checks; :func:`_check_items`
+    runs them for any other file, and before any error the walk raises.
     """
-    doc, check_surrogates = _parse_json(data)
+    doc, check_surrogates, raw = _parse_json(data)
     if not isinstance(doc, dict):
         raise FileFormatError("drawing file must contain a JSON object")
     _check_version(doc)
@@ -315,24 +322,69 @@ def load_drawing(data: "bytes | str") -> Drawing:
 
     d = Drawing(extent, grid, next_id)
     seen_ids: set[int] = set()
-    for index, item_doc in enumerate(items_doc):
-        try:
-            check_surrogates(item_doc)
-            d.items.append(_load_item(item_doc, next_id, seen_ids))
-        except RecursionError as exc:
-            raise FileFormatError(
-                f"{_spot(index, item_doc)}: nested too deeply") from exc
-        except KernelError as exc:
-            exc.args = (f"{_spot(index, item_doc)}: {exc}",)
-            raise
+
+    def load(index: int, item_doc: object) -> None:
+        check_surrogates(item_doc)
+        d.items.append(_load_item(item_doc, next_id, seen_ids))
+    try:
+        _each_item(items_doc, load)
+    except KernelError:
+        _check_items(d, items_doc)  # an earlier item's verdict comes first
+        raise
+    if not _is_canonical(raw, d):
+        _check_items(d, items_doc)
     return d
 
 
-def _spot(index: int, item_doc: object) -> str:
-    """Where a load error happened: the item index, plus the module id."""
-    if isinstance(item_doc, dict) and item_doc.get("kind") == "module":
-        return f"item {index} (module {item_doc.get('id')!r})"
-    return f"item {index}"
+def _each_item(items_doc: list, action) -> None:
+    """Run ``action(index, item_doc)`` on each item; locate what it raises."""
+    for index, item_doc in enumerate(items_doc):
+        try:
+            action(index, item_doc)
+        except (KernelError, RecursionError) as exc:
+            spot = f"item {index}"  # plus the module id, for a module
+            if isinstance(item_doc, dict) and item_doc.get("kind") == "module":
+                spot += f" (module {item_doc.get('id')!r})"
+            if isinstance(exc, RecursionError):
+                raise FileFormatError(f"{spot}: nested too deeply") from exc
+            exc.args = (f"{spot}: {exc}",)
+            raise
+
+
+def _is_canonical(raw: bytes, d: Drawing) -> bool:
+    """``raw == canonical_bytes(d)``, without joining the document."""
+    pos = 0
+    for fragment in _fragments(d, False):
+        if not raw.startswith(fragment, pos):
+            return False
+        pos += len(fragment)
+    return pos == len(raw)
+
+
+def _check_items(d: Drawing, items_doc: list) -> None:
+    """Item by item, what canonical bytes prove: each loaded module's stored
+    geometry encodes as it regenerates, and each free element is canonical."""
+    def check(index: int, item_doc: dict) -> None:
+        item = d.items[index]
+        if isinstance(item, Module):
+            stored = item_doc["geometry"]
+            if _stored_bytes(stored) != item.geometry_json:
+                raise _mismatch(stored, item.geometry)
+            return
+        try:
+            _check_canonical("free element", item_doc["element"],
+                             _element_text(item))
+        except ValueError as exc:
+            raise FileFormatError(f"bad free element: {exc}") from exc
+    _each_item(items_doc[:len(d.items)], check)
+
+
+def _stored_bytes(stored: list) -> bytes:
+    """Stored geometry as canonical bytes; a non-finite real is refused."""
+    try:
+        return canonical_encode(stored)
+    except ValueError as exc:
+        raise FileFormatError(f"bad module record: {exc}") from exc
 
 
 def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
@@ -342,12 +394,9 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
     if kind == "element":
         _check_keys(item_doc, _ELEMENT_KEYS, "free element")
         try:
-            record = item_doc["element"]
-            element = element_from_json(record)
-            _check_canonical("free element", record, _element_text(element))
+            return element_from_json(item_doc["element"])
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad free element: {exc}") from exc
-        return element
     if kind != "module":
         raise FileFormatError(f"unknown item kind {kind!r}")
     _check_keys(item_doc, _MODULE_KEYS, "module record")
@@ -358,18 +407,18 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
         stored = item_doc["geometry"]
         if not isinstance(stored, list):
             raise TypeError("geometry must be a list")
-        stored_bytes = canonical_encode(stored)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad module record: {exc}") from exc
-    if not (type(module_id) is int and 1 <= module_id < next_id):
-        raise FileFormatError(f"module id {module_id!r} out of range")
-    if module_id in seen_ids:
-        raise FileFormatError(f"duplicate module id {module_id}")
-    seen_ids.add(module_id)
-    m = create_module(mtype, props, module_id=module_id)
-    if stored_bytes != m.geometry_json:
-        raise _mismatch(stored, m.geometry)
-    return m
+    try:
+        if not (type(module_id) is int and 1 <= module_id < next_id):
+            raise FileFormatError(f"module id {module_id!r} out of range")
+        if module_id in seen_ids:
+            raise FileFormatError(f"duplicate module id {module_id}")
+        seen_ids.add(module_id)
+        return create_module(mtype, props, module_id=module_id)
+    except (KernelError, RecursionError):
+        _stored_bytes(stored)  # a stored non-finite real is reported first
+        raise
 
 
 def _clip(text: str, limit: int = 120) -> str:
@@ -433,7 +482,7 @@ def load_prototypes(
     in ``errors`` as (its name, or ``entry N``, message) and the remaining
     entries still load.
     """
-    doc, check_surrogates = _parse_json(data)
+    doc, check_surrogates, _ = _parse_json(data)
     if not isinstance(doc, dict):
         raise FileFormatError("prototype file must contain a JSON object")
     _check_version(doc)

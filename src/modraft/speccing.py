@@ -228,7 +228,7 @@ def load_catalog(data: "bytes | str") -> Catalog:
         return obj
 
     try:
-        doc, check_surrogates = _parse_json(data, reject_duplicates)
+        doc, check_surrogates, _ = _parse_json(data, reject_duplicates)
     except FileFormatError as exc:
         raise CatalogError(str(exc)) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):

@@ -11,16 +11,17 @@ import sys
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from modraft import (Arc, Circle, Drawing, FileFormatError, GenerationError,
-                     IntegrityMismatch, KernelError, LineStyle, LineType,
-                     Module, ModuleType, Point, Polyline, Rect,
-                     SchemaViolation, Segment, Text, ZoneGrid, canonical_bytes,
-                     canonical_encode, compute_digest, create_module,
-                     element_to_json, geometry_bytes, load_catalog,
-                     load_drawing, load_drawing_file, load_prototypes,
-                     move_module, save_drawing, save_drawing_file,
-                     save_prototypes, sign_drawing, validate_props)
-from modraft import geometry
+from modraft import (Arc, CatalogError, Circle, Drawing, FileFormatError,
+                     GenerationError, IntegrityMismatch, KernelError,
+                     LineStyle, LineType, Module, ModuleType, Point, Polyline,
+                     Rect, SchemaViolation, Segment, Text, ZoneGrid,
+                     canonical_bytes, canonical_encode, compute_digest,
+                     create_module, element_to_json, geometry_bytes,
+                     load_catalog, load_drawing, load_drawing_file,
+                     load_prototypes, move_module, save_drawing,
+                     save_drawing_file, save_prototypes, sign_drawing,
+                     validate_props)
+from modraft import geometry, persistence
 from modraft.properties import props_from_json, props_to_json
 from modraft.speccing import CATALOG_FIELDS
 
@@ -1344,6 +1345,220 @@ def test_a_str_loads_exactly_as_its_utf8_bytes(kind, hostile, seed):
     expected = _outcome(read, data)
     assert _outcome(read, text) == expected
     assert _outcome(read, bytearray(data)) == expected
+    assert _outcome(read, memoryview(data)) == expected
     refused = (isinstance(expected, tuple) and isinstance(expected[0], type)
                or read is _read_library and expected[1] != [])
     assert refused == (hostile in ("lone-escape", "raw")), expected
+
+
+@pytest.mark.parametrize("load, error", [(load_drawing, FileFormatError),
+                                         (load_prototypes, FileFormatError),
+                                         (load_catalog, CatalogError)],
+                         ids=["drawing", "prototypes", "catalog"])
+@pytest.mark.parametrize("data", [7, None, [b"{}"]], ids=["int", "None", "list"])
+def test_a_file_that_is_not_bytes_or_text_is_refused_by_type(load, error, data):
+    with pytest.raises(error, match=rf"^a file is bytes or text, not "
+                                    rf"{type(data).__name__}$"):
+        load(data)
+
+
+# --- a canonical file is proven by one comparison of its bytes -----------------
+
+def _reference_item(item_doc: object, next_id: int, seen_ids: set):
+    """One item as the per-item loader reads it: every stored geometry is
+    encoded and compared with its regeneration, and every free element
+    checked for canonical form, as the item loads."""
+    if not isinstance(item_doc, dict):
+        raise FileFormatError("items must be objects")
+    kind = item_doc.get("kind")
+    if kind == "element":
+        persistence._check_keys(item_doc, persistence._ELEMENT_KEYS, "free element")
+        try:
+            record = item_doc["element"]
+            element = geometry.element_from_json(record)
+            persistence._check_canonical("free element", record,
+                                         geometry._element_text(element))
+        except (KeyError, ValueError) as exc:
+            raise FileFormatError(f"bad free element: {exc}") from exc
+        return element
+    if kind != "module":
+        raise FileFormatError(f"unknown item kind {kind!r}")
+    persistence._check_keys(item_doc, persistence._MODULE_KEYS, "module record")
+    try:
+        module_id = item_doc["id"]
+        mtype = ModuleType(item_doc["type"])
+        props = props_from_json(mtype, item_doc["props"])
+        stored = item_doc["geometry"]
+        if not isinstance(stored, list):
+            raise TypeError("geometry must be a list")
+        stored_bytes = canonical_encode(stored)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad module record: {exc}") from exc
+    if not (type(module_id) is int and 1 <= module_id < next_id):
+        raise FileFormatError(f"module id {module_id!r} out of range")
+    if module_id in seen_ids:
+        raise FileFormatError(f"duplicate module id {module_id}")
+    seen_ids.add(module_id)
+    m = create_module(mtype, props, module_id=module_id)
+    if stored_bytes != m.geometry_json:
+        raise persistence._mismatch(stored, m.geometry)
+    return m
+
+
+def _reference_load(data: bytes) -> Drawing:
+    """The per-item loader, independent of any byte comparison; its frame,
+    which the mutations below leave valid, is read by load_drawing."""
+    doc, check_surrogates, _ = persistence._parse_json(data)
+    d = load_drawing(json.dumps({**doc, "items": []}))
+    seen_ids: set[int] = set()
+    for index, item_doc in enumerate(doc["items"]):
+        spot = f"item {index}"
+        if isinstance(item_doc, dict) and item_doc.get("kind") == "module":
+            spot += f" (module {item_doc.get('id')!r})"
+        try:
+            check_surrogates(item_doc)
+            d.items.append(_reference_item(item_doc, d.next_id, seen_ids))
+        except RecursionError as exc:
+            raise FileFormatError(f"{spot}: nested too deeply") from exc
+        except KernelError as exc:
+            exc.args = (f"{spot}: {exc}",)
+            raise
+    return d
+
+
+def _dicts(node):
+    """Every object in a parsed JSON value, outermost first."""
+    if isinstance(node, dict):
+        yield node
+    for child in (node.values() if isinstance(node, dict)
+                  else node if isinstance(node, list) else ()):
+        yield from _dicts(child)
+
+
+def _geometry_reals(doc: dict) -> list:
+    return [(index, container, key)
+            for index, item in enumerate(doc["items"])
+            for container, key in _stored_reals(item.get("geometry", []))]
+
+
+def _nudge(doc, rng):
+    container, key = rng.choice(list(_stored_reals(doc["items"])))
+    container[key] = math.nextafter(container[key], math.inf)
+
+
+def _integer_for_real(doc, rng):
+    spots = [(c, k) for c, k in _stored_reals(doc["items"]) if c[k].is_integer()]
+    assume(spots)
+    container, key = rng.choice(spots)
+    container[key] = int(container[key])
+
+
+def _drop_style(doc, rng):
+    objects = [o for o in _dicts(doc["items"]) if "style" in o]
+    del rng.choice(objects)["style"]
+
+
+def _unknown_key(doc, rng):
+    rng.choice(list(_dicts(doc["items"])))["zz"] = 1
+
+
+def _nan_in_geometry(doc, rng):
+    spots = _geometry_reals(doc)
+    assume(spots)
+    index, container, key = rng.choice(spots)
+    container[key] = math.nan
+    return doc["items"][index]
+
+
+def _nan_and_a_later_check_fails(doc, rng):
+    """NaN in stored geometry, and the same module fails a check that comes
+    before (the props decode) or after (its id) the geometry's encoding."""
+    item = _nan_in_geometry(doc, rng)
+    if rng.random() < 0.5:
+        props = item["props"]
+        props[rng.choice(sorted(props))]["kind"] = "bogus"
+    else:
+        item["id"] = rng.choice([0, doc["next_id"]])
+
+
+def _mismatch_then_format_error(doc, rng):
+    """A changed stored real in one module and a bad item after it."""
+    spots = [s for s in _geometry_reals(doc) if s[0] < len(doc["items"]) - 1]
+    assume(spots)
+    index, container, key = rng.choice(spots)
+    container[key] = math.nextafter(container[key], -math.inf)
+    later = doc["items"][rng.randrange(index + 1, len(doc["items"]))]
+    rng.choice([lambda: later.update(zz=1), lambda: later.update(kind="x"),
+                lambda: later.pop("kind")])()
+
+
+_MUTATIONS = {"none": lambda doc, rng: None, "nudge": _nudge,
+              "integer": _integer_for_real, "drop-style": _drop_style,
+              "unknown-key": _unknown_key, "nan": _nan_in_geometry,
+              "nan-and-later": _nan_and_a_later_check_fails,
+              "mismatch-then-error": _mismatch_then_format_error}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.lists(free_elements, max_size=2), st.sampled_from(sorted(_MUTATIONS)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_the_byte_comparison_never_changes_a_verdict(seed, n_modules, free,
+                                                     mutation, rng):
+    d = _random_drawing(seed, n_modules)
+    for element in free:
+        d.items.insert(rng.randint(0, len(d.items)), element)
+    doc = json.loads(save_drawing(d))
+    _MUTATIONS[mutation](doc, rng)
+    # Canonical spacing and key order; NaN is written as the literal.
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode()
+    expected = _outcome(_read_drawing, data)
+    # A trailing newline fails the comparison, so the item checks decide.
+    assert _outcome(_read_drawing, data + b"\n") == expected
+    assert _outcome(lambda x: save_drawing(_reference_load(x)), data) == expected
+
+
+def test_stored_nan_is_reported_before_a_generation_error():
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.VALVE, {"origin": (10, 10)})
+    d.add_module(ModuleType.USER, {**OVERFLOWING_USER, "scale": 1.0})
+    doc = json.loads(save_drawing(d))
+    doc["items"][1]["props"]["scale"]["value"] = 1e10
+    with pytest.raises(GenerationError, match=r"^item 1 \(module 2\): "):
+        load_drawing(json.dumps(doc))
+    doc["items"][1]["geometry"][0]["p1"][0] = math.nan
+    _expect_format_error(doc, r"^item 1 \(module 2\): bad module record: ")
+    doc["items"][0]["geometry"][0]["points"][0][0] += 1.0
+    with pytest.raises(IntegrityMismatch, match=r"^item 0 \(module 1\): "):
+        load_drawing(json.dumps(doc))
+
+
+@pytest.fixture()
+def item_checks(monkeypatch) -> list:
+    """One entry per call of persistence._check_items."""
+    calls = []
+    original = persistence._check_items
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(persistence, "_check_items", counting)
+    return calls
+
+
+def test_a_canonical_file_loads_without_the_item_checks(item_checks):
+    data = save_drawing(_random_drawing(11))
+    for same in (data, bytearray(data), memoryview(data), data.decode()):
+        assert save_drawing(load_drawing(same)) == data
+    assert item_checks == []
+    load_drawing(data + b" ")
+    assert len(item_checks) == 1
+
+
+def test_an_indented_file_loads_and_saves_canonical(item_checks):
+    data = save_drawing(_random_drawing(12))
+    indented = json.dumps(json.loads(data), indent=1)
+    assert save_drawing(load_drawing(indented)) == data
+    assert len(item_checks) == 1
