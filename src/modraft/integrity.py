@@ -26,8 +26,8 @@ __all__ = ["SignatureStatus", "compute_digest", "signature_mac",
            "verify_signature_module", "verify_signatures",
            "DATE_RE", "TIME_RE"]
 
-DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-TIME_RE = re.compile(r"^\d{2}:\d{2}$")
+DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+TIME_RE = re.compile(r"^[0-9]{2}:[0-9]{2}\Z")
 
 _SEP = "\x1f"
 

@@ -12,7 +12,9 @@ JSON, differ from what saving writes for the regenerated geometry — so a
 malformed, incomplete or integer-for-real record is a mismatch too. Free
 element records must be canonical as well, and so must the frame: every
 object holds exactly the keys the format defines, ids and versions are
-JSON integers, and ``extent`` and ``zone_grid`` are canonical. Property
+JSON integers, and ``extent`` and ``zone_grid`` are canonical. One
+comparison of a canonical file's bytes with the regenerated drawing's
+proves the records; any other file is checked item by item. Property
 values are decoded by :func:`validate_props` alone and normalised on load
 (an integer for a real is saved as a real), so load∘save is the identity on
 canonical files.
@@ -294,8 +296,9 @@ def load_drawing(data: "bytes | str") -> Drawing:
     that disagrees raises :class:`IntegrityMismatch`. The frame around the
     items must hold exactly the defined keys, and ``extent`` and
     ``zone_grid`` must be canonical. No text may hold a lone surrogate.
-    Canonical bytes prove every item's byte checks; :func:`_check_items`
-    runs them for any other file, and before any error the walk raises.
+    A canonically framed file first loads without the per-item byte checks,
+    which equal canonical bytes then prove; otherwise a walk with them
+    gives the verdict.
     """
     doc, check_surrogates, raw = _parse_json(data)
     if not isinstance(doc, dict):
@@ -320,27 +323,24 @@ def load_drawing(data: "bytes | str") -> Drawing:
     if not isinstance(items_doc, list):
         raise FileFormatError("items must be a list")
 
-    d = Drawing(extent, grid, next_id)
+    frame = (extent, grid, next_id)
+    head, tail = _fragments(Drawing(*frame), False)  # an empty drawing's bytes
+    if raw.startswith(head) and raw.endswith(tail):
+        with suppress(KernelError, RecursionError):
+            d = _load_items(Drawing(*frame), items_doc, check_surrogates, False)
+            if _is_canonical(raw, d):
+                return d
+    return _load_items(Drawing(*frame), items_doc, check_surrogates, True)
+
+
+def _load_items(d: Drawing, items_doc: list, check_surrogates, check: bool) -> Drawing:
+    """Load each item into ``d``, locating what one raises; ``check`` adds the
+    byte checks: stored geometry as it regenerates, free elements canonical."""
     seen_ids: set[int] = set()
-
-    def load(index: int, item_doc: object) -> None:
-        check_surrogates(item_doc)
-        d.items.append(_load_item(item_doc, next_id, seen_ids))
-    try:
-        _each_item(items_doc, load)
-    except KernelError:
-        _check_items(d, items_doc)  # an earlier item's verdict comes first
-        raise
-    if not _is_canonical(raw, d):
-        _check_items(d, items_doc)
-    return d
-
-
-def _each_item(items_doc: list, action) -> None:
-    """Run ``action(index, item_doc)`` on each item; locate what it raises."""
     for index, item_doc in enumerate(items_doc):
         try:
-            action(index, item_doc)
+            check_surrogates(item_doc)
+            d.items.append(_load_item(item_doc, d.next_id, seen_ids, check))
         except (KernelError, RecursionError) as exc:
             spot = f"item {index}"  # plus the module id, for a module
             if isinstance(item_doc, dict) and item_doc.get("kind") == "module":
@@ -349,6 +349,7 @@ def _each_item(items_doc: list, action) -> None:
                 raise FileFormatError(f"{spot}: nested too deeply") from exc
             exc.args = (f"{spot}: {exc}",)
             raise
+    return d
 
 
 def _is_canonical(raw: bytes, d: Drawing) -> bool:
@@ -361,42 +362,21 @@ def _is_canonical(raw: bytes, d: Drawing) -> bool:
     return pos == len(raw)
 
 
-def _check_items(d: Drawing, items_doc: list) -> None:
-    """Item by item, what canonical bytes prove: each loaded module's stored
-    geometry encodes as it regenerates, and each free element is canonical."""
-    def check(index: int, item_doc: dict) -> None:
-        item = d.items[index]
-        if isinstance(item, Module):
-            stored = item_doc["geometry"]
-            if _stored_bytes(stored) != item.geometry_json:
-                raise _mismatch(stored, item.geometry)
-            return
-        try:
-            _check_canonical("free element", item_doc["element"],
-                             _element_text(item))
-        except ValueError as exc:
-            raise FileFormatError(f"bad free element: {exc}") from exc
-    _each_item(items_doc[:len(d.items)], check)
-
-
-def _stored_bytes(stored: list) -> bytes:
-    """Stored geometry as canonical bytes; a non-finite real is refused."""
-    try:
-        return canonical_encode(stored)
-    except ValueError as exc:
-        raise FileFormatError(f"bad module record: {exc}") from exc
-
-
-def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
+def _load_item(item_doc: object, next_id: int, seen_ids: set,
+               check: bool) -> DrawingItem:
     if not isinstance(item_doc, dict):
         raise FileFormatError("items must be objects")
     kind = item_doc.get("kind")
     if kind == "element":
         _check_keys(item_doc, _ELEMENT_KEYS, "free element")
         try:
-            return element_from_json(item_doc["element"])
+            record = item_doc["element"]
+            element = element_from_json(record)
+            if check:
+                _check_canonical("free element", record, _element_text(element))
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad free element: {exc}") from exc
+        return element
     if kind != "module":
         raise FileFormatError(f"unknown item kind {kind!r}")
     _check_keys(item_doc, _MODULE_KEYS, "module record")
@@ -407,18 +387,18 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set) -> DrawingItem:
         stored = item_doc["geometry"]
         if not isinstance(stored, list):
             raise TypeError("geometry must be a list")
+        stored_bytes = canonical_encode(stored) if check else None
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad module record: {exc}") from exc
-    try:
-        if not (type(module_id) is int and 1 <= module_id < next_id):
-            raise FileFormatError(f"module id {module_id!r} out of range")
-        if module_id in seen_ids:
-            raise FileFormatError(f"duplicate module id {module_id}")
-        seen_ids.add(module_id)
-        return create_module(mtype, props, module_id=module_id)
-    except (KernelError, RecursionError):
-        _stored_bytes(stored)  # a stored non-finite real is reported first
-        raise
+    if not (type(module_id) is int and 1 <= module_id < next_id):
+        raise FileFormatError(f"module id {module_id!r} out of range")
+    if module_id in seen_ids:
+        raise FileFormatError(f"duplicate module id {module_id}")
+    seen_ids.add(module_id)
+    m = create_module(mtype, props, module_id=module_id)
+    if check and stored_bytes != m.geometry_json:
+        raise _mismatch(stored, m.geometry)
+    return m
 
 
 def _clip(text: str, limit: int = 120) -> str:

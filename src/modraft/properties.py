@@ -271,6 +271,9 @@ def _as_axis(value: object) -> Axis:
     if isinstance(value, dict):
         if "origin" not in value:
             raise ValueError("bad axis: no 'origin'")
+        unknown = sorted(map(repr, value.keys() - {"origin", "angle_deg"}))
+        if unknown:
+            raise ValueError(f"bad axis: unknown key {unknown[0]}")
         return Axis(_as_point(value["origin"]), value.get("angle_deg", 0.0))
     if isinstance(value, (tuple, list)) and len(value) == 2:
         return Axis(_as_point(value[0]), value[1])
@@ -426,7 +429,8 @@ def _props_bytes(mtype: ModuleType, props: Mapping[str, object]) -> bytes:
 def props_from_json(mtype: ModuleType, doc: object) -> dict[str, object]:
     """Strip the kind tags of a serialised property set, the inverse of
     :func:`props_to_json`'s tagging; :func:`validate_props` decodes the
-    values. A tag that differs from the schema kind is a format error.
+    values. A tag that differs from the schema kind, or holds a key beyond
+    ``kind`` and ``value``, is a format error.
     """
     if not isinstance(doc, dict):
         raise SchemaViolation("?", "property set must be an object")
@@ -435,6 +439,9 @@ def props_from_json(mtype: ModuleType, doc: object) -> dict[str, object]:
     for key, tagged in doc.items():
         if not (isinstance(tagged, dict) and "kind" in tagged and "value" in tagged):
             raise SchemaViolation(key, "serialised value must carry 'kind' and 'value'")
+        if len(tagged) != 2:
+            unknown = min(map(repr, tagged.keys() - {"kind", "value"}))
+            raise FileFormatError(f"property {key!r}: unknown key {unknown} in its tag")
         spec = schema.get(key)
         if spec is not None and tagged["kind"] != spec.kind:
             raise FileFormatError(

@@ -702,6 +702,22 @@ def test_sign_validates_fields(drawing, capsys):
     assert code == 1 and "person" in err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--date", "2024-05-01\n", "date must be YYYY-MM-DD"),
+    ("--date", "\uff12\uff10\uff12\uff14-\uff10\uff15-\uff10\uff11",
+     "date must be YYYY-MM-DD"),
+    ("--time", "1\uff14:05\n", "time must be HH:MM"),
+], ids=["date-newline", "date-fullwidth", "time-fullwidth-newline"])
+def test_sign_refuses_a_date_or_time_beyond_its_format_and_leaves_the_file(
+        drawing, capsys, option, value, message):
+    run(capsys, "add", drawing, "--type", "valve")
+    before = Path(drawing).read_bytes()
+    argv = ["sign", drawing, *SIGN_ARGS, "--password", "pw"]
+    argv[argv.index(option) + 1] = value
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert Path(drawing).read_bytes() == before
+
+
 _LONE_ERR = ("error: text holds the lone surrogate '\\udcff', "
              "which UTF-8 cannot encode\n")
 

@@ -195,6 +195,29 @@ def test_signer_field_validation():
             validate_signer_fields(**bad)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("date", "2024-01-01\n", "date must be YYYY-MM-DD"),
+    ("date", "\uff12\uff10\uff12\uff14-\uff10\uff11-\uff10\uff11",
+     "date must be YYYY-MM-DD"),
+    ("date", "2024-01-\u0660\u0661", "date must be YYYY-MM-DD"),
+    ("time", "12:00\n", "time must be HH:MM"),
+    ("time", "1\uff10:00\n", "time must be HH:MM"),
+    ("time", "\u0661\u0662:00", "time must be HH:MM"),
+], ids=["date-newline", "date-fullwidth", "date-arabic-indic", "time-newline",
+        "time-fullwidth-newline", "time-arabic-indic"])
+def test_signer_date_and_time_are_ascii_digits_and_nothing_after(field, value,
+                                                                  message):
+    fields = dict(person="p", position="q", date="2024-01-01", time="12:00",
+                  password="pw")
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        validate_signer_fields(**{**fields, field: value})
+    d = _drawing()
+    before = save_drawing(d)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        sign_drawing(d, **{**fields, field: value})
+    assert save_drawing(d) == before
+
+
 def test_sign_rejects_bad_fields_without_touching_drawing():
     d = _drawing()
     with pytest.raises(ValueError):

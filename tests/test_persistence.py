@@ -22,7 +22,7 @@ from modraft import (Arc, CatalogError, Circle, Drawing, FileFormatError,
                      save_drawing_file, save_prototypes, sign_drawing,
                      validate_props)
 from modraft import geometry, persistence
-from modraft.properties import props_from_json, props_to_json
+from modraft.properties import Axis, props_from_json, props_to_json
 from modraft.speccing import CATALOG_FIELDS
 
 from propgen import PROP_MAKERS, random_props
@@ -437,6 +437,42 @@ def test_kind_tag_must_match_schema():
     assert loaded == []
     assert errors == [("v", "property 'mass': kind 'integer' does not match "
                             "the schema kind 'real'")]
+
+
+_TAG_EXTRA = "property 'layer': unknown key 'zz' in its tag"
+_AXIS_EXTRA = "property 'attach': bad axis: unknown key 'zz'"
+
+
+def _with_extra_keys(props: dict, where: str) -> None:
+    """Add the key ``zz`` to the layer's tag or to the first attach axis."""
+    if where == "tag":
+        props["layer"]["zz"] = 1
+    else:
+        props["attach"]["value"][0]["zz"] = 2
+
+
+@pytest.mark.parametrize("where, error, message",
+                         [("tag", FileFormatError, _TAG_EXTRA),
+                          ("axis", SchemaViolation, _AXIS_EXTRA)],
+                         ids=["tag", "axis"])
+def test_tags_and_axes_hold_exactly_their_keys(where, error, message):
+    doc = _valid_doc()
+    _with_extra_keys(doc["items"][0]["props"], where)
+    with pytest.raises(error) as info:
+        load_drawing(json.dumps(doc))
+    assert str(info.value) == f"item 0 (module 1): {message}"
+    doc = json.loads(save_prototypes([create_module(ModuleType.VALVE, {})], ["v"]))
+    _with_extra_keys(doc["entries"][0]["props"], where)
+    assert load_prototypes(json.dumps(doc)) == ([], [("v", message)])
+
+
+def test_an_axis_built_in_memory_holds_exactly_its_keys():
+    axis = {"origin": (-4.0, 0.0), "angle_deg": 0.0, "zz": 2}
+    with pytest.raises(SchemaViolation, match=rf"^{_AXIS_EXTRA}$"):
+        create_module(ModuleType.VALVE, {"attach": [axis]})
+    del axis["zz"]
+    assert create_module(ModuleType.VALVE, {"attach": [axis]}).props["attach"] == (
+        Axis(Point(-4.0, 0.0), 0.0),)
 
 
 def _two_frames_doc() -> dict:
@@ -1534,18 +1570,25 @@ def test_stored_nan_is_reported_before_a_generation_error():
         load_drawing(json.dumps(doc))
 
 
+def _record_walks(monkeypatch, keep) -> list:
+    """Hook persistence._load_items: the ``check`` flag of each call that
+    ``keep`` accepts, in order."""
+    calls = []
+    original = persistence._load_items
+
+    def recording(d, items_doc, check_surrogates, check):
+        if keep(check):
+            calls.append(check)
+        return original(d, items_doc, check_surrogates, check)
+
+    monkeypatch.setattr(persistence, "_load_items", recording)
+    return calls
+
+
 @pytest.fixture()
 def item_checks(monkeypatch) -> list:
-    """One entry per call of persistence._check_items."""
-    calls = []
-    original = persistence._check_items
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(persistence, "_check_items", counting)
-    return calls
+    """One entry per checking walk: a persistence._load_items call with check."""
+    return _record_walks(monkeypatch, bool)
 
 
 def test_a_canonical_file_loads_without_the_item_checks(item_checks):
@@ -1562,3 +1605,55 @@ def test_an_indented_file_loads_and_saves_canonical(item_checks):
     indented = json.dumps(json.loads(data), indent=1)
     assert save_drawing(load_drawing(indented)) == data
     assert len(item_checks) == 1
+
+
+# --- which walk loads a file --------------------------------------------------
+
+@pytest.fixture()
+def walks(monkeypatch) -> list:
+    """The ``check`` flag of each persistence._load_items call, in order."""
+    return _record_walks(monkeypatch, lambda check: True)
+
+
+def test_a_canonical_file_runs_only_the_fast_walk(walks):
+    data = save_drawing(_random_drawing(13))
+    for same in (data, bytearray(data), memoryview(data), data.decode()):
+        walks.clear()
+        assert save_drawing(load_drawing(same)) == data
+        assert walks == [False], type(same).__name__
+
+
+@pytest.mark.parametrize("change", [
+    lambda data: data + b"\n",
+    lambda data: json.dumps(json.loads(data), indent=1).encode(),
+], ids=["trailing-newline", "indent-1"])
+def test_a_file_framed_otherwise_runs_only_the_checking_walk(walks, change):
+    data = save_drawing(_random_drawing(13))
+    assert save_drawing(load_drawing(change(data))) == data
+    assert walks == [True]
+
+
+def test_an_integer_for_a_real_property_runs_both_walks(walks):
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.VALVE, {"origin": (10, 10)})
+    d.add_module(ModuleType.VALVE, {"origin": (30, 10), "angle_deg": 90.0})
+    data = save_drawing(d)
+    doc = json.loads(data)
+    doc["items"][1]["props"]["angle_deg"]["value"] = 90
+    normalised = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert normalised != data
+    assert save_drawing(load_drawing(normalised)) == data
+    assert walks == [False, True]
+
+
+def test_a_failing_file_runs_both_walks_and_raises_the_item_verdict(walks):
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.VALVE, {"origin": (10, 10)})
+    d.add_module(ModuleType.VALVE, {"origin": (30, 10)})
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["geometry"][0]["points"][0][0] += 1.0
+    doc["items"][1]["zz"] = 1
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(IntegrityMismatch, match=r"^item 0 \(module 1\): "):
+        load_drawing(data)
+    assert walks == [False, True]
