@@ -581,6 +581,8 @@ def _path_directions(pts: list[Point]) -> tuple[list[tuple[float, float]], list[
         length = p.distance_to(q)
         if length <= _EPS:
             raise GenerationError("degenerate path: repeated point")
+        if length == math.inf:
+            raise GenerationError("degenerate path: a segment too long to measure")
         dirs.append(((q.x - p.x) / length, (q.y - p.y) / length))
         lengths.append(length)
     return dirs, lengths
@@ -604,11 +606,13 @@ def offset_path(points: Iterable[object], side_offset: float,
                 *, style: LineStyle = _DEFAULT_STYLE) -> list[Element]:
     """Offset an open polyline by a signed distance (positive = left of travel).
 
-    ``corner="welded"`` joins the offset segments at miter intersections;
-    ``corner="bent"`` replaces each corner with a tangent arc of
-    ``fillet_radius`` (the offset side gets radius ``fillet_radius`` minus the
-    offset on left turns, plus it on right turns). Joins flatter than
-    MIN_JOIN_TURN_DEG are left unjoined.
+    One walk joins each run to the next, and each join is one of three
+    kinds. A join flatter than MIN_JOIN_TURN_DEG is *flat*: the run ends
+    abreast of the vertex and the next starts on its own offset line.
+    ``corner="welded"`` makes every other join a *miter*, where the two
+    offset lines cross. ``corner="bent"`` makes it an *arc*, tangent to both
+    runs, of radius ``fillet_radius`` minus the offset on left turns and plus
+    it on right turns; bent corners also drop runs shorter than ``_EPS``.
     """
     pts = [_as_point(p) for p in points]
     if len(pts) < 2:
@@ -619,78 +623,53 @@ def offset_path(points: Iterable[object], side_offset: float,
     normals = [(-u[1], u[0]) for u in dirs]
     min_turn = math.radians(MIN_JOIN_TURN_DEG)
 
+    # One tangent length per join: 0.0 for flat, None for a miter, else an arc's.
     if corner == "welded":
-        starts = [Point(p.x + d * n[0], p.y + d * n[1])
-                  for p, n in zip(pts[:-1], normals)]
-        ends = [Point(q.x + d * n[0], q.y + d * n[1])
-                for q, n in zip(pts[1:], normals)]
-        for k, turn in enumerate(turns):
-            if abs(turn) < min_turn:
-                continue
-            miter = _line_intersection(starts[k], dirs[k], starts[k + 1], dirs[k + 1])
-            ends[k] = miter
-            starts[k + 1] = miter
-        return [Segment(a, b, style) for a, b in zip(starts, ends)]
-
-    if corner != "bent":
+        tangents = [0.0 if abs(turn) < min_turn else None for turn in turns]
+    elif corner != "bent":
         raise ValueError(f"unknown corner mode {corner!r}")
-
-    radius = _as_float(fillet_radius)
-    if radius <= abs(d):
-        raise GenerationError("fillet radius must exceed the offset magnitude")
-
-    def _tangent_length(turn: float) -> float:
-        if abs(turn) < min_turn:
-            return 0.0
-        half = abs(turn) / 2.0
+    else:
+        radius = _as_float(fillet_radius)
+        if radius <= abs(d):
+            raise GenerationError("fillet radius must exceed the offset magnitude")
         # right-angle corners are ubiquitous; keep them exact
-        return radius if half == math.pi / 4.0 else radius * math.tan(half)
+        tangents = [0.0 if abs(turn) < min_turn
+                    else radius if abs(turn) / 2.0 == math.pi / 4.0
+                    else radius * math.tan(abs(turn) / 2.0) for turn in turns]
+        padded = [0.0, *tangents, 0.0]
+        for t_in, t_out, length in zip(padded, padded[1:], lengths):
+            if t_in + t_out > length + _EPS:
+                raise GenerationError("fillet does not fit on a path segment")
 
-    tangents = [_tangent_length(turn) for turn in turns]
-    for i, length in enumerate(lengths):
-        t_in = tangents[i - 1] if i > 0 else 0.0
-        t_out = tangents[i] if i < len(tangents) else 0.0
-        if t_in + t_out > length + _EPS:
-            raise GenerationError("fillet does not fit on a path segment")
+    def offset(p: Point, n: tuple[float, float], s: float = d) -> Point:
+        return Point(p.x + s * n[0], p.y + s * n[1])
+
+    def run_to(end: Point) -> None:
+        if corner == "welded" or cursor.distance_to(end) > _EPS:
+            elements.append(Segment(cursor, end, style))
 
     elements: list[Element] = []
-    cursor = Point(pts[0].x + d * normals[0][0], pts[0].y + d * normals[0][1])
-    for j, turn in enumerate(turns):
-        vertex = pts[j + 1]
-        u_in, u_out = dirs[j], dirs[j + 1]
-        n_in, n_out = normals[j], normals[j + 1]
-        t = tangents[j]
-        if t == 0.0:
-            # Near-straight join: close off the incoming run, restart on the
-            # outgoing offset line.
-            end = Point(vertex.x + d * n_in[0], vertex.y + d * n_in[1])
-            if cursor.distance_to(end) > _EPS:
-                elements.append(Segment(cursor, end, style))
-            cursor = Point(vertex.x + d * n_out[0], vertex.y + d * n_out[1])
+    cursor = offset(pts[0], normals[0])
+    for vertex, u_in, u_out, n_in, n_out, turn, t in zip(
+            pts[1:], dirs, dirs[1:], normals, normals[1:], turns, tangents):
+        if not t:
+            end, start = offset(vertex, n_in), offset(vertex, n_out)
+            if t is None:
+                end = start = _line_intersection(cursor, u_in, start, u_out)
+            run_to(end)
+            cursor = start
             continue
-        tan_in = Point(vertex.x - t * u_in[0], vertex.y - t * u_in[1])
-        tan_out = Point(vertex.x + t * u_out[0], vertex.y + t * u_out[1])
-        entry = Point(tan_in.x + d * n_in[0], tan_in.y + d * n_in[1])
-        exit_ = Point(tan_out.x + d * n_out[0], tan_out.y + d * n_out[1])
-        if cursor.distance_to(entry) > _EPS:
-            elements.append(Segment(cursor, entry, style))
-        left = turn > 0.0
-        if left:
-            center = Point(tan_in.x + radius * n_in[0], tan_in.y + radius * n_in[1])
-            arc_radius = radius - d
-        else:
-            center = Point(tan_in.x - radius * n_in[0], tan_in.y - radius * n_in[1])
-            arc_radius = radius + d
+        tan_in, tan_out = offset(vertex, u_in, -t), offset(vertex, u_out, t)
+        entry, exit_ = offset(tan_in, n_in), offset(tan_out, n_out)
+        run_to(entry)
+        side = 1.0 if turn > 0.0 else -1.0
+        center = offset(tan_in, n_in, side * radius)
         a_entry = math.degrees(math.atan2(entry.y - center.y, entry.x - center.x))
         a_exit = math.degrees(math.atan2(exit_.y - center.y, exit_.x - center.x))
-        if left:
-            elements.append(Arc(center, arc_radius, a_entry, a_exit, style))
-        else:
-            elements.append(Arc(center, arc_radius, a_exit, a_entry, style))
+        angles = (a_entry, a_exit) if side > 0.0 else (a_exit, a_entry)
+        elements.append(Arc(center, radius - side * d, *angles, style))
         cursor = exit_
-    tail = Point(pts[-1].x + d * normals[-1][0], pts[-1].y + d * normals[-1][1])
-    if cursor.distance_to(tail) > _EPS:
-        elements.append(Segment(cursor, tail, style))
+    run_to(offset(pts[-1], normals[-1]))
     return elements
 
 

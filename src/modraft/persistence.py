@@ -234,6 +234,8 @@ def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
         raise FileFormatError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FileFormatError("an integer has too many digits to read") from exc
     except RecursionError as exc:
         raise FileFormatError("JSON nested too deeply") from exc
     return doc, _check_surrogates if screened else _no_surrogates, raw

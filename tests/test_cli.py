@@ -115,6 +115,16 @@ def test_add_rejects_bad_props(drawing, capsys):
     assert "error:" in err
 
 
+def test_add_refuses_a_pipeline_segment_too_long_to_measure(drawing):
+    before = Path(drawing).read_bytes()
+    proc = run_process("add", drawing, "--type", "pipeline", "--props",
+                       "path=[(0, 0), (0, 1e308), (-1.5e308, 0)]", "diameter_mm=2")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: degenerate path: ")
+    assert "Traceback" not in proc.stderr
+    assert Path(drawing).read_bytes() == before
+
+
 def test_set_regenerates(drawing, capsys):
     run(capsys, "add", drawing, "--type", "frame",
         "--props", "format=A1", "landscape=true")
@@ -501,6 +511,17 @@ def test_spec_missing_file_exits_1(drawing, tmp_path, capsys):
     assert code == 1
     assert len(out.splitlines()) == 2  # good file still aggregated
     assert "error:" in err and "nope.json" in err
+
+
+def test_spec_exits_1_naming_a_file_with_an_over_long_integer(drawing, tmp_path,
+                                                              capsys):
+    _add_spec_modules(capsys, drawing)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": 1, "next_id": ' + "9" * 4301 + "}")
+    code, out, err = run(capsys, "spec", drawing, str(bad))
+    assert code == 1
+    assert len(out.splitlines()) == 2  # the good file still makes its row
+    assert err == f"error: {bad}: an integer has too many digits to read\n"
 
 
 def test_spec_and_fill_table_exit_1_on_a_text_spec_mass(drawing, capsys):

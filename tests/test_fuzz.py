@@ -4,7 +4,7 @@ A small valid drawing holds one module of each type and a free element.
 Each mutation sets one value at one JSON path of that drawing, of a
 prototype library made from the same modules, of a catalog, or of a posdes
 module's ``spec_props`` record, to a hostile value; random byte strings go
-to every loader. Each call must return or raise a ``KernelError`` (a
+to every loader. Inputs that once escaped follow the seeded ones. Each call must return or raise a ``KernelError`` (a
 catalog a ``CatalogError``), and a specification scan must give the posdes
 module a row or report it: any other outcome is an escape, and the test
 lists the first few with the path and value that caused them.
@@ -38,6 +38,12 @@ TOKENS = [b"{", b"}", b"[", b"]", b",", b":", b'"', b"0", b"-1", b"1e400",
           b'"type"', b'"valve"', b"\xff", b"\\u"]
 
 SEED = 20260418
+
+# Inputs that once escaped, fed after the seeded ones: an integer literal
+# past the interpreter's 4,300-digit int-to-str limit, and a pipeline path
+# with a segment too long to measure, whose miter divided by zero.
+LONG_INTEGER = b"9" * 4301
+CRASH_PATH = [[0, 0], [0, 1e308], [-1.5e308, 0]]
 
 
 def _modules(rng: random.Random) -> list:
@@ -130,6 +136,22 @@ def _mutations(doc: dict, n: int, rng: random.Random, under: tuple = ()):
         parent[path[-1]] = old
 
 
+def _long_integers():
+    for data in (LONG_INTEGER, b'{"format_version": 1, "next_id": ' + LONG_INTEGER + b"}"):
+        yield f"{data[:40]!r}... as bytes", data
+        yield f"{data[:40]!r}... as text", data.decode()
+
+
+def _with_crash_path(doc: dict, items: str):
+    """(description, JSON text) of ``doc`` with CRASH_PATH as the path of
+    each pipeline module in ``doc[items]``."""
+    doc = json.loads(json.dumps(doc))
+    for item in doc[items]:
+        if item.get("type") == "pipeline":
+            item["props"]["path"]["value"] = CRASH_PATH
+    yield f"pipeline path = {CRASH_PATH!r}", json.dumps(doc)
+
+
 def _byte_strings(n: int, rng: random.Random):
     for i in range(n):
         if i % 2:
@@ -141,13 +163,17 @@ def _byte_strings(n: int, rng: random.Random):
 
 def test_mutated_drawing_loads_or_raises_a_kernel_error():
     rng = random.Random(SEED)
-    escapes = _escapes(load_drawing, _mutations(_drawing_doc(), 500, rng))
+    doc = _drawing_doc()
+    escapes = _escapes(load_drawing, [*_mutations(doc, 500, rng),
+                                      *_with_crash_path(doc, "items")])
     assert escapes == [], "\n".join(escapes[:5])
 
 
 def test_mutated_prototype_library_loads_or_raises_a_kernel_error():
     rng = random.Random(SEED + 1)
-    escapes = _escapes(load_prototypes, _mutations(_library_doc(), 500, rng))
+    doc = _library_doc()
+    escapes = _escapes(load_prototypes, [*_mutations(doc, 500, rng),
+                                         *_with_crash_path(doc, "entries")])
     assert escapes == [], "\n".join(escapes[:5])
 
 
@@ -168,5 +194,6 @@ def test_mutated_spec_props_give_a_row_or_an_error():
 @pytest.mark.parametrize("load", [load_drawing, load_prototypes, load_catalog],
                          ids=["drawing", "prototypes", "catalog"])
 def test_random_bytes_load_or_raise_a_kernel_error(load):
-    escapes = _escapes(load, _byte_strings(300, random.Random(SEED + 2)))
+    escapes = _escapes(load, [*_byte_strings(300, random.Random(SEED + 2)),
+                              *_long_integers()])
     assert escapes == [], "\n".join(escapes[:5])

@@ -1398,6 +1398,31 @@ def test_a_file_that_is_not_bytes_or_text_is_refused_by_type(load, error, data):
         load(data)
 
 
+@pytest.mark.parametrize("load, doc, error", [
+    (load_drawing, '{"format_version": 1, "next_id": %s}', FileFormatError),
+    (load_prototypes, '{"format_version": 1, "entries": [%s]}', FileFormatError),
+    (load_catalog, '{"entries": {"a": %s}}', CatalogError)],
+    ids=["drawing", "prototypes", "catalog"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_an_integer_too_long_to_read_is_refused_by_the_file_format(load, doc, error,
+                                                                   as_bytes):
+    # past the interpreter's int-to-str digit limit json raises a ValueError
+    # that advises a call to sys.set_int_max_str_digits
+    text = doc % ("9" * 4301)
+    with pytest.raises(error, match="^an integer has too many digits to read$"):
+        load(text.encode() if as_bytes else text)
+
+
+def test_a_pipeline_segment_too_long_to_measure_is_a_located_generation_error():
+    d = Drawing.new(Rect.from_bounds(0, 0, 100, 100))
+    d.add_module(ModuleType.PIPELINE, {"path": [(0, 0), (0, 50), (-50, 0)],
+                                       "diameter_mm": 2.0})
+    doc = json.loads(save_drawing(d))
+    doc["items"][0]["props"]["path"]["value"] = [[0, 0], [0, 1e308], [-1.5e308, 0]]
+    with pytest.raises(GenerationError, match=r"^item 0 \(module 1\): degenerate path: "):
+        load_drawing(json.dumps(doc))
+
+
 # --- a canonical file is proven by one comparison of its bytes -----------------
 
 def _reference_item(item_doc: object, next_id: int, seen_ids: set):

@@ -159,6 +159,25 @@ def test_missing_file_reported_scan_continues(tmp_path):
     assert len(errors) == 1 and errors[0][0] == str(tmp_path / "absent.json")
 
 
+def test_an_over_long_integer_is_reported_and_the_scans_continue(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_drawing_file(_drawing((ModuleType.VALVE, VALVE_A),
+                               (ModuleType.POSDES, {"leader_from": (0, 0),
+                                                    "shelf_at": (5, 5),
+                                                    "position_text": "1"}),
+                               (ModuleType.INSTRUMENT, {"function_code": "PI",
+                                                        "pos_designation": "1"})),
+                      good)
+    bad.write_text('{"format_version": 1, "next_id": ' + "9" * 4301 + "}")
+    refusal = [(str(bad), "an integer has too many digits to read")]
+    rows, errors = collect_spec_rows([str(good), str(bad)])
+    assert [row.designation for row in rows] == ["15кч18п", ""]
+    assert errors == refusal
+    groups, errors = find_duplicate_positions([str(good), str(bad)])
+    assert [g.occurrences for g in groups] == [((str(good), 2), (str(good), 3))]
+    assert errors == refusal
+
+
 def test_merge_across_files(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_drawing_file(_drawing((ModuleType.VALVE, VALVE_A)), p1)
