@@ -155,8 +155,8 @@ def _props_arg(tokens: "list[str]", mtype: ModuleType) -> dict:
 
 
 def cmd_new(args) -> int:
-    nx, ny = args.grid or (DEFAULT_GRID_NX, DEFAULT_GRID_NY)
-    d = Drawing.new(args.extent, _default_grid(args.extent, nx, ny))
+    grid = _default_grid(args.extent, *args.grid) if args.grid else None
+    d = Drawing.new(args.extent, grid)
     save_drawing_file(d, args.drawing)
     return 0
 
@@ -339,7 +339,7 @@ def cmd_verify(args) -> int:
         print(f"signature {s.module_id} ({s.person}, {s.position}, "
               f"{s.date} {s.time}): integrity {s.integrity}, "
               f"authenticity {s.authenticity}")
-    return 0 if intact and all(s.authenticity != "broken" for s in statuses) else 1
+    return 0 if all(s.ok for s in statuses) else 1
 
 
 def _file_command(sub, name: str, func, help: str,

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable
 
 from .canon import _utf8
-from .errors import GenerationError
+from .errors import GenerationError, KernelError
 from .generators import generate_local, internal_list_indices
 from .geometry import (Element, Point, Rect, Transform, ZoneGrid, _compose,
                        _cos_sin_deg, _element_text, _positive, _raw,
@@ -114,6 +114,8 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
     Deterministic: the same type and properties always yield byte-identical
     geometry. ``grid`` is accepted for compatibility and has no effect.
     """
+    if not (type(module_id) is int and module_id >= 1):
+        raise KernelError(f"module id must be a positive integer, got {module_id!r}")
     mtype = ModuleType(mtype)
     norm = validate_props(mtype, props)
     try:
@@ -123,7 +125,7 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
         bbox = element_bbox(*geometry)
     except (ValueError, OverflowError) as exc:  # e.g. coordinates too large
         raise GenerationError(f"{mtype.value} module: {exc}") from exc
-    return Module(int(module_id), mtype, norm, geometry, norm["layer"], bbox)
+    return Module(module_id, mtype, norm, geometry, norm["layer"], bbox)
 
 
 def set_properties(m: Module, updates: dict, *, grid: "ZoneGrid | None" = None) -> Module:

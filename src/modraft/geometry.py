@@ -613,6 +613,10 @@ def offset_path(points: Iterable[object], side_offset: float,
     offset lines cross. ``corner="bent"`` makes it an *arc*, tangent to both
     runs, of radius ``fillet_radius`` minus the offset on left turns and plus
     it on right turns; bent corners also drop runs shorter than ``_EPS``.
+
+    Welded corners have no fit check, a v1 limitation kept so v1 files load:
+    a run between two same-side turns shorter than its miters cut back (twice
+    the offset at right angles) comes out reversed, and pipe walls cross.
     """
     pts = [_as_point(p) for p in points]
     if len(pts) < 2:

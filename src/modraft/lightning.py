@@ -10,7 +10,7 @@ generated geometry is paper millimetres via an explicit scale.
 
 :class:`Rod` and :class:`LightningParams` check their numbers once, as
 property values are checked: a string or boolean is refused, not coerced.
-The zone maths trusts what they hold and checks nothing again.
+The zone maths trusts what they hold and reads its own arguments as they do.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def zone_sections(params: LightningParams, hx: float) -> list[Circle]:
 
     Rods whose apex does not clear hx contribute nothing.
     """
+    hx = _as_real(hx)
     if hx < 0.0:
         raise ValueError("section height must be non-negative")
     return [Circle(Point(rod.x, rod.y), rx) for rod in params.rods
@@ -139,6 +140,7 @@ def zone_sections(params: LightningParams, hx: float) -> list[Circle]:
 
 def is_protected(x: float, y: float, z: float, params: LightningParams) -> bool:
     """True if the point (x, y, z) lies inside the union of rod zones."""
+    x, y, z = map(_as_real, (x, y, z))
     if z < 0.0:
         raise ValueError("height must be non-negative")
     for rod in params.rods:

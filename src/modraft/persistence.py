@@ -330,7 +330,7 @@ def load_drawing(data: "bytes | str") -> Drawing:
     if raw.startswith(head) and raw.endswith(tail):
         with suppress(KernelError, RecursionError):
             d = _load_items(Drawing(*frame), items_doc, check_surrogates, False)
-            if _is_canonical(raw, d):
+            if raw == canonical_bytes(d):
                 return d
     return _load_items(Drawing(*frame), items_doc, check_surrogates, True)
 
@@ -352,16 +352,6 @@ def _load_items(d: Drawing, items_doc: list, check_surrogates, check: bool) -> D
             exc.args = (f"{spot}: {exc}",)
             raise
     return d
-
-
-def _is_canonical(raw: bytes, d: Drawing) -> bool:
-    """``raw == canonical_bytes(d)``, without joining the document."""
-    pos = 0
-    for fragment in _fragments(d, False):
-        if not raw.startswith(fragment, pos):
-            return False
-        pos += len(fragment)
-    return pos == len(raw)
 
 
 def _load_item(item_doc: object, next_id: int, seen_ids: set,

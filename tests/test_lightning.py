@@ -161,6 +161,35 @@ def test_is_protected_rejects_negative_height():
         is_protected(0.0, 0.0, -1.0, _params())
 
 
+@pytest.mark.parametrize("value, reason", [
+    (math.nan, "value must be finite"),
+    (math.inf, "value must be finite"),
+    (-math.inf, "value must be finite"),
+    ("5", "expected a real number, got str"),
+    (True, "expected a real number, got bool"),
+])
+def test_zone_functions_read_heights_and_points_as_reals(value, reason):
+    """zone_sections and is_protected refuse what single_rod_radius refuses:
+    a NaN height is not "no zone here", and text is not a number."""
+    params = _params()
+    calls = [lambda: zone_sections(params, value),
+             lambda: is_protected(0.0, 0.0, value, params),
+             lambda: is_protected(value, 0.0, 1.0, params),
+             lambda: is_protected(0.0, value, 1.0, params)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == reason
+
+
+def test_zone_functions_keep_their_negative_height_messages():
+    with pytest.raises(ValueError, match="^section height must be non-negative$"):
+        zone_sections(_params(), -1)
+    with pytest.raises(ValueError, match="^height must be non-negative$"):
+        is_protected(0, 0, -1, _params())
+    assert is_protected(0, 0, 1, _params()) is True  # ints are reals
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LightningParams(rods=(), section_heights=(1.0,),

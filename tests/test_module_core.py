@@ -9,9 +9,9 @@ import random
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from modraft import (Axis, Circle, GenerationError, ModuleType, Point, Rect,
-                     SchemaViolation, Segment, Text, ZoneGrid, align_by_attach,
-                     apply_transform, create_module, element_bbox,
+from modraft import (Axis, Circle, GenerationError, KernelError, ModuleType,
+                     Point, Rect, SchemaViolation, Segment, Text, ZoneGrid,
+                     align_by_attach, apply_transform, create_module, element_bbox,
                      geometry_bytes, mirror_module, move_module, rotate_module,
                      set_properties, snap_points, spawn_working_modules,
                      Transform, apex_height)
@@ -33,6 +33,15 @@ def test_create_module_populates_everything():
     assert m.layer == 2
     assert len(m.geometry) == 2  # two triangles of the symbol
     assert m.bbox.intersects(m.bbox)
+
+
+@pytest.mark.parametrize("module_id", [1.5, True, "7", 0, -3])
+def test_create_module_refuses_an_id_that_is_not_a_positive_int(module_id):
+    """No coercion: 1.5 and True once built module 1 and "7" module 7, and
+    -3 built a module that saved but then would not load."""
+    with pytest.raises(KernelError) as info:
+        create_module(ModuleType.VALVE, {}, module_id=module_id)
+    assert str(info.value) == f"module id must be a positive integer, got {module_id!r}"
 
 
 def test_instrument_symbol_shape():
