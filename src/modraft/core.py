@@ -37,8 +37,11 @@ class Module:
     type: ModuleType
     props: dict
     geometry: tuple[Element, ...]
-    layer: int
     bbox: Rect
+
+    @property
+    def layer(self) -> int:
+        return self.props["layer"]
 
     @cached_property
     def geometry_json(self) -> bytes:
@@ -125,7 +128,7 @@ def create_module(mtype: ModuleType, props: dict, *, module_id: int = 1,
         bbox = element_bbox(*geometry)
     except (ValueError, OverflowError) as exc:  # e.g. coordinates too large
         raise GenerationError(f"{mtype.value} module: {exc}") from exc
-    return Module(module_id, mtype, norm, geometry, norm["layer"], bbox)
+    return Module(module_id, mtype, norm, geometry, bbox)
 
 
 def set_properties(m: Module, updates: dict, *, grid: "ZoneGrid | None" = None) -> Module:

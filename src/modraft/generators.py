@@ -114,7 +114,12 @@ def _column(rec: dict) -> tuple[float, str]:
     return width, _field(rec, "header", _as_text, "")
 
 
-def _table_layout(props: dict) -> tuple[Point, list[float], float, float, list[list[str]]]:
+def gen_table(props: dict) -> tuple[Element, ...]:
+    """Ruled table growing downward from its top-left position.
+
+    Emits (columns+1) vertical and (rows+2) horizontal segments, then one
+    text per cell, header row first, each inset 1 mm from its column line.
+    """
     columns = _read_records(props, "columns", _column)
 
     def cells(rec: dict) -> list[str]:
@@ -124,20 +129,11 @@ def _table_layout(props: dict) -> tuple[Point, list[float], float, float, list[l
             raise ValueError("cells: expected one text per column")
         return cells
 
-    headers = [header for _, header in columns]
-    return (props["position"], [width for width, _ in columns], props["row_height_mm"],
-            props["header_height_mm"], [headers] + _read_records(props, "rows", cells))
-
-
-def gen_table(props: dict) -> tuple[Element, ...]:
-    """Ruled table growing downward from its top-left position.
-
-    Emits (columns+1) vertical and (rows+2) horizontal segments, then one
-    text per cell, header row first, each inset 1 mm from its column line.
-    """
-    position, widths, row_h, header_h, text_rows = _table_layout(props)
-    x0, y0 = position.x, position.y
-    total_w = sum(widths)
+    text_rows = [[header for _, header in columns]]
+    text_rows += _read_records(props, "rows", cells)
+    row_h, header_h = props["row_height_mm"], props["header_height_mm"]
+    x0, y0 = props["position"].x, props["position"].y
+    total_w = sum(width for width, _ in columns)
     total_h = header_h + row_h * (len(text_rows) - 1)
     band_tops = [y0, y0 - header_h]
     for _ in range(len(text_rows) - 1):
@@ -146,17 +142,17 @@ def gen_table(props: dict) -> tuple[Element, ...]:
     elements: list[Element] = []
     x = x0
     xs = [x0]
-    for w in widths:
-        x += w
+    for width, _ in columns:
+        x += width
         xs.append(x)
     for x in xs:
         elements.append(Segment(Point(x, y0 - total_h), Point(x, y0), _SOLID))
     for y in band_tops:
         elements.append(Segment(Point(x0, y), Point(x0 + total_w, y), _SOLID))
-    for r, cells in enumerate(text_rows):
+    for r, row in enumerate(text_rows):
         band_h = header_h if r == 0 else row_h
         y_center = band_tops[r] - band_h / 2.0
-        for col, content in enumerate(cells):
+        for col, content in enumerate(row):
             anchor = Point(xs[col] + TABLE_TEXT_INSET,
                            y_center - TABLE_TEXT_HEIGHT / 2.0)
             elements.append(Text(anchor, TABLE_TEXT_HEIGHT, 0.0, content, _SOLID))

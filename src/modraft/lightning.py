@@ -112,12 +112,17 @@ def _section_radius(h: float, hx: float, zone_class: ZoneClass) -> "float | None
     return slope * (h - hx / k) if k * h > hx else None
 
 
-def single_rod_radius(h: float, hx: float, zone_class: ZoneClass) -> float:
-    """Protection radius rx at section height hx for a single rod."""
-    h = Rod(0.0, 0.0, h).h
+def _section_height(hx: float) -> float:
     hx = _as_real(hx)
     if hx < 0.0:
         raise ValueError("section height must be non-negative")
+    return hx
+
+
+def single_rod_radius(h: float, hx: float, zone_class: ZoneClass) -> float:
+    """Protection radius rx at section height hx for a single rod."""
+    h = Rod(0.0, 0.0, h).h
+    hx = _section_height(hx)
     rx = _section_radius(h, hx, zone_class)
     if rx is None:
         raise NoProtectionAtHeight(
@@ -131,9 +136,7 @@ def zone_sections(params: LightningParams, hx: float) -> list[Circle]:
 
     Rods whose apex does not clear hx contribute nothing.
     """
-    hx = _as_real(hx)
-    if hx < 0.0:
-        raise ValueError("section height must be non-negative")
+    hx = _section_height(hx)
     return [Circle(Point(rod.x, rod.y), rx) for rod in params.rods
             if (rx := _section_radius(rod.h, hx, params.zone_class)) is not None]
 

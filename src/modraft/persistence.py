@@ -366,7 +366,7 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set,
             element = element_from_json(record)
             if check:
                 _check_canonical("free element", record, _element_text(element))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise FileFormatError(f"bad free element: {exc}") from exc
         return element
     if kind != "module":
@@ -380,7 +380,7 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set,
         if not isinstance(stored, list):
             raise TypeError("geometry must be a list")
         stored_bytes = canonical_encode(stored) if check else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"bad module record: {exc}") from exc
     if not (type(module_id) is int and 1 <= module_id < next_id):
         raise FileFormatError(f"module id {module_id!r} out of range")

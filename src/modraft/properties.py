@@ -239,11 +239,7 @@ def russian_property_names() -> dict[str, str]:
 
 def _normalize_json(value: object) -> object:
     """Deep-normalise free-form record content to plain JSON values."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
+    if value is None or isinstance(value, (str, int)):  # bool is an int
         return value
     if isinstance(value, float):
         if not math.isfinite(value):

@@ -10,7 +10,7 @@ sum of quantities always equals the number of source modules without errors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -29,13 +29,6 @@ __all__ = [
 
 SPEC_MODULE_TYPES = frozenset(
     {ModuleType.VALVE, ModuleType.INSTRUMENT, ModuleType.POSDES})
-
-# Row fields in specification column order; also the merge key order.
-SPEC_ROW_FIELDS = ("position", "designation", "name", "type_mark",
-                   "unit", "mass", "price", "note")
-# Specification columns, and SpecRow's field order: the row fields with qty
-# after unit.
-_SPEC_COLUMNS = SPEC_ROW_FIELDS[:5] + ("qty",) + SPEC_ROW_FIELDS[5:]
 
 CATALOG_FIELDS = ("name", "type_mark", "manufacturer_code", "item_code",
                   "unit", "unit_code", "price")
@@ -60,6 +53,12 @@ class SpecRow:
 
     def merge_key(self) -> tuple:
         return tuple(getattr(self, name) for name in SPEC_ROW_FIELDS)
+
+
+# Specification columns in SpecRow's field order; the row fields, which are
+# the merge key in that order, are the columns but qty.
+_SPEC_COLUMNS = tuple(f.name for f in fields(SpecRow) if f.name != "sources")
+SPEC_ROW_FIELDS = tuple(name for name in _SPEC_COLUMNS if name != "qty")
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,8 @@ def collect_spec_rows(
     rows = []
     for key in sorted(merged):
         sources_for_row = tuple(sorted(merged[key]))
-        rows.append(SpecRow(*key[:5], len(sources_for_row), *key[5:],
-                            sources_for_row))
+        rows.append(SpecRow(**dict(zip(SPEC_ROW_FIELDS, key)),
+                            qty=len(sources_for_row), sources=sources_for_row))
     return rows, errors
 
 
