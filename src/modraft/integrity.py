@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .canon import _utf8
+from .geometry import _as_text, _named
 from .persistence import Drawing, _fragments
 from .properties import ModuleType
 
@@ -30,6 +31,7 @@ DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 TIME_RE = re.compile(r"^[0-9]{2}:[0-9]{2}\Z")
 
 _SEP = "\x1f"
+_SIGNER_FIELDS = ("person", "position", "date", "time", "password")
 
 
 def compute_digest(d: Drawing) -> str:
@@ -46,8 +48,11 @@ def signature_mac(digest_hex: str, person: str, position: str,
 
     Message layout: raw digest bytes then person, position, date and time
     as UTF-8, all five parts joined by a 0x1F unit separator. A lone
-    surrogate in a field or the password is ``_utf8``'s :class:`KernelError`.
+    surrogate in a field or the password is ``_utf8``'s :class:`KernelError`,
+    and one that is not text a ``ValueError`` naming it.
     """
+    for name, value in zip(_SIGNER_FIELDS, (person, position, date, time, password)):
+        _named(name, value, _as_text)
     message = bytes.fromhex(digest_hex) + _utf8(
         _SEP + _SEP.join([person, position, date, time]))
     return hmac.new(_utf8(password), message, hashlib.sha256).hexdigest()
@@ -55,6 +60,8 @@ def signature_mac(digest_hex: str, person: str, position: str,
 
 def validate_signer_fields(person: str, position: str, date: str, time: str,
                            password: str) -> None:
+    for name, value in zip(_SIGNER_FIELDS, (person, position, date, time, password)):
+        _named(name, value, _as_text)
     if not person.strip():
         raise ValueError("signer person must not be blank")
     if not position.strip():

@@ -182,8 +182,9 @@ def find_duplicate_positions(
 
 
 def _cell_text(value: object) -> str:
-    """A row field as printed and as put in a table cell."""
-    return format(value, "g") if isinstance(value, float) else str(value)
+    """A row field as printed and as put in a table cell: a real as the file
+    writer writes it (``repr``), less the ``.0`` of a whole number."""
+    return repr(value).removesuffix(".0") if isinstance(value, float) else str(value)
 
 
 def fill_table_module(d: Drawing, table_id: int, rows: Iterable[SpecRow],

@@ -237,6 +237,14 @@ def test_list_output(drawing, capsys):
     assert lines[1].startswith("module 2 instrument ")
 
 
+def test_list_writes_a_moved_origin_unrounded(drawing, capsys):
+    run(capsys, "add", drawing, "--type", "valve", "--props", "origin=(10,20)")
+    run(capsys, "edit", drawing, "--id", "1", "--move", "1224.5678,-19.5")
+    code, out, _ = run(capsys, "list", drawing)
+    assert (code, out) == (0, "module 1 valve layer=0 origin=(1234.5678,0.5) "
+                              "angle=0 mirrored=false elements=2\n")
+
+
 def test_list_non_utf8_file_exits_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff")
@@ -409,6 +417,16 @@ def test_spec_merges_and_prints_tsv(drawing, capsys):
                                   "price", "note"]
     cells = row.split("\t")
     assert cells[1] == "15кч18п" and cells[5] == "2" and cells[6] == "1.5"
+
+
+def test_spec_tells_apart_reals_that_differ_past_six_digits(drawing, capsys):
+    for mass in ("1234567.0", "1234568.0"):
+        run(capsys, "add", drawing, "--type", "valve",
+            "--props", "name=Вентиль", f"mass={mass}")
+    assert run(capsys, "spec", drawing) == (0, (
+        "position\tdesignation\tname\ttype_mark\tunit\tqty\tmass\tprice\tnote\n"
+        "\t\tВентиль\t\t\t1\t1234567\t0\t\n"
+        "\t\tВентиль\t\t\t1\t1234568\t0\t\n"), "")
 
 
 SPEC_PIN_STDOUT = (

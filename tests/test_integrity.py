@@ -261,6 +261,40 @@ def test_verifying_with_a_lone_surrogate_is_a_kernel_error(field, by_person):
     assert verify_signatures(d)[0].authenticity == "unchecked"
 
 
+# --- a signer field or password that is not text is refused by name ----------
+
+_NOT_TEXT = pytest.mark.parametrize("value, kind", [
+    (None, "NoneType"), (5, "int"), (b"pw", "bytes")], ids=["None", "int", "bytes"])
+
+
+@_NOT_TEXT
+@pytest.mark.parametrize("field", ["person", "position", "date", "time", "password"])
+def test_signing_with_a_field_that_is_not_text_names_it(field, value, kind):
+    d = _drawing()
+    before = save_drawing(d)
+    fields = {**SIGNER, "password": "pw", field: value}
+    message = rf"^{field}: expected text, got {kind}$"
+    with pytest.raises(ValueError, match=message):
+        validate_signer_fields(**fields)
+    with pytest.raises(ValueError, match=message):
+        signature_mac("00" * 32, **fields)
+    with pytest.raises(ValueError, match=message):
+        sign_drawing(d, **fields)
+    assert save_drawing(d) == before and d.next_id == 3
+
+
+# A password of None is no password: verify leaves authenticity unchecked.
+@pytest.mark.parametrize("value, kind", [(5, "int"), (b"pw", "bytes")],
+                         ids=["int", "bytes"])
+@pytest.mark.parametrize("by_person", [False, True], ids=["one", "per-person"])
+def test_verifying_with_a_password_that_is_not_text_names_it(value, kind, by_person):
+    d = _drawing()
+    sign_drawing(d, **SIGNER, password="pw")
+    passwords = {SIGNER["person"]: value} if by_person else value
+    with pytest.raises(ValueError, match=rf"^password: expected text, got {kind}$"):
+        verify_signatures(d, passwords)
+
+
 # --- one digest per verify ----------------------------------------------------
 
 _CONTENT_TYPES = [t for t in PROP_MAKERS if t is not ModuleType.SIGNATURE]

@@ -7,12 +7,15 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from modraft import (Catalog, CatalogError, Drawing, FileFormatError,
                      KernelError, ModuleType, Rect, SpecRow,
                      apply_catalog_entry, collect_spec_rows, create_module,
                      fill_table_module, find_duplicate_positions,
                      geometry_bytes, load_catalog, load_drawing,
                      save_drawing_file)
+from modraft.speccing import _cell_text
 
 EXTENT = Rect.from_bounds(0, 0, 800, 600)
 
@@ -275,6 +278,27 @@ def test_fill_table_formats_numbers():
     m = fill_table_module(d, table_id, rows,
                           {"qty": 0, "mass": 1, "price": 2})
     assert list(m.props["rows"]) == [{"cells": ["3", "1.5", "12", ""]}]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1234567.0)
+@example(1e6)
+@example(0.1 + 0.2)
+@example(-0.0)
+@example(1e16)
+def test_a_real_cell_reads_back_as_the_same_real(x):
+    text = _cell_text(x)
+    assert float(text) == x
+    assert not text.endswith(".0")
+
+
+def test_fill_table_writes_reals_without_rounding():
+    d, table_id = _table_drawing(2)
+    base = dict(position="", designation="", name="", type_mark="", unit="",
+                note="", price=0.0, qty=1, sources=())
+    rows = [SpecRow(mass=1234567.0, **base), SpecRow(mass=1234568.0, **base)]
+    m = fill_table_module(d, table_id, rows, {"mass": 0})
+    assert [r["cells"][0] for r in m.props["rows"]] == ["1234567", "1234568"]
 
 
 def test_fill_table_validates_map():

@@ -5,11 +5,12 @@ Run from the repository root with the code whose bytes the corpus records:
     PYTHONPATH=src python tools/make_v1_corpus.py
 
 It writes one drawing per module type, a mixed sheet with a free element of
-every kind, a drawing with three signatures from different signers, a
-prototype library and a catalog, and ``manifest.json``, which pins for each
-drawing its content digest, the SHA-256 of its SVG for the full extent and
-for one viewport, its specification rows (``repr`` of each field), its
-signers' passwords and, for the library and the catalog, what loads.
+every kind, a drawing with three signatures from different signers, one
+with modules rotated about the origin, a prototype library and a catalog,
+and ``manifest.json``, which pins for each drawing its content digest, the
+SHA-256 of its SVG for the full extent and for one viewport, its
+specification rows (``repr`` of each field) and its signers' passwords,
+and, for the library and the catalog, what loads.
 
 ``tests/test_v1_corpus.py`` checks every later version of the code against
 these files: they are the evidence that existing files still load and
@@ -152,6 +153,19 @@ def mixed_sheet() -> Drawing:
     return d
 
 
+def placed_at_origin() -> Drawing:
+    """Modules rotated about the origin. Placed far from it, a coordinate's
+    last bit is lost to the origin's, so a one-ulp change in a sine or
+    cosine would not show in the bytes; here it does."""
+    d = Drawing.new(Rect(Point(-50.0, -50.0), Point(50.0, 50.0)))
+    d.add_module(ModuleType.VALVE, {"angle_deg": 30.0})
+    d.add_module(ModuleType.USER, {"angle_deg": 45.0,
+                                   "elements": _USER_ELEMENTS})
+    d.add_module(ModuleType.INSTRUMENT, {"angle_deg": 60.0, "mirrored": True,
+                                         "function_code": "FT"})
+    return d
+
+
 def signed_three_times() -> Drawing:
     d = _new()
     d.add_module(ModuleType.VALVE, {"origin": (100.0, 100.0),
@@ -217,6 +231,7 @@ def main() -> int:
     drawings = module_drawings()
     drawings["mixed_sheet.draw.json"] = mixed_sheet()
     drawings["signed_three.draw.json"] = signed_three_times()
+    drawings["placed_at_origin.draw.json"] = placed_at_origin()
     manifest: dict = {"drawings": {}}
     for name, d in sorted(drawings.items()):
         (OUT / name).write_bytes(save_drawing(d))
