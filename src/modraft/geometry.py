@@ -12,13 +12,14 @@ count as intersecting, so conservative tests never drop a visible element.
 A drawing holds tens of thousands of these values, so they are lean: every
 class is slotted (no per-instance ``__dict__``), and the decoders and
 generators take each line style from :func:`_shared_style`, so equal styles
-are one object.
+are one object. Each value checks its arguments in its own ``__init__``,
+which stores each one once, through its slot's descriptor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Iterable, Union
@@ -62,19 +63,26 @@ def _cos_sin_deg(angle: float) -> tuple[float, float]:
     return math.cos(r), math.sin(r)
 
 
-@dataclass(frozen=True, slots=True)
+def _slots(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot, in field order. A frozen value's
+    ``__init__`` stores through them: they skip the frozen ``__setattr__``."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
     """2D point in mm."""
 
     x: float
     y: float
 
-    def __post_init__(self):
-        if type(self.x) is not float or type(self.y) is not float:
-            object.__setattr__(self, "x", _as_float(self.x))
-            object.__setattr__(self, "y", _as_float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, x: float, y: float):
+        if type(x) is not float or type(y) is not float:
+            x, y = _as_float(x), _as_float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("point coordinates must be finite")
+        _POINT_X(self, x)
+        _POINT_Y(self, y)
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -161,7 +169,7 @@ def _positive(value: object, what: str) -> float:
     return v
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transform:
     """Conformal affine map: x' = a*x + b*y + tx, y' = c*x + d*y + ty.
 
@@ -176,12 +184,13 @@ class Transform:
     tx: float = 0.0
     ty: float = 0.0
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d", "tx", "ty"):
-            v = _as_float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
+    def __init__(self, a: float, b: float, c: float, d: float,
+                 tx: float = 0.0, ty: float = 0.0):
+        for store, value in zip(_TRANSFORM_SLOTS, (a, b, c, d, tx, ty)):
+            value = _as_float(value)
+            if not math.isfinite(value):
                 raise ValueError("transform coefficients must be finite")
+            store(self, value)
         n1 = self.a * self.a + self.c * self.c
         n2 = self.b * self.b + self.d * self.d
         if n1 <= 0.0 or n2 <= 0.0:
@@ -292,17 +301,21 @@ class LineType(str, Enum):
     THIN_SOLID = "thin_solid"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LineStyle:
     """Line type plus palette colour index (0..255)."""
 
     line_type: LineType = LineType.SOLID
     color: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "line_type", LineType(self.line_type))
-        if not 0 <= _named("color", self.color, _as_int) <= 255:
+    def __init__(self, line_type: LineType = LineType.SOLID, color: int = 0):
+        _STYLE_LINE_TYPE(self, LineType(line_type))
+        _STYLE_COLOR(self, _named("color", color, _as_int))
+        if not 0 <= color <= 255:
             raise ValueError("colour index out of range 0..255")
+
+
+_STYLE_LINE_TYPE, _STYLE_COLOR = _slots(LineStyle)
 
 
 # Every valid style: 4 line types x 256 colours, so the table cannot outgrow
@@ -321,7 +334,7 @@ def _shared_style(line_type: object = LineType.SOLID, color: object = 0) -> Line
 _DEFAULT_STYLE = _shared_style()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Segment:
     """Straight segment between two points."""
 
@@ -329,8 +342,13 @@ class Segment:
     p2: Point
     style: LineStyle = _DEFAULT_STYLE
 
+    def __init__(self, p1: Point, p2: Point, style: LineStyle = _DEFAULT_STYLE):
+        _SEGMENT_P1(self, p1)
+        _SEGMENT_P2(self, p2)
+        _SEGMENT_STYLE(self, style)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Polyline:
     """Chain of vertices, optionally closed."""
 
@@ -338,15 +356,17 @@ class Polyline:
     closed: bool = False
     style: LineStyle = _DEFAULT_STYLE
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        if len(pts) < 2:
+    def __init__(self, points: Iterable[Point], closed: bool = False,
+                 style: LineStyle = _DEFAULT_STYLE):
+        points = tuple(points)
+        if len(points) < 2:
             raise ValueError("polyline needs at least 2 points")
-        object.__setattr__(self, "points", pts)
-        _named("closed", self.closed, _as_bool)
+        _POLYLINE_POINTS(self, points)
+        _POLYLINE_CLOSED(self, _named("closed", closed, _as_bool))
+        _POLYLINE_STYLE(self, style)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Arc:
     """Circular arc, counter-clockwise from start_angle to end_angle."""
 
@@ -356,14 +376,15 @@ class Arc:
     end_angle: float
     style: LineStyle = _DEFAULT_STYLE
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _positive(self.radius, "arc radius"))
-        start = norm_deg(self.start_angle)
-        end = norm_deg(self.end_angle)
-        if start == end:
+    def __init__(self, center: Point, radius: float, start_angle: float,
+                 end_angle: float, style: LineStyle = _DEFAULT_STYLE):
+        _ARC_CENTER(self, center)
+        _ARC_RADIUS(self, _positive(radius, "arc radius"))
+        _ARC_START(self, norm_deg(start_angle))
+        _ARC_END(self, norm_deg(end_angle))
+        if self.start_angle == self.end_angle:
             raise ValueError("arc sweep must lie strictly between 0 and 360 degrees")
-        object.__setattr__(self, "start_angle", start)
-        object.__setattr__(self, "end_angle", end)
+        _ARC_STYLE(self, style)
 
     @property
     def sweep_deg(self) -> float:
@@ -375,7 +396,7 @@ class Arc:
                      self.center.y + self.radius * sin_a)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Circle:
     """Full circle."""
 
@@ -383,11 +404,13 @@ class Circle:
     radius: float
     style: LineStyle = _DEFAULT_STYLE
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _positive(self.radius, "circle radius"))
+    def __init__(self, center: Point, radius: float, style: LineStyle = _DEFAULT_STYLE):
+        _CIRCLE_CENTER(self, center)
+        _CIRCLE_RADIUS(self, _positive(radius, "circle radius"))
+        _CIRCLE_STYLE(self, style)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Text:
     """Single-line text anchored at its box's bottom-left corner.
 
@@ -401,10 +424,13 @@ class Text:
     content: str
     style: LineStyle = _DEFAULT_STYLE
 
-    def __post_init__(self):
-        object.__setattr__(self, "height_mm", _positive(self.height_mm, "text height"))
-        object.__setattr__(self, "angle_deg", norm_deg(self.angle_deg))
-        _named("content", self.content, _as_text)
+    def __init__(self, anchor: Point, height_mm: float, angle_deg: float, content: str,
+                 style: LineStyle = _DEFAULT_STYLE):
+        _TEXT_ANCHOR(self, anchor)
+        _TEXT_HEIGHT(self, _positive(height_mm, "text height"))
+        _TEXT_ANGLE(self, norm_deg(angle_deg))
+        _TEXT_CONTENT(self, _named("content", content, _as_text))
+        _TEXT_STYLE(self, style)
 
     @property
     def box_width(self) -> float:
@@ -414,16 +440,18 @@ class Text:
 Element = Union[Segment, Polyline, Arc, Circle, Text]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rect:
     """Axis-aligned rectangle given by its min and max corners."""
 
     min: Point
     max: Point
 
-    def __post_init__(self):
-        if self.min.x > self.max.x or self.min.y > self.max.y:
+    def __init__(self, min: Point, max: Point):
+        if min.x > max.x or min.y > max.y:
             raise ValueError("rectangle corners are not ordered")
+        _RECT_MIN(self, min)
+        _RECT_MAX(self, max)
 
     @staticmethod
     def from_bounds(x0: float, y0: float, x1: float, y1: float) -> "Rect":
@@ -452,7 +480,7 @@ class Rect:
                 and self.min.y <= other.max.y and other.min.y <= self.max.y)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ZoneGrid:
     """Uniform grid of rectangular zones laid over a drawing.
 
@@ -465,17 +493,30 @@ class ZoneGrid:
     nx: int
     ny: int
 
-    def __post_init__(self):
-        for name, decode in (("cell_w", _as_real), ("cell_h", _as_real),
-                             ("nx", _as_int), ("ny", _as_int)):
-            value = _named(f"zone grid {name}", getattr(self, name), decode)
-            object.__setattr__(self, name, value)
+    def __init__(self, origin: Point, cell_w: float, cell_h: float, nx: int, ny: int):
+        _GRID_ORIGIN(self, origin)
+        _GRID_CELL_W(self, _named("zone grid cell_w", cell_w, _as_real))
+        _GRID_CELL_H(self, _named("zone grid cell_h", cell_h, _as_real))
+        _GRID_NX(self, _named("zone grid nx", nx, _as_int))
+        _GRID_NY(self, _named("zone grid ny", ny, _as_int))
         if not (self.cell_w > 0.0 and self.cell_h > 0.0):
             raise ValueError("zone cells must have positive size")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("zone grid needs at least one cell per axis")
         if self.nx * self.ny > 4096:
             raise ValueError("zone grid exceeds 4096 cells")
+
+
+# What each value's __init__ stores through, beside LineStyle's own above.
+_POINT_X, _POINT_Y = _slots(Point)
+_TRANSFORM_SLOTS = _slots(Transform)
+_SEGMENT_P1, _SEGMENT_P2, _SEGMENT_STYLE = _slots(Segment)
+_POLYLINE_POINTS, _POLYLINE_CLOSED, _POLYLINE_STYLE = _slots(Polyline)
+_ARC_CENTER, _ARC_RADIUS, _ARC_START, _ARC_END, _ARC_STYLE = _slots(Arc)
+_CIRCLE_CENTER, _CIRCLE_RADIUS, _CIRCLE_STYLE = _slots(Circle)
+_TEXT_ANCHOR, _TEXT_HEIGHT, _TEXT_ANGLE, _TEXT_CONTENT, _TEXT_STYLE = _slots(Text)
+_RECT_MIN, _RECT_MAX = _slots(Rect)
+_GRID_ORIGIN, _GRID_CELL_W, _GRID_CELL_H, _GRID_NX, _GRID_NY = _slots(ZoneGrid)
 
 
 def _angle_in_sweep(angle: float, start: float, sweep: float) -> bool:

@@ -49,12 +49,16 @@ def signature_mac(digest_hex: str, person: str, position: str,
     Message layout: raw digest bytes then person, position, date and time
     as UTF-8, all five parts joined by a 0x1F unit separator. A lone
     surrogate in a field or the password is ``_utf8``'s :class:`KernelError`,
-    and one that is not text a ``ValueError`` naming it.
+    and one that is not text, or a digest that is not hex text, a
+    ``ValueError`` naming it.
     """
     for name, value in zip(_SIGNER_FIELDS, (person, position, date, time, password)):
         _named(name, value, _as_text)
-    message = bytes.fromhex(digest_hex) + _utf8(
-        _SEP + _SEP.join([person, position, date, time]))
+    try:
+        digest = bytes.fromhex(_as_text(digest_hex))
+    except ValueError:
+        raise ValueError("digest: expected hex text") from None
+    message = digest + _utf8(_SEP + _SEP.join([person, position, date, time]))
     return hmac.new(_utf8(password), message, hashlib.sha256).hexdigest()
 
 
@@ -97,6 +101,14 @@ class SignatureStatus:
         return self.integrity == "valid" and self.authenticity != "broken"
 
 
+def _is_hex(text: str) -> bool:
+    try:
+        bytes.fromhex(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _status(module, digest: str, password: "str | None") -> SignatureStatus:
     """Verdicts for one signature module against an already computed digest."""
     props = module.props
@@ -105,8 +117,8 @@ def _status(module, digest: str, password: "str | None") -> SignatureStatus:
     integrity = "valid" if props["digest"] == digest else "broken"
     if password is None:
         authenticity = "unchecked"
-    elif props["mac"] == signature_mac(props["digest"], person, position,
-                                       date, time, password):
+    elif _is_hex(props["digest"]) and props["mac"] == signature_mac(
+            props["digest"], person, position, date, time, password):
         authenticity = "valid"
     else:
         authenticity = "broken"

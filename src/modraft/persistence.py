@@ -14,7 +14,8 @@ element records must be canonical as well, and so must the frame: every
 object holds exactly the keys the format defines, ids and versions are
 JSON integers, and ``extent`` and ``zone_grid`` are canonical. One
 comparison of a canonical file's bytes with the regenerated drawing's
-proves the records; any other file is checked item by item. Property
+proves the records, so its stored geometry is never parsed; any other file
+is parsed whole and checked item by item. Property
 values are decoded by :func:`validate_props` alone and normalised on load
 (an integer for a real is saved as a real), so load∘save is the identity on
 canonical files.
@@ -157,9 +158,16 @@ def _rect_json(rect: Rect) -> dict:
     return {"max": _point_json(rect.max), "min": _point_json(rect.min)}
 
 
+_MODULE_HEAD = b'{"geometry":'
 _MODULE_REST = b',"id":%d,"kind":"module","props":%b,"type":%b}'
 _ELEMENT_ITEM = '{"element":%s,"kind":"element"}'
 _TYPE_JSON = {t: canonical_encode(t.value) for t in ModuleType}
+# What :func:`_read_items` reads, cut from the writer's own templates above.
+_OPEN = _MODULE_HEAD.decode()
+_ID, _PROPS, _TYPE, _CLOSE = re.split("%[db]", _MODULE_REST.decode())
+_ELEMENT_HEAD, _ELEMENT_TAIL = _ELEMENT_ITEM.split("%s")
+_TYPE_OF = {_TYPE + text.decode() + _CLOSE: t for t, text in _TYPE_JSON.items()}
+_DECODER = json.JSONDecoder()
 
 
 def _fragments(d: Drawing, exclude_signatures: bool) -> Iterator[bytes]:
@@ -181,7 +189,7 @@ def _fragments(d: Drawing, exclude_signatures: bool) -> Iterator[bytes]:
         elif exclude_signatures and item.type is ModuleType.SIGNATURE:
             continue
         else:
-            yield comma + b'{"geometry":'
+            yield comma + _MODULE_HEAD
             yield item.geometry_json
             yield _MODULE_REST % (item.id, _props_bytes(item.type, item.props),
                                   _TYPE_JSON[item.type])
@@ -208,26 +216,28 @@ def save_drawing(d: Drawing) -> bytes:
     return canonical_bytes(d)
 
 
-def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
-    """Decode a UTF-8 JSON file; a key repeated in one object is read
-    last-wins unless ``object_pairs_hook`` decides otherwise. Also return
-    the lone-surrogate check for one item: :func:`_check_surrogates`, or a
-    no-op when one search of the input's UTF-8 bytes finds no escape of a
-    surrogate, nor ``_utf8`` a surrogate in a ``str`` as itself; and those
-    bytes (none for such a ``str``)."""
+def _read_text(data: "bytes | str") -> tuple[str, "bytes | bytearray", bool]:
+    """A UTF-8 file as text and as bytes, and whether one search of those
+    bytes finds a surrogate's escape, or ``_utf8`` a surrogate in a ``str``."""
     data = data.tobytes() if isinstance(data, memoryview) else data
     if not isinstance(data, (bytes, bytearray, str)):
         raise FileFormatError(f"a file is bytes or text, not {type(data).__name__}")
-    raw = b""
     try:
         text = data if isinstance(data, str) else data.decode("utf-8")
         raw = _utf8(data) if isinstance(data, str) else data
-        screened = _SURROGATE_ESCAPE.search(raw)
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except KernelError:
-        screened = True
+        return text, b"", True
+    return text, raw, _SURROGATE_ESCAPE.search(raw) is not None
+
+
+def _parse_json(text: str, screened: bool, object_pairs_hook=None) -> tuple:
+    """Decode JSON text; a key repeated in one object is read last-wins
+    unless ``object_pairs_hook`` decides otherwise. Also return the
+    lone-surrogate check for one item: :func:`_check_surrogates`, or a no-op
+    when ``screened``, :func:`_read_text`'s search, found no sign of one."""
     try:
         doc = json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
@@ -238,7 +248,7 @@ def _parse_json(data: "bytes | str", object_pairs_hook=None) -> tuple:
         raise FileFormatError("an integer has too many digits to read") from exc
     except RecursionError as exc:
         raise FileFormatError("JSON nested too deeply") from exc
-    return doc, _check_surrogates if screened else _no_surrogates, raw
+    return doc, _check_surrogates if screened else _no_surrogates
 
 
 def _check_version(doc: dict) -> None:
@@ -298,11 +308,30 @@ def load_drawing(data: "bytes | str") -> Drawing:
     that disagrees raises :class:`IntegrityMismatch`. The frame around the
     items must hold exactly the defined keys, and ``extent`` and
     ``zone_grid`` must be canonical. No text may hold a lone surrogate.
-    A canonically framed file first loads without the per-item byte checks,
-    which equal canonical bytes then prove; otherwise a walk with them
-    gives the verdict.
+    An input with no sign of a surrogate and a canonical frame first loads
+    by the fast walk over :func:`_read_items`, which never parses stored
+    geometry, and equal canonical bytes prove it; otherwise the whole input
+    is parsed, and a walk with the per-item checks gives the verdict.
     """
-    doc, check_surrogates, raw = _parse_json(data)
+    text, raw, screened = _read_text(data)
+    if not screened:
+        with suppress(KernelError, RecursionError):
+            # The frame without its items: only numbers lie around them.
+            start = text.find('"items":[') + len('"items":[')
+            frame = _read_frame(_parse_json(
+                text[:start] + text[text.rfind('],"next_id":'):], False)[0])
+            head, tail = _fragments(Drawing(*frame), False)  # an empty drawing's bytes
+            if raw.startswith(head) and raw.endswith(tail):
+                items = _read_items(text, len(head), len(text) - len(tail))
+                d = _load_items(Drawing(*frame), items, _no_surrogates, False)
+                if raw == canonical_bytes(d):
+                    return d
+    doc, check_surrogates = _parse_json(text, screened)
+    return _load_items(Drawing(*_read_frame(doc)), doc["items"], check_surrogates, True)
+
+
+def _read_frame(doc: object) -> tuple[Rect, ZoneGrid, int]:
+    """A parsed drawing's extent, zone grid and next id, its frame checked."""
     if not isinstance(doc, dict):
         raise FileFormatError("drawing file must contain a JSON object")
     _check_version(doc)
@@ -319,23 +348,44 @@ def load_drawing(data: "bytes | str") -> Drawing:
         _check_canonical("zone_grid", grid_doc, canonical_dumps(_grid_json(grid)))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FileFormatError(f"bad drawing structure: {exc}") from exc
-    next_id, items_doc = doc["next_id"], doc["items"]
+    next_id = doc["next_id"]
     if not (type(next_id) is int and next_id >= 1):
         raise FileFormatError("next_id must be a positive integer")
-    if not isinstance(items_doc, list):
+    if not isinstance(doc["items"], list):
         raise FileFormatError("items must be a list")
-
-    frame = (extent, grid, next_id)
-    head, tail = _fragments(Drawing(*frame), False)  # an empty drawing's bytes
-    if raw.startswith(head) and raw.endswith(tail):
-        with suppress(KernelError, RecursionError):
-            d = _load_items(Drawing(*frame), items_doc, check_surrogates, False)
-            if raw == canonical_bytes(d):
-                return d
-    return _load_items(Drawing(*frame), items_doc, check_surrogates, True)
+    return extent, grid, next_id
 
 
-def _load_items(d: Drawing, items_doc: list, check_surrogates, check: bool) -> Drawing:
+def _read_items(text: str, at: int, end: int) -> Iterator[dict]:
+    """Each item of ``text[at:end]`` as parsing gives it, read in the grammar
+    of :func:`_fragments`, but a module's stored geometry is skipped up to
+    the first ``_ID``: no element record has an ``id`` key, and JSON text
+    escapes every quote. Props and free elements are decoded from their own
+    spans. A misplaced item is a FileFormatError; the caller's byte
+    comparison proves the rest, the comma skipped after each item included."""
+    try:
+        while at < end:
+            if text.startswith(_OPEN, at):
+                at = text.index(_ID, at) + len(_ID)
+                props_at = text.index(_PROPS, at)
+                item = {"geometry": None, "id": int(text[at:props_at]), "kind": "module"}
+                item["props"], at = _DECODER.raw_decode(text, props_at + len(_PROPS))
+                close = text.index(_CLOSE, at) + len(_CLOSE)
+                item["type"], at = _TYPE_OF[text[at:close]], close + 1
+            elif text.startswith(_ELEMENT_HEAD, at):
+                record, at = _DECODER.raw_decode(text, at + len(_ELEMENT_HEAD))
+                if not text.startswith(_ELEMENT_TAIL, at):
+                    raise ValueError("no kind after the record")
+                item = {"element": record, "kind": "element"}
+                at += len(_ELEMENT_TAIL) + 1
+            else:
+                raise ValueError("no item")
+            yield item
+    except (KeyError, ValueError) as exc:
+        raise FileFormatError(f"not a canonical item at character {at}: {exc}") from None
+
+
+def _load_items(d: Drawing, items_doc: Iterable, check_surrogates, check: bool) -> Drawing:
     """Load each item into ``d``, locating what one raises; ``check`` adds the
     byte checks: stored geometry as it regenerates, free elements canonical."""
     seen_ids: set[int] = set()
@@ -376,10 +426,11 @@ def _load_item(item_doc: object, next_id: int, seen_ids: set,
         module_id = item_doc["id"]
         mtype = ModuleType(item_doc["type"])
         props = props_from_json(mtype, item_doc["props"])
-        stored = item_doc["geometry"]
-        if not isinstance(stored, list):
-            raise TypeError("geometry must be a list")
-        stored_bytes = canonical_encode(stored) if check else None
+        if check:
+            stored = item_doc["geometry"]
+            if not isinstance(stored, list):
+                raise TypeError("geometry must be a list")
+            stored_bytes = canonical_encode(stored)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"bad module record: {exc}") from exc
     if not (type(module_id) is int and 1 <= module_id < next_id):
@@ -454,7 +505,8 @@ def load_prototypes(
     in ``errors`` as (its name, or ``entry N``, message) and the remaining
     entries still load.
     """
-    doc, check_surrogates, _ = _parse_json(data)
+    text, _, screened = _read_text(data)
+    doc, check_surrogates = _parse_json(text, screened)
     if not isinstance(doc, dict):
         raise FileFormatError("prototype file must contain a JSON object")
     _check_version(doc)

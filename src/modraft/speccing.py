@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Union
 from .core import Module, set_properties
 from .errors import CatalogError, FileFormatError, KernelError, SchemaViolation
 from .geometry import _as_real, _as_text, _field
-from .persistence import Drawing, _parse_json, load_drawing_file
+from .persistence import Drawing, _parse_json, _read_text, load_drawing_file
 from .properties import ModuleType, schema_for
 
 __all__ = [
@@ -228,7 +228,8 @@ def load_catalog(data: "bytes | str") -> Catalog:
         return obj
 
     try:
-        doc, check_surrogates, _ = _parse_json(data, reject_duplicates)
+        text, _, screened = _read_text(data)
+        doc, check_surrogates = _parse_json(text, screened, reject_duplicates)
     except FileFormatError as exc:
         raise CatalogError(str(exc)) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):

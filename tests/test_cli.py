@@ -728,6 +728,22 @@ def test_sign_and_verify_flow(drawing, capsys):
     assert "integrity broken, authenticity valid" in lines[1]
 
 
+def test_verify_gives_every_verdict_when_a_stored_digest_is_not_hex(drawing, capsys):
+    run(capsys, "add", drawing, "--type", "valve")
+    run(capsys, "sign", drawing, *SIGN_ARGS, "--password", "pw")
+    run(capsys, "sign", drawing, *SIGN_ARGS, "--password", "pw")
+    code, _, _ = run(capsys, "set", drawing, "--id", "2", "--props", "digest=zz")
+    assert code == 0
+    code, out, err = run(capsys, "verify", drawing, "--password", "pw")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "integrity: broken",
+        "signature 2 (Иванов И.И., инженер, 2024-05-01 14:05): "
+        "integrity broken, authenticity broken",
+        "signature 3 (Иванов И.И., инженер, 2024-05-01 14:05): "
+        "integrity valid, authenticity valid"]
+
+
 def test_verify_no_signatures(drawing, capsys):
     code, out, _ = run(capsys, "verify", drawing)
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -588,3 +589,132 @@ def test_an_infinite_radius_height_or_scale_is_not_positive(build, reason):
     with pytest.raises(ValueError) as info:
         build(math.inf)
     assert str(info.value) == reason
+
+
+# --- each value reads its arguments in its own __init__ ----------------------
+
+_P, _Q = Point(0.0, 0.0), Point(1.0, 1.0)
+_DASHED_3 = LineStyle(LineType.DASHED, 3)
+
+# (class, arguments, {field: value stored}, (field, new argument, value stored))
+_CONSTRUCTED = [
+    (Point, (1, -2), {"x": 1.0, "y": -2.0}, ("y", 3, 3.0)),
+    (Transform, (0, -1, 1, 0, 5, -6),
+     {"a": 0.0, "b": -1.0, "c": 1.0, "d": 0.0, "tx": 5.0, "ty": -6.0}, ("tx", 7, 7.0)),
+    (LineStyle, ("dashed", 3), {"line_type": LineType.DASHED, "color": 3},
+     ("line_type", "dash_dot", LineType.DASH_DOT)),
+    (Segment, (_P, _Q, _DASHED_3), {"p1": _P, "p2": _Q, "style": _DASHED_3},
+     ("p2", _P, _P)),
+    (Polyline, ([_P, _Q], True), {"points": (_P, _Q), "closed": True, "style": LineStyle()},
+     ("points", [_Q, _P], (_Q, _P))),
+    (Arc, (_P, 2, -90, 450), {"center": _P, "radius": 2.0, "start_angle": 270.0,
+                              "end_angle": 90.0}, ("start_angle", -45, 315.0)),
+    (Circle, (_Q, 3), {"center": _Q, "radius": 3.0}, ("radius", 1, 1.0)),
+    (Text, (_P, 2, -30, "a"), {"anchor": _P, "height_mm": 2.0, "angle_deg": 330.0,
+                               "content": "a"}, ("angle_deg", 720, 0.0)),
+    (Rect, (_P, _Q), {"min": _P, "max": _Q}, ("max", Point(2, 2), Point(2.0, 2.0))),
+    (ZoneGrid, (_Q, 10, 20, 3, 2),
+     {"origin": _Q, "cell_w": 10.0, "cell_h": 20.0, "nx": 3, "ny": 2}, ("nx", 4, 4)),
+]
+
+
+@pytest.mark.parametrize("cls, args, stored, change", _CONSTRUCTED,
+                         ids=[row[0].__name__ for row in _CONSTRUCTED])
+def test_a_value_stores_each_argument_as_its_decoder_reads_it(cls, args, stored, change):
+    value = cls(*args)
+    for name, expected in stored.items():
+        got = getattr(value, name)
+        assert got == expected and type(got) is type(expected), name
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert cls(**dict(zip(names, args))) == value
+    name, argument, expected = change
+    changed = dataclasses.replace(value, **{name: argument})
+    assert getattr(changed, name) == expected
+    assert type(getattr(changed, name)) is type(expected)
+    assert dataclasses.replace(changed, **{name: getattr(value, name)}) == value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], getattr(value, names[0]))
+
+
+_BAD_NUMBERS = [True, "1", None, math.nan, math.inf, -math.inf, 10**400]
+_BAD_IDS = ["bool", "text", "None", "nan", "inf", "-inf", "huge-int"]
+
+
+def _real_refusals(not_finite: str, prefix: str = "") -> list[str]:
+    """The messages a real argument gives for each of _BAD_NUMBERS."""
+    return [prefix + "expected a real number, got bool",
+            prefix + "expected a real number, got str",
+            prefix + "expected a real number, got NoneType",
+            not_finite, not_finite, not_finite, prefix + "value is too large"]
+
+
+def _integer_refusals(prefix: str, too_large: str) -> list[str]:
+    return [prefix + "expected an integer, got bool", prefix + "expected an integer, got str",
+            prefix + "expected an integer, got NoneType", *[prefix + "expected an integer, "
+                                                            "got float"] * 3, too_large]
+
+
+_POINT_FINITE = "point coordinates must be finite"
+_COEFFICIENT_FINITE = "transform coefficients must be finite"
+# (id, the call, the message for each of _BAD_NUMBERS)
+_ARGUMENT_READERS = [
+    ("Point-x", lambda v: Point(v, 0.0), _real_refusals(_POINT_FINITE)),
+    ("Point-y", lambda v: Point(0.0, v), _real_refusals(_POINT_FINITE)),
+    ("Transform-a", lambda v: Transform(v, 0.0, 0.0, 1.0), _real_refusals(_COEFFICIENT_FINITE)),
+    ("Transform-ty", lambda v: Transform(1.0, 0.0, 0.0, 1.0, 0.0, v),
+     _real_refusals(_COEFFICIENT_FINITE)),
+    ("Arc-radius", lambda v: Arc(_P, v, 0.0, 90.0),
+     _real_refusals("arc radius must be positive")),
+    ("Arc-start_angle", lambda v: Arc(_P, 1.0, v, 90.0), _real_refusals("value must be finite")),
+    ("Arc-end_angle", lambda v: Arc(_P, 1.0, 0.0, v), _real_refusals("value must be finite")),
+    ("Circle-radius", lambda v: Circle(_P, v), _real_refusals("circle radius must be positive")),
+    ("Text-height_mm", lambda v: Text(_P, v, 0.0, "a"),
+     _real_refusals("text height must be positive")),
+    ("Text-angle_deg", lambda v: Text(_P, 1.0, v, "a"), _real_refusals("value must be finite")),
+    ("ZoneGrid-cell_w", lambda v: ZoneGrid(_P, v, 1.0, 1, 1),
+     _real_refusals("zone grid cell_w: value must be finite", "zone grid cell_w: ")),
+    ("ZoneGrid-cell_h", lambda v: ZoneGrid(_P, 1.0, v, 1, 1),
+     _real_refusals("zone grid cell_h: value must be finite", "zone grid cell_h: ")),
+    ("ZoneGrid-nx", lambda v: ZoneGrid(_P, 1.0, 1.0, v, 1),
+     _integer_refusals("zone grid nx: ", "zone grid exceeds 4096 cells")),
+    ("ZoneGrid-ny", lambda v: ZoneGrid(_P, 1.0, 1.0, 1, v),
+     _integer_refusals("zone grid ny: ", "zone grid exceeds 4096 cells")),
+    ("LineStyle-color", lambda v: LineStyle(LineType.SOLID, v),
+     _integer_refusals("color: ", "colour index out of range 0..255")),
+]
+
+
+@pytest.mark.parametrize("build, value, reason", [
+    pytest.param(build, value, reason, id=f"{name}-{value_id}")
+    for name, build, reasons in _ARGUMENT_READERS
+    for value, value_id, reason in zip(_BAD_NUMBERS, _BAD_IDS, reasons)])
+def test_a_value_refuses_a_bad_argument_by_class_and_message(build, value, reason):
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert type(info.value) is ValueError and str(info.value) == reason
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: Transform(math.nan, "x", 0.0, 1.0), _COEFFICIENT_FINITE),
+    (lambda: Transform("x", math.nan, 0.0, 1.0), "expected a real number, got str"),
+    (lambda: Point(math.nan, "x"), "expected a real number, got str"),
+    (lambda: Arc(_P, -1.0, math.nan, "x"), "arc radius must be positive"),
+    (lambda: Arc(_P, 1.0, math.nan, "x"), "value must be finite"),
+    (lambda: Arc(_P, 1.0, 10.0, 370.0), "arc sweep must lie strictly between 0 and 360 degrees"),
+    (lambda: Text(_P, 0.0, math.nan, 5), "text height must be positive"),
+    (lambda: Text(_P, 1.0, math.nan, 5), "value must be finite"),
+    (lambda: Text(_P, 1.0, 0.0, 5), "content: expected text, got int"),
+    (lambda: ZoneGrid(_P, "a", math.nan, 0, 0), "zone grid cell_w: expected a real number, got str"),
+    (lambda: ZoneGrid(_P, 1.0, 1.0, 0, True), "zone grid ny: expected an integer, got bool"),
+    (lambda: LineStyle("bogus", True), "'bogus' is not a valid LineType"),
+    (lambda: Polyline([_P], "no"), "polyline needs at least 2 points"),
+    (lambda: Rect(_Q, _P), "rectangle corners are not ordered"),
+], ids=["Transform-finite-first", "Transform-kind-first", "Point-kinds-first",
+        "Arc-radius-first", "Arc-start-first", "Arc-sweep", "Text-height-first",
+        "Text-angle-before-content", "Text-content", "ZoneGrid-cell_w-first",
+        "ZoneGrid-checks-before-sizes", "LineStyle-type-first", "Polyline-points-first",
+        "Rect-order"])
+def test_a_value_with_two_bad_arguments_reports_the_first_it_reads(build, reason):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == reason

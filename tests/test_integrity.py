@@ -295,6 +295,31 @@ def test_verifying_with_a_password_that_is_not_text_names_it(value, kind, by_per
         verify_signatures(d, passwords)
 
 
+# --- a stored digest that is not hex text reads broken ------------------------
+
+@pytest.mark.parametrize("stored", ["zz", "abc", "0" * 63 + "g", "é1"],
+                         ids=["zz", "odd-length", "last-digit", "non-ascii"])
+def test_a_stored_digest_that_is_not_hex_reads_broken(stored):
+    d = _drawing()
+    first = sign_drawing(d, **SIGNER, password="pw")
+    sign_drawing(d, **{**SIGNER, "person": "Петров"}, password="pw")
+    d.set_module_properties(first.id, {"digest": stored})
+    verdicts = [(s.integrity, s.authenticity) for s in verify_signatures(d, "pw")]
+    assert verdicts == [("broken", "broken"), ("valid", "valid")]
+    assert verify_signatures(d)[0].authenticity == "unchecked"
+    with pytest.raises(ValueError, match=r"^password: expected text, got int$"):
+        verify_signatures(d, 5)
+
+
+@pytest.mark.parametrize("digest", ["zz", "abc", None, 5, b"00"],
+                         ids=["zz", "odd-length", "None", "int", "bytes"])
+def test_signature_mac_refuses_a_digest_that_is_not_hex_text(digest):
+    with pytest.raises(ValueError) as info:
+        signature_mac(digest, **SIGNER, password="pw")
+    assert type(info.value) is ValueError
+    assert str(info.value) == "digest: expected hex text"
+
+
 # --- one digest per verify ----------------------------------------------------
 
 _CONTENT_TYPES = [t for t in PROP_MAKERS if t is not ModuleType.SIGNATURE]

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -1469,7 +1470,8 @@ def _reference_item(item_doc: object, next_id: int, seen_ids: set):
 def _reference_load(data: bytes) -> Drawing:
     """The per-item loader, independent of any byte comparison; its frame,
     which the mutations below leave valid, is read by load_drawing."""
-    doc, check_surrogates, _ = persistence._parse_json(data)
+    text, _, screened = persistence._read_text(data)
+    doc, check_surrogates = persistence._parse_json(text, screened)
     d = load_drawing(json.dumps({**doc, "items": []}))
     seen_ids: set[int] = set()
     for index, item_doc in enumerate(doc["items"]):
@@ -1682,3 +1684,83 @@ def test_a_failing_file_runs_both_walks_and_raises_the_item_verdict(walks):
     with pytest.raises(IntegrityMismatch, match=r"^item 0 \(module 1\): "):
         load_drawing(data)
     assert walks == [False, True]
+
+
+# --- the fast walk reads items from the bytes, never the stored geometry ------
+
+# The reader's own markers, as text that a drawing may hold anywhere.
+_MARKERS = '],"id":1,"kind":"module","props":,"type":"valve"}},"kind":"element"}'
+
+
+def _marked_drawing(layout: str) -> Drawing:
+    """A canonical drawing whose text element, table cells, comments and
+    records hold the reader's markers, and one record a ``"type"`` key and a
+    whole module item. ``layout`` puts free elements (E) among modules (M)."""
+    note = Text(Point(5, 5), 2.5, 30.0, "Кран " + _MARKERS)
+    item = {"geometry": [], "id": 1, "kind": "module", "props": {}, "type": "valve"}
+    modules = iter([
+        (ModuleType.TABLE, {"columns": [{"width_mm": 30.0, "header": _MARKERS}],
+                            "rows": [{"cells": [_MARKERS]}], "row_height_mm": 8.0,
+                            "header_height_mm": 10.0, "comment": _MARKERS}),
+        (ModuleType.POSDES, {"leader_from": (0, 0), "shelf_at": (10, 10),
+                             "position_text": "Поз. 1", "comment": "Задвижка " + _MARKERS,
+                             "spec_props": {"name": _MARKERS, "item": item, "type": "valve"}}),
+        (ModuleType.USER, {"elements": [element_to_json(note)], "comment": _MARKERS}),
+        (ModuleType.VALVE, {"origin": (40, 40), "name": "Кран шаровой", "comment": _MARKERS}),
+    ])
+    d = Drawing.new(EXTENT)
+    for slot in layout:
+        if slot == "E":
+            d.add_element(note)
+        else:
+            d.add_module(*next(modules))
+    return d
+
+
+@pytest.mark.parametrize("layout", ["EMEMMME", "MMMM", "EE", ""],
+                         ids=["mixed", "modules-only", "elements-only", "no-items"])
+def test_text_holding_the_readers_markers_loads_by_the_fast_walk(walks, layout):
+    data = save_drawing(_marked_drawing(layout))
+    assert (_MARKERS.replace('"', '\\"').encode() in data) == bool(layout)
+    assert save_drawing(load_drawing(data)) == data
+    assert walks == [False]
+
+
+_V1_DRAWINGS = sorted((Path(__file__).parent / "data" / "v1").glob("*.draw.json"))
+
+
+@pytest.mark.parametrize("path", _V1_DRAWINGS, ids=[p.name for p in _V1_DRAWINGS])
+def test_every_v1_drawing_loads_by_the_fast_walk(walks, path):
+    data = path.read_bytes()
+    assert save_drawing(load_drawing(data)) == data
+    assert walks == [False]
+
+
+def test_a_canonical_load_never_parses_its_stored_geometry(monkeypatch, walks):
+    d = _marked_drawing("EMEMMME")
+    for module in _random_drawing(21, 8).modules():
+        d.add_module(module.type, module.props)
+    data = save_drawing(d)
+    text = data.decode()
+    spans, at, previous = [], 0, b""  # where each module's stored geometry lies
+    for fragment in persistence._fragments(d, False):
+        size = len(fragment.decode())
+        if previous.endswith(b'{"geometry":'):
+            spans.append((at, at + size))
+        at, previous = at + size, fragment
+    assert at == len(text) and len(spans) == len(d.modules())
+    parsed = []  # (whether the string decoded is the file's text, start, end)
+    original = json.JSONDecoder.raw_decode
+
+    def recording(self, s, idx=0):
+        doc, end = original(self, s, idx)
+        parsed.append((len(s) == len(text), idx, end))
+        return doc, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", recording)
+    assert save_drawing(load_drawing(data)) == data
+    assert walks == [False]
+    geometry = sum(stop - start for start, stop in spans)
+    assert 0 < sum(end - idx for _, idx, end in parsed) < len(text) - geometry
+    for in_text, idx, end in parsed:
+        assert not in_text or all(end <= start or stop <= idx for start, stop in spans)
