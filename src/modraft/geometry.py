@@ -19,7 +19,7 @@ which stores each one once, through its slot's descriptor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Iterable, Union
@@ -718,14 +718,6 @@ def offset_path(points: Iterable[object], side_offset: float,
     return elements
 
 
-def _point_json(p: Point) -> list[float]:
-    return [p.x, p.y]
-
-
-def _style_json(style: LineStyle) -> dict:
-    return {"color": style.color, "line_type": style.line_type.value}
-
-
 def _style_from_json(doc: object) -> LineStyle:
     if not isinstance(doc, dict):
         raise ValueError("line style must be an object")
@@ -735,27 +727,28 @@ def _style_from_json(doc: object) -> LineStyle:
         raise ValueError(f"bad line style: {exc}") from exc
 
 
+def _to_json(value: object) -> object:
+    """Plain-JSON form of a value, by format v1's one rule: a Point is
+    ``[x, y]``, a tuple a list, an Enum its ``value``, and any other value
+    class a record keyed by its field names. JSON values pass as they are."""
+    if isinstance(value, Point):
+        return [value.x, value.y]
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def element_to_json(element: Element) -> dict:
-    """Plain-JSON form of an element (used in files and byte comparisons)."""
-    style = _style_json(element.style)
-    if isinstance(element, Segment):
-        return {"kind": "segment", "p1": _point_json(element.p1),
-                "p2": _point_json(element.p2), "style": style}
-    if isinstance(element, Polyline):
-        return {"kind": "polyline", "points": [_point_json(p) for p in element.points],
-                "closed": element.closed, "style": style}
-    if isinstance(element, Arc):
-        return {"kind": "arc", "center": _point_json(element.center),
-                "radius": element.radius, "start_angle": element.start_angle,
-                "end_angle": element.end_angle, "style": style}
-    if isinstance(element, Circle):
-        return {"kind": "circle", "center": _point_json(element.center),
-                "radius": element.radius, "style": style}
-    if isinstance(element, Text):
-        return {"kind": "text", "anchor": _point_json(element.anchor),
-                "height_mm": element.height_mm, "angle_deg": element.angle_deg,
-                "content": element.content, "style": style}
-    raise TypeError(f"not an element: {element!r}")
+    """Plain-JSON form of an element: ``kind``, its class name in lower case,
+    then its fields by :func:`_to_json`. The reference form; files are
+    written by :func:`_element_text`, whose text is this form's encoding."""
+    if not isinstance(element, Element):
+        raise TypeError(f"not an element: {element!r}")
+    return {"kind": type(element).__name__.lower(), **_to_json(element)}
 
 
 # The canonical text of each style, written on first use: at most one entry

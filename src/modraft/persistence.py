@@ -51,7 +51,7 @@ from .canon import _utf8, canonical_dumps, canonical_encode
 from .core import Module, create_module, set_properties
 from .errors import FileFormatError, IntegrityMismatch, KernelError
 from .geometry import (Element, Rect, ZoneGrid, _as_point, _element_text,
-                       _named, _point_json, element_from_json, element_to_json)
+                       _named, _to_json, element_from_json)
 from .properties import (PLACEMENT_SCHEMA, ModuleType, _props_bytes,
                          props_from_json, validate_props)
 
@@ -105,9 +105,10 @@ class Drawing:
         return [item for item in self.items if not isinstance(item, Module)]
 
     def _module_index(self, module_id: int) -> int:
-        for i, item in enumerate(self.items):
-            if isinstance(item, Module) and item.id == module_id:
-                return i
+        if type(module_id) is int:  # True == 1 and 2.0 == 2 would find a module
+            for i, item in enumerate(self.items):
+                if isinstance(item, Module) and item.id == module_id:
+                    return i
         raise KernelError(f"no module with id {module_id}")
 
     def module(self, module_id: int) -> Module:
@@ -123,7 +124,7 @@ class Drawing:
         if not isinstance(element, Element):
             raise KernelError(f"not an element: a {type(element).__name__}")
         try:
-            element_from_json(element_to_json(element))
+            _element_text(element)
         except (AttributeError, TypeError, ValueError) as exc:
             raise KernelError(f"bad element: {exc}") from None
         self.items.append(element)
@@ -143,19 +144,9 @@ class Drawing:
     def remove_free_element(self, index: int) -> None:
         positions = [i for i, item in enumerate(self.items)
                      if not isinstance(item, Module)]
-        try:
-            del self.items[positions[index]]
-        except IndexError:
-            raise KernelError(f"no free element at index {index}") from None
-
-
-def _grid_json(grid: ZoneGrid) -> dict:
-    return {"cell_h": grid.cell_h, "cell_w": grid.cell_w, "nx": grid.nx,
-            "ny": grid.ny, "origin": _point_json(grid.origin)}
-
-
-def _rect_json(rect: Rect) -> dict:
-    return {"max": _point_json(rect.max), "min": _point_json(rect.min)}
+        if type(index) is not int or not -len(positions) <= index < len(positions):
+            raise KernelError(f"no free element at index {index}")
+        del self.items[positions[index]]
 
 
 _MODULE_HEAD = b'{"geometry":'
@@ -175,8 +166,8 @@ def _fragments(d: Drawing, exclude_signatures: bool) -> Iterator[bytes]:
     head, each item, then the frame's tail, keys in sorted order. A module
     item passes its cached ``geometry_json`` on as it is and writes its
     properties, which are mutable and so never cached."""
-    frame = {"extent": _rect_json(d.extent), "format_version": FORMAT_VERSION,
-             "items": [], "zone_grid": _grid_json(d.zone_grid)}
+    frame = {"extent": _to_json(d.extent), "format_version": FORMAT_VERSION,
+             "items": [], "zone_grid": _to_json(d.zone_grid)}
     if not exclude_signatures:
         frame["next_id"] = d.next_id
     # Every other frame value is a number, so the empty list is found once.
@@ -343,9 +334,8 @@ def _read_frame(doc: object) -> tuple[Rect, ZoneGrid, int]:
         grid = ZoneGrid(_named("zone_grid.origin", grid_doc["origin"], _as_point),
                         grid_doc["cell_w"], grid_doc["cell_h"],
                         grid_doc["nx"], grid_doc["ny"])
-        _check_canonical("extent", doc["extent"],
-                         canonical_dumps(_rect_json(extent)))
-        _check_canonical("zone_grid", grid_doc, canonical_dumps(_grid_json(grid)))
+        _check_canonical("extent", doc["extent"], canonical_dumps(_to_json(extent)))
+        _check_canonical("zone_grid", grid_doc, canonical_dumps(_to_json(grid)))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FileFormatError(f"bad drawing structure: {exc}") from exc
     next_id = doc["next_id"]

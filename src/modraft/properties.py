@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 from .canon import _utf8, canonical_dumps
 from .errors import FileFormatError, KernelError, SchemaViolation
 from .geometry import (LineType, Point, _as_bool, _as_int, _as_point, _as_real,
-                       _as_text, _point_json, norm_deg)
+                       _as_text, _to_json, norm_deg)
 
 __all__ = [
     "ModuleType", "PropKind", "Axis", "PropSpec",
@@ -351,25 +351,12 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
     return out
 
 
-def _value_to_json(value: object) -> object:
-    """Plain-JSON form of a normalised property value. Points and axes are
-    the only values JSON cannot hold and tuples become lists; everything
-    else :func:`validate_props` has already made plain JSON."""
-    if isinstance(value, Point):
-        return _point_json(value)
-    if isinstance(value, Axis):
-        return {"angle_deg": value.angle_deg, "origin": _point_json(value.origin)}
-    if isinstance(value, tuple):
-        return [_value_to_json(v) for v in value]
-    return value
-
-
 def props_to_json(mtype: ModuleType, props: Mapping[str, object]) -> dict:
     """Kind-tagged JSON form of a normalised property set; the tags come
     from the schema. Files are written by ``_props_bytes``, whose bytes are
     this form's canonical encoding."""
     schema = schema_for(mtype)
-    return {key: {"kind": schema[key].kind.value, "value": _value_to_json(value)}
+    return {key: {"kind": schema[key].kind.value, "value": _to_json(value)}
             for key, value in props.items()}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -286,17 +287,36 @@ def test_snap_points_per_element():
 
 # --- JSON round trip ------------------------------------------------------------
 
+_STYLE = LineStyle(LineType.DASH_DOT, 17)
+_EVERY_KIND = {
+    "segment": Segment(Point(0.5, -1), Point(2, 3), _STYLE),
+    "polyline": Polyline((Point(0, 0), Point(1, 0), Point(1, 1)), True, _STYLE),
+    "arc": Arc(Point(1, 1), 2.0, 350.0, 20.0, _STYLE),
+    "circle": Circle(Point(-3, 0), 0.25, _STYLE),
+    "text": Text(Point(0, 0), 3.5, 45.0, "Ду50", _STYLE),
+}
+
+
 def test_element_json_round_trip_every_kind():
-    style = LineStyle(LineType.DASH_DOT, 17)
-    elements = [
-        Segment(Point(0.5, -1), Point(2, 3), style),
-        Polyline((Point(0, 0), Point(1, 0), Point(1, 1)), True, style),
-        Arc(Point(1, 1), 2.0, 350.0, 20.0, style),
-        Circle(Point(-3, 0), 0.25, style),
-        Text(Point(0, 0), 3.5, 45.0, "Ду50", style),
-    ]
-    for element in elements:
+    for element in _EVERY_KIND.values():
         assert element_from_json(element_to_json(element)) == element
+
+
+@pytest.mark.parametrize("kind", _EVERY_KIND)
+def test_an_element_record_is_its_kind_then_its_fields_by_name(kind):
+    element = _EVERY_KIND[kind]
+    doc = element_to_json(element)
+    assert doc["kind"] == kind
+    assert doc.keys() == {"kind"} | {f.name for f in dataclasses.fields(element)}
+    assert doc["style"] == {"color": 17, "line_type": "dash_dot"}
+    # Parsing builds plain JSON types alone: a tuple or a LineType left in
+    # the record would dump as a list or a str, and repr otherwise.
+    assert repr(json.loads(json.dumps(doc))) == repr(doc)
+
+
+def test_element_to_json_refuses_what_is_not_an_element():
+    with pytest.raises(TypeError, match="^not an element: "):
+        element_to_json(Point(0, 0))
 
 
 # Every finite binary64 value, so -0.0, subnormals and 1e+16 all occur.

@@ -1135,6 +1135,32 @@ def test_remove_free_element_out_of_range_is_a_kernel_error(index):
     assert len(d.items) == 1
 
 
+@pytest.mark.parametrize("index", [True, False, 0.0, 1.0, "0", None],
+                         ids=["true", "false", "zero-real", "one-real", "text", "none"])
+def test_remove_free_element_takes_only_an_int_index(index):
+    d = Drawing.new(EXTENT)
+    d.add_element(Segment(Point(0.0, 0.0), Point(1.0, 1.0)))
+    d.add_element(Segment(Point(2.0, 2.0), Point(3.0, 3.0)))
+    before = list(d.items)
+    with pytest.raises(KernelError) as info:
+        d.remove_free_element(index)
+    assert str(info.value) == f"no free element at index {index}"
+    assert d.items == before
+
+
+@pytest.mark.parametrize("module_id", [True, 1.0, "1", None],
+                         ids=["true", "real", "text", "none"])
+def test_a_module_id_that_is_not_an_int_finds_no_module(module_id):
+    d = Drawing.new(EXTENT)
+    d.add_module(ModuleType.VALVE, {})
+    message = f"^no module with id {module_id}$"
+    for find in (d.module, d.remove_module,
+                 lambda i: d.set_module_properties(i, {"layer": 2})):
+        with pytest.raises(KernelError, match=message):
+            find(module_id)
+    assert [m.id for m in d.modules()] == [1] and d.module(1).props["layer"] == 0
+
+
 def test_unknown_property_is_a_schema_violation_whatever_its_tag():
     doc = _valid_doc()
     doc["items"][0]["props"]["colour"] = {"kind": "no-such-kind", "value": 1}
@@ -1224,8 +1250,9 @@ def test_add_element_refuses_what_is_not_an_element(item):
     Polyline(((0, 0), (1, 1))),
     Circle(Point(0, 0), 1.0, LineType.DASHED),
     Text(Point(0, 0), 2.5, 0.0, "x", None),
+    Segment(Point(0, 0), Point(1, 1), ["solid", 0]),
 ], ids=["tuple-points", "text-style", "number-point", "tuple-vertices",
-        "enum-style", "no-style"])
+        "enum-style", "no-style", "unhashable-style"])
 def test_add_element_refuses_what_the_element_reader_refuses(element):
     d = Drawing.new(EXTENT)
     d.add_element(Segment(Point(0, 0), Point(1, 1)))

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from modraft import (Axis, KernelError, ModuleType, Point, PropKind,
+from modraft import (Axis, KernelError, LineType, ModuleType, Point, PropKind,
                      SchemaViolation, canonical_encode, russian_property_names,
                      schema_for, validate_props)
 from modraft.properties import (_WRITERS, _props_bytes, props_from_json,
@@ -188,6 +188,25 @@ def test_uncoercible_values_are_schema_violations(key, value):
     with pytest.raises(SchemaViolation) as info:
         validate_props(ModuleType.VALVE, {key: value})
     assert info.value.key == key
+
+
+def test_a_tagged_property_set_holds_plain_json_only():
+    rng = random.Random(5)
+    for mtype in PROP_MAKERS:
+        for _ in range(20):
+            doc = props_to_json(mtype, validate_props(mtype, random_props(rng, mtype)))
+            assert all(tagged.keys() == {"kind", "value"} for tagged in doc.values())
+            # Parsing builds plain JSON types alone: a Point or an Axis left
+            # in the set would not dump, and a tuple or a LineType would
+            # dump as a list or a str, and repr otherwise.
+            assert repr(json.loads(json.dumps(doc))) == repr(doc)
+
+
+def test_a_line_type_given_as_text_is_written_as_plain_text():
+    props = validate_props(ModuleType.INSTRUMENT, {
+        "function_code": "PI", "kip_line_type": LineType.DASHED})
+    value = props_to_json(ModuleType.INSTRUMENT, props)["kip_line_type"]["value"]
+    assert type(value) is str and value == "dashed"
 
 
 def test_json_docs_are_tagged_by_kind():

@@ -57,6 +57,31 @@ MUTANTS = [
            "src/modraft/geometry.py",
            "_TEXT_ANGLE(self, norm_deg(angle_deg))", "_TEXT_ANGLE(self, angle_deg)",
            ("tests/test_geometry.py",)),
+    Mutant("add_element without its writer call",
+           "src/modraft/persistence.py",
+           "            _element_text(element)\n", "            pass\n",
+           ("tests/test_persistence.py",)),
+    Mutant("the plain-JSON writer without its Point branch",
+           "src/modraft/geometry.py",
+           "    if isinstance(value, Point):\n        return [value.x, value.y]\n", "",
+           ("tests/test_geometry.py",)),
+    Mutant("a path segment too long to measure is not refused",
+           "src/modraft/geometry.py",
+           "        if length == math.inf:\n", "        if False:\n",
+           ("tests/test_offset.py",)),
+    Mutant("create_module without its module id check",
+           "src/modraft/core.py",
+           "    if not (type(module_id) is int and module_id >= 1):\n", "    if False:\n",
+           ("tests/test_module_core.py",)),
+    Mutant("a spec cell writes a real rounded to six digits",
+           "src/modraft/speccing.py",
+           'repr(value).removesuffix(".0") if', 'format(value, "g") if',
+           ("tests/test_speccing.py",)),
+    Mutant("a signature's authenticity is checked without the hex test",
+           "src/modraft/integrity.py",
+           '    elif _is_hex(props["digest"]) and props["mac"]',
+           '    elif props["mac"]',
+           ("tests/test_integrity.py",)),
 ]
 
 
