@@ -192,8 +192,8 @@ def align_by_attach(m: Module, own_axis_index: int, target: Axis, *,
 
     ``grid`` is accepted for compatibility and has no effect.
     """
-    axes = m.props.get("attach")
-    if not axes or not 0 <= own_axis_index < len(axes):
+    axes = m.props.get("attach", ())
+    if type(own_axis_index) is not int or not 0 <= own_axis_index < len(axes):
         raise ValueError(f"module {m.id} has no attach axis {own_axis_index}")
     own = axes[own_axis_index]
 

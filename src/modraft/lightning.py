@@ -10,7 +10,10 @@ generated geometry is paper millimetres via an explicit scale.
 
 :class:`Rod` and :class:`LightningParams` check their numbers once, as
 property values are checked: a string or boolean is refused, not coerced.
-The zone maths trusts what they hold and reads its own arguments as they do.
+The zone maths trusts what they hold and reads its own arguments as they do:
+``apex_height``, ``ground_radius`` and ``single_rod_radius`` read a rod
+height by :class:`Rod`'s rule, so they refuse what a rod refuses, with its
+words (a height above ``MAX_ROD_HEIGHT`` is :class:`OutOfMethodRange`).
 """
 
 from __future__ import annotations
@@ -97,11 +100,13 @@ def _zone(h: float, zone_class: ZoneClass) -> tuple[float, float]:
 
 def apex_height(h: float, zone_class: ZoneClass) -> float:
     """Zone apex h0 for a rod of height h."""
+    h = Rod(0.0, 0.0, h).h
     return _zone(h, zone_class)[0] * h
 
 
 def ground_radius(h: float, zone_class: ZoneClass) -> float:
-    """Zone radius r0 at ground level."""
+    """Zone radius r0 at ground level for a rod of height h."""
+    h = Rod(0.0, 0.0, h).h
     return _zone(h, zone_class)[1] * h
 
 

@@ -7,13 +7,13 @@ reading them back checks each tag against the schema and strips it, and
 :func:`validate_props` decodes the bare JSON values, so it is the one place
 a property value is coerced.
 
-Each property kind has one reader and one writer. The readers
-(``_DECODERS``) decode a JSON value to the kind's value class; the writers
-(``_WRITERS``) write a decoded value straight to canonical JSON text, and
-``_props_bytes`` writes a whole property set in one format call per module,
-keys in sorted order, with the kind tags fixed per type. Its bytes are
-exactly ``canonical_encode(props_to_json(mtype, props))``; that reference
-form is kept public for tests and callers that want the tagged dicts.
+Each property kind has one row in ``_KINDS``: its reader, which decodes a
+JSON value to the kind's value class, and its writer, which writes a decoded
+value straight to canonical JSON text. ``_props_bytes`` writes a whole
+property set in one format call per module, keys in sorted order, with the
+kind tags fixed per type. Its bytes are exactly
+``canonical_encode(props_to_json(mtype, props))``; that reference form is
+kept public for tests and callers that want the tagged dicts.
 
 The schema holds every rule on a single value, as a spec's ``rule``;
 generators keep only the checks that relate two values or read a record.
@@ -301,18 +301,6 @@ def _list_of(read: Callable[[object], object], what: str) -> Callable[[object], 
     return read_list
 
 
-# One reader per property kind; a refusal is ``ValueError(reason)``.
-_DECODERS: dict[PropKind, Callable[[object], object]] = {
-    PropKind.TEXT: _as_text, PropKind.REAL: _as_real,
-    PropKind.INTEGER: _as_int, PropKind.BOOLEAN: _as_bool,
-    PropKind.POINT: _as_point,
-    PropKind.POINT_LIST: _list_of(_as_point, "points"),
-    PropKind.AXIS_LIST: _list_of(_as_axis, "axes"),
-    PropKind.RECORD: _as_record,
-    PropKind.RECORD_LIST: _list_of(_as_list_item, "records"),
-}
-
-
 def _read_records(props: Mapping[str, object], key: str, read) -> list:
     """``read`` applied to each record of the record-list property ``key``.
     Any refusal of a record, a kernel error included, is a SchemaViolation
@@ -344,7 +332,7 @@ def validate_props(mtype: ModuleType, props: Mapping[str, object]) -> dict[str, 
         if spec.required and key not in props:
             raise SchemaViolation(key, "required property missing")
         try:
-            value = _DECODERS[spec.kind](props.get(key, spec.default))
+            value = _KINDS[spec.kind][0](props.get(key, spec.default))
             out[key] = value if spec.rule is None else spec.rule(value)
         except ValueError as exc:
             raise SchemaViolation(key, str(exc)) from exc
@@ -369,21 +357,25 @@ def _axis_text(a: Axis) -> str:
     return '{"angle_deg":%r,"origin":[%r,%r]}' % (a.angle_deg, o.x, o.y)
 
 
-# One writer per property kind: the canonical JSON text of a value its
-# reader decoded, as the encoder writes it (reals and integers by their
-# ``__repr__``, text by ``encode_basestring``, the encoder's writer without
-# ``ensure_ascii``). Decoded reals and points are finite floats, so nothing
-# here needs the encoder's NaN check. Records are free-form JSON, so the
-# encoder writes them.
-_WRITERS: dict[PropKind, Callable[[object], str]] = {
-    PropKind.TEXT: encode_basestring, PropKind.REAL: float.__repr__,
-    PropKind.INTEGER: int.__repr__,
-    PropKind.BOOLEAN: {True: "true", False: "false"}.__getitem__,
-    PropKind.POINT: _point_text,
-    PropKind.POINT_LIST: lambda ps: "[" + ",".join(map(_point_text, ps)) + "]",
-    PropKind.AXIS_LIST: lambda axes: "[" + ",".join(map(_axis_text, axes)) + "]",
-    PropKind.RECORD: canonical_dumps,
-    PropKind.RECORD_LIST: canonical_dumps,
+# One row per property kind: its reader, which decodes a JSON value to the
+# kind's value class and refuses with ``ValueError(reason)``, and its writer,
+# which writes a value its reader decoded as canonical JSON text, as the
+# encoder writes it (reals and integers by their ``__repr__``, text by
+# ``encode_basestring``, the encoder's writer without ``ensure_ascii``).
+# Decoded reals and points are finite floats, so no writer needs the
+# encoder's NaN check. Records are free-form JSON, so the encoder writes them.
+_KINDS = {
+    PropKind.TEXT: (_as_text, encode_basestring),
+    PropKind.REAL: (_as_real, float.__repr__),
+    PropKind.INTEGER: (_as_int, int.__repr__),
+    PropKind.BOOLEAN: (_as_bool, {True: "true", False: "false"}.__getitem__),
+    PropKind.POINT: (_as_point, _point_text),
+    PropKind.POINT_LIST: (_list_of(_as_point, "points"),
+                          lambda ps: "[" + ",".join(map(_point_text, ps)) + "]"),
+    PropKind.AXIS_LIST: (_list_of(_as_axis, "axes"),
+                         lambda axes: "[" + ",".join(map(_axis_text, axes)) + "]"),
+    PropKind.RECORD: (_as_record, canonical_dumps),
+    PropKind.RECORD_LIST: (_list_of(_as_list_item, "records"), canonical_dumps),
 }
 
 
@@ -395,7 +387,7 @@ def _layout(mtype: ModuleType) -> tuple[str, tuple]:
     template = "{" + ",".join(
         '%s:{"kind":"%s","value":%%s}' % (canonical_dumps(key), schema[key].kind.value)
         for key in keys) + "}"
-    return template, tuple((key, _WRITERS[schema[key].kind]) for key in keys)
+    return template, tuple((key, _KINDS[schema[key].kind][1]) for key in keys)
 
 
 _LAYOUTS = {mtype: _layout(mtype) for mtype in ModuleType}

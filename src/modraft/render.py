@@ -39,14 +39,13 @@ from .core import Module
 
 __all__ = ["palette", "visible_items", "render_svg"]
 
-STROKE_WIDTH_MM = 0.5
-THIN_STROKE_WIDTH_MM = 0.25
-
-_DASH_PATTERNS = {
-    LineType.SOLID: None,
-    LineType.THIN_SOLID: None,
-    LineType.DASHED: "4,2",
-    LineType.DASH_DOT: "8,2,1,2",
+# One row per line type: its stroke width in millimetres and its dash
+# pattern, None for a continuous line.
+_STROKES = {
+    LineType.SOLID: (0.5, None),
+    LineType.THIN_SOLID: (0.25, None),
+    LineType.DASHED: (0.5, "4,2"),
+    LineType.DASH_DOT: (0.5, "8,2,1,2"),
 }
 
 
@@ -152,10 +151,8 @@ _ESCAPES = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", ord('"'): "&q
 @functools.cache
 def _stroke(line_type: LineType, color: int) -> str:
     """Stroke attributes of a line style, built once per (type, colour)."""
-    width = THIN_STROKE_WIDTH_MM if line_type is LineType.THIN_SOLID \
-        else STROKE_WIDTH_MM
+    width, dash = _STROKES[line_type]
     attrs = f'stroke="{palette()[color]}" stroke-width="{_fmt(width)}"'
-    dash = _DASH_PATTERNS[line_type]
     return attrs if dash is None else f'{attrs} stroke-dasharray="{dash}"'
 
 

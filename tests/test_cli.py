@@ -143,6 +143,16 @@ def test_set_unknown_id(drawing, capsys):
     assert code == 1 and "no module with id 9" in err
 
 
+@pytest.mark.parametrize("token", ["novalue", "=1.0"])
+def test_set_refuses_a_token_without_key_and_value(drawing, capsys, token):
+    run(capsys, "add", drawing, "--type", "valve")
+    before = Path(drawing).read_bytes()
+    code, _, err = run(capsys, "set", drawing, "--id", "1", "--props", token)
+    assert code == 1
+    assert err == f"error: bad property assignment {token!r}; use key=value\n"
+    assert Path(drawing).read_bytes() == before
+
+
 def test_edit_move_rotate_mirror(drawing, capsys):
     run(capsys, "add", drawing, "--type", "valve", "--props", "origin=(10,10)")
     assert run(capsys, "edit", drawing, "--id", "1", "--move", "5,-2")[0] == 0

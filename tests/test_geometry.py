@@ -449,6 +449,21 @@ def _segment_record(style: dict) -> dict:
     return {"kind": "segment", "p1": [0.0, 0.0], "p2": [1.0, 1.0], "style": style}
 
 
+@pytest.mark.parametrize("style", [None, "solid", ["solid", 0], 0])
+def test_a_style_that_is_not_an_object_is_refused(style):
+    with pytest.raises(ValueError) as info:
+        element_from_json(_segment_record(style))
+    assert str(info.value) == "bad segment element: line style must be an object"
+
+
+@pytest.mark.parametrize("points", [[], (), iter(())])
+def test_an_empty_point_set_has_no_bounds(points):
+    with pytest.raises(ValueError) as info:
+        Rect.from_points(points)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "cannot bound an empty point set"
+
+
 def test_equal_style_records_decode_to_one_style_object():
     first = element_from_json(_segment_record({"color": 7, "line_type": "dashed"}))
     second = element_from_json(_segment_record({"line_type": "dashed", "color": 7}))

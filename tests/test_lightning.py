@@ -190,6 +190,31 @@ def test_zone_functions_keep_their_negative_height_messages():
     assert is_protected(0, 0, 1, _params()) is True  # ints are reals
 
 
+@pytest.mark.parametrize("h, error, message", [
+    (-5, ValueError, "rod height must be positive"),
+    (0, ValueError, "rod height must be positive"),
+    (True, ValueError, "h: expected a real number, got bool"),
+    (math.nan, ValueError, "h: value must be finite"),
+    ("10", ValueError, "h: expected a real number, got str"),
+    (1000, OutOfMethodRange, "rod height 1000.0 m exceeds 150.0 m"),
+])
+def test_apex_and_ground_radius_read_the_rod_height_as_a_rod_does(h, error, message):
+    """apex_height and ground_radius refuse, with the same class and words,
+    every rod height that single_rod_radius refuses."""
+    calls = [lambda cls: single_rod_radius(h, 0.0, cls),
+             lambda cls: apex_height(h, cls), lambda cls: ground_radius(h, cls)]
+    for call in calls:
+        for cls in ZoneClass:
+            with pytest.raises(error) as info:
+                call(cls)
+            assert type(info.value) is error and str(info.value) == message
+
+
+def test_apex_and_ground_radius_take_an_integer_height():
+    assert apex_height(10, ZoneClass.B) == apex_height(10.0, ZoneClass.B)
+    assert ground_radius(150, ZoneClass.A) == ground_radius(150.0, ZoneClass.A)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LightningParams(rods=(), section_heights=(1.0,),

@@ -199,6 +199,25 @@ def test_align_by_attach_index_out_of_range():
         align_by_attach(m, 5, Axis(Point(0, 0), 0.0))
 
 
+@pytest.mark.parametrize("mtype, props, index", [
+    (ModuleType.VALVE, {}, True),
+    (ModuleType.VALVE, {}, False),
+    (ModuleType.VALVE, {}, 1.0),
+    (ModuleType.VALVE, {}, "0"),
+    (ModuleType.VALVE, {}, -1),
+    (ModuleType.PIPELINE, {"path": [(0, 0), (10, 0)], "diameter_mm": 2.0}, 0),
+])
+def test_align_by_attach_takes_only_an_int_index_of_an_axis(mtype, props, index):
+    """An attach axis index is a non-bool int, as a module id is: True is
+    not axis 1, and 1.0 is refused with the same words, not a bare
+    TypeError. A type without attach axes has no axis 0."""
+    m = create_module(mtype, props, module_id=3)
+    with pytest.raises(ValueError) as info:
+        align_by_attach(m, index, Axis(Point(0, 0), 0.0))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"module 3 has no attach axis {index}"
+
+
 def test_spawn_working_modules_lightning():
     m = create_module(ModuleType.LIGHTNING, {
         "rods": [{"x": 0.0, "y": 0.0, "h": 20.0}],

@@ -759,6 +759,18 @@ def test_integer_zone_grid_origin_is_a_format_error():
                               r'"origin":\[-500,-500.0\]')
 
 
+@pytest.mark.parametrize("change, reason", [
+    ({"cell_w": 0.0}, "zone cells must have positive size"),
+    ({"cell_h": -125.0}, "zone cells must have positive size"),
+    ({"nx": 0}, "zone grid needs at least one cell per axis"),
+    ({"ny": -1}, "zone grid needs at least one cell per axis"),
+])
+def test_an_empty_zone_grid_is_a_format_error(change, reason):
+    doc = _free_element_doc()
+    doc["zone_grid"].update(change)
+    _expect_format_error(doc, rf"^bad drawing structure: {reason}$")
+
+
 @pytest.mark.parametrize("part, change", [
     pytest.param("extent", lambda doc: doc["extent"].update(unit="mm"),
                  id="extent-extra-key"),

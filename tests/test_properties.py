@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from modraft import (Axis, KernelError, LineType, ModuleType, Point, PropKind,
                      SchemaViolation, canonical_encode, russian_property_names,
                      schema_for, validate_props)
-from modraft.properties import (_WRITERS, _props_bytes, props_from_json,
+from modraft.properties import (_KINDS, _props_bytes, props_from_json,
                                 props_to_json)
 
 from propgen import PROP_MAKERS, random_props
@@ -147,6 +147,15 @@ def test_record_values_must_be_plain_json():
             "spec_props": {"weird": object()}})
 
 
+@pytest.mark.parametrize("record", [{1: "a"}, {"outer": {(0, 1): 2.0}}, {"a": [{None: 0}]}])
+def test_record_keys_must_be_text(record):
+    with pytest.raises(SchemaViolation) as info:
+        validate_props(ModuleType.POSDES, {
+            "leader_from": (0, 0), "shelf_at": (1, 1), "position_text": "1",
+            "spec_props": record})
+    assert str(info.value) == "property 'spec_props': record keys must be strings"
+
+
 def test_validation_is_idempotent():
     rng = random.Random(3)
     for mtype in ModuleType:
@@ -263,7 +272,8 @@ def _reference(mtype: ModuleType, props: dict) -> bytes:
 
 
 def test_every_kind_has_one_writer():
-    assert set(_WRITERS) == set(PropKind)
+    assert set(_KINDS) == set(PropKind)
+    assert all(len(row) == 2 and all(map(callable, row)) for row in _KINDS.values())
 
 
 # Characters the encoder escapes or that UTF-8 writes in several bytes.

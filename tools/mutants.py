@@ -82,6 +82,47 @@ MUTANTS = [
            '    elif _is_hex(props["digest"]) and props["mac"]',
            '    elif props["mac"]',
            ("tests/test_integrity.py",)),
+    Mutant("a compose translation sum re-associated",
+           "src/modraft/geometry.py",
+           "a * itx + b * ity + tx,", "a * itx + (b * ity + tx),",
+           ("tests/test_module_core.py",)),
+    Mutant("the fast walk runs without the frame's head/tail pre-check",
+           "src/modraft/persistence.py",
+           "            if raw.startswith(head) and raw.endswith(tail):\n",
+           "            if True:\n",
+           ("tests/test_persistence.py",)),
+    Mutant("the checking walk skips the stored-geometry comparison",
+           "src/modraft/persistence.py",
+           "    if check and stored_bytes != m.geometry_json:\n", "    if False:\n",
+           ("tests/test_persistence.py",)),
+    Mutant("render_svg joins its lines with CRLF",
+           "src/modraft/render.py",
+           '    return "\\n".join(chunks)\n', '    return "\\r\\n".join(chunks)\n',
+           ("tests/test_render.py",)),
+    Mutant("a property kind's row holds the wrong writer",
+           "src/modraft/properties.py",
+           "PropKind.TEXT: (_as_text, encode_basestring),",
+           "PropKind.TEXT: (_as_text, json.encoder.encode_basestring_ascii),",
+           ("tests/test_properties.py",)),
+    Mutant("a thin solid line is stroked at full width",
+           "src/modraft/render.py",
+           "LineType.THIN_SOLID: (0.25, None),", "LineType.THIN_SOLID: (0.5, None),",
+           ("tests/test_render.py",)),
+    Mutant("apex_height without its rod height read",
+           "src/modraft/lightning.py",
+           "    h = Rod(0.0, 0.0, h).h\n    return _zone(h, zone_class)[0] * h\n",
+           "    return _zone(h, zone_class)[0] * h\n",
+           ("tests/test_lightning.py",)),
+    Mutant("ground_radius without its rod height read",
+           "src/modraft/lightning.py",
+           "    h = Rod(0.0, 0.0, h).h\n    return _zone(h, zone_class)[1] * h\n",
+           "    return _zone(h, zone_class)[1] * h\n",
+           ("tests/test_lightning.py",)),
+    Mutant("align_by_attach takes a bool as an axis index",
+           "src/modraft/core.py",
+           "    if type(own_axis_index) is not int or",
+           "    if not isinstance(own_axis_index, int) or",
+           ("tests/test_module_core.py",)),
 ]
 
 
