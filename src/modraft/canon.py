@@ -6,12 +6,11 @@ UTF-8, reals as Python's shortest round-tripping decimal, NaN/Inf rejected.
 :func:`_utf8` is the one place text becomes UTF-8, in files, MACs and SVG.
 """
 
-from __future__ import annotations
-
 import json
 
 from .errors import KernelError
 
+__all__ = ["canonical_dumps", "canonical_encode"]
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=False, allow_nan=False)

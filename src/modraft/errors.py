@@ -1,6 +1,7 @@
 """Exception types shared across the kernel."""
 
-from __future__ import annotations
+__all__ = ["KernelError", "SchemaViolation", "GenerationError", "IntegrityMismatch",
+           "FileFormatError", "CatalogError", "NoProtectionAtHeight", "OutOfMethodRange"]
 
 
 class KernelError(Exception):

@@ -20,7 +20,7 @@ from .properties import SHEET_SIZES, VALVE_LENGTH, ModuleType, _read_records
 if TYPE_CHECKING:
     from .core import Module
 
-__all__ = ["generate_local", "internal_list_indices", "SHEET_SIZES"]
+__all__ = ["generate_local", "internal_list_indices"]
 
 # Valve bowtie (ГОСТ 2.785 style): two VALVE_LENGTH triangles nose to nose.
 VALVE_HALF_BASE = 1.5

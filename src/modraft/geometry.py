@@ -143,6 +143,16 @@ def _as_point(value: object) -> Point:
     raise ValueError(f"not a point: {value!r}")
 
 
+def _not_of_class(**values: object) -> ValueError:
+    """The refusal naming the first of ``values`` not of its field's class;
+    a value class builds it only once its own inline test has failed."""
+    for name, value in values.items():
+        cls = LineStyle if name == "style" else Point
+        if not isinstance(value, cls):
+            return ValueError(f"{name}: expected a {cls.__name__}, "
+                              f"got {type(value).__name__}")
+
+
 def _named(key: str, value: object, decode):
     """``decode(value)``; a refusal reads ``"{key}: {reason}"``."""
     try:
@@ -343,6 +353,9 @@ class Segment:
     style: LineStyle = _DEFAULT_STYLE
 
     def __init__(self, p1: Point, p2: Point, style: LineStyle = _DEFAULT_STYLE):
+        if not (isinstance(p1, Point) and isinstance(p2, Point)
+                and isinstance(style, LineStyle)):
+            raise _not_of_class(p1=p1, p2=p2, style=style)
         _SEGMENT_P1(self, p1)
         _SEGMENT_P2(self, p2)
         _SEGMENT_STYLE(self, style)
@@ -359,6 +372,11 @@ class Polyline:
     def __init__(self, points: Iterable[Point], closed: bool = False,
                  style: LineStyle = _DEFAULT_STYLE):
         points = tuple(points)
+        for p in points:
+            if not isinstance(p, Point):
+                raise _not_of_class(points=p)
+        if not isinstance(style, LineStyle):
+            raise _not_of_class(style=style)
         if len(points) < 2:
             raise ValueError("polyline needs at least 2 points")
         _POLYLINE_POINTS(self, points)
@@ -378,6 +396,8 @@ class Arc:
 
     def __init__(self, center: Point, radius: float, start_angle: float,
                  end_angle: float, style: LineStyle = _DEFAULT_STYLE):
+        if not (isinstance(center, Point) and isinstance(style, LineStyle)):
+            raise _not_of_class(center=center, style=style)
         _ARC_CENTER(self, center)
         _ARC_RADIUS(self, _positive(radius, "arc radius"))
         _ARC_START(self, norm_deg(start_angle))
@@ -405,6 +425,8 @@ class Circle:
     style: LineStyle = _DEFAULT_STYLE
 
     def __init__(self, center: Point, radius: float, style: LineStyle = _DEFAULT_STYLE):
+        if not (isinstance(center, Point) and isinstance(style, LineStyle)):
+            raise _not_of_class(center=center, style=style)
         _CIRCLE_CENTER(self, center)
         _CIRCLE_RADIUS(self, _positive(radius, "circle radius"))
         _CIRCLE_STYLE(self, style)
@@ -426,6 +448,8 @@ class Text:
 
     def __init__(self, anchor: Point, height_mm: float, angle_deg: float, content: str,
                  style: LineStyle = _DEFAULT_STYLE):
+        if not (isinstance(anchor, Point) and isinstance(style, LineStyle)):
+            raise _not_of_class(anchor=anchor, style=style)
         _TEXT_ANCHOR(self, anchor)
         _TEXT_HEIGHT(self, _positive(height_mm, "text height"))
         _TEXT_ANGLE(self, norm_deg(angle_deg))
@@ -448,6 +472,8 @@ class Rect:
     max: Point
 
     def __init__(self, min: Point, max: Point):
+        if not (isinstance(min, Point) and isinstance(max, Point)):
+            raise _not_of_class(min=min, max=max)
         if min.x > max.x or min.y > max.y:
             raise ValueError("rectangle corners are not ordered")
         _RECT_MIN(self, min)
@@ -494,6 +520,8 @@ class ZoneGrid:
     ny: int
 
     def __init__(self, origin: Point, cell_w: float, cell_h: float, nx: int, ny: int):
+        if not isinstance(origin, Point):
+            raise _not_of_class(origin=origin)
         _GRID_ORIGIN(self, origin)
         _GRID_CELL_W(self, _named("zone grid cell_w", cell_w, _as_real))
         _GRID_CELL_H(self, _named("zone grid cell_h", cell_h, _as_real))

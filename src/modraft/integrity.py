@@ -23,9 +23,7 @@ from .persistence import Drawing, _fragments
 from .properties import ModuleType
 
 __all__ = ["SignatureStatus", "compute_digest", "signature_mac",
-           "validate_signer_fields", "sign_drawing",
-           "verify_signature_module", "verify_signatures",
-           "DATE_RE", "TIME_RE"]
+           "validate_signer_fields", "sign_drawing", "verify_signatures"]
 
 DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 TIME_RE = re.compile(r"^[0-9]{2}:[0-9]{2}\Z")

@@ -24,14 +24,11 @@ from enum import Enum
 
 from .errors import NoProtectionAtHeight, OutOfMethodRange, SchemaViolation
 from .geometry import (Circle, Element, Point, Segment, Text, _as_real,
-                       _field, _named, _positive, _shared_style)
+                       _field, _named, _not_of_class, _positive, _shared_style)
 from .properties import _read_records
 
-__all__ = [
-    "Rod", "ZoneClass", "LightningParams", "MAX_ROD_HEIGHT",
-    "apex_height", "ground_radius", "single_rod_radius",
-    "zone_sections", "is_protected", "gen_lightning",
-]
+__all__ = ["Rod", "ZoneClass", "LightningParams", "apex_height", "ground_radius",
+           "single_rod_radius", "zone_sections", "is_protected"]
 
 MAX_ROD_HEIGHT = 150.0
 # Rods times section heights: each section draws a circle and a label.
@@ -78,6 +75,11 @@ class LightningParams:
         rods = tuple(self.rods)
         if not rods:
             raise ValueError("at least one rod is required")
+        for rod in rods:
+            if not isinstance(rod, Rod):
+                raise ValueError(f"rods: expected a Rod, got {type(rod).__name__}")
+        if not isinstance(self.plan_origin, Point):
+            raise _not_of_class(plan_origin=self.plan_origin)
         object.__setattr__(self, "rods", rods)
         heights = tuple(_as_real(h) for h in self.section_heights)
         if any(h < 0.0 for h in heights):

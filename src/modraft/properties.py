@@ -11,9 +11,8 @@ Each property kind has one row in ``_KINDS``: its reader, which decodes a
 JSON value to the kind's value class, and its writer, which writes a decoded
 value straight to canonical JSON text. ``_props_bytes`` writes a whole
 property set in one format call per module, keys in sorted order, with the
-kind tags fixed per type. Its bytes are exactly
-``canonical_encode(props_to_json(mtype, props))``; that reference form is
-kept public for tests and callers that want the tagged dicts.
+kind tags fixed per type. Its bytes are exactly those of the reference
+form that tests compare it with, ``canonical_encode(props_to_json(...))``.
 
 The schema holds every rule on a single value, as a spec's ``rule``;
 generators keep only the checks that relate two values or read a record.
@@ -36,13 +35,10 @@ from typing import Callable, Mapping
 from .canon import _utf8, canonical_dumps
 from .errors import FileFormatError, KernelError, SchemaViolation
 from .geometry import (LineType, Point, _as_bool, _as_int, _as_point, _as_real,
-                       _as_text, _to_json, norm_deg)
+                       _as_text, _not_of_class, _to_json, norm_deg)
 
-__all__ = [
-    "ModuleType", "PropKind", "Axis", "PropSpec",
-    "schema_for", "validate_props", "props_to_json", "props_from_json",
-    "russian_property_names", "SYMMETRY_CODES",
-]
+__all__ = ["ModuleType", "PropKind", "Axis", "PropSpec", "schema_for",
+           "validate_props", "russian_property_names"]
 
 
 class ModuleType(str, Enum):
@@ -77,6 +73,8 @@ class Axis:
     angle_deg: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.origin, Point):
+            raise _not_of_class(origin=self.origin)
         object.__setattr__(self, "angle_deg", norm_deg(self.angle_deg))
 
 

@@ -20,12 +20,9 @@ from .geometry import _as_real, _as_text, _field
 from .persistence import Drawing, _parse_json, _read_text, load_drawing_file
 from .properties import ModuleType, schema_for
 
-__all__ = [
-    "SpecRow", "DuplicateGroup", "Catalog", "SPEC_MODULE_TYPES",
-    "collect_spec_rows", "find_duplicate_positions", "fill_table_module",
-    "load_catalog", "load_catalog_file", "apply_catalog_entry",
-    "SPEC_ROW_FIELDS",
-]
+__all__ = ["SpecRow", "DuplicateGroup", "Catalog", "collect_spec_rows",
+           "find_duplicate_positions", "fill_table_module", "load_catalog",
+           "load_catalog_file", "apply_catalog_entry"]
 
 SPEC_MODULE_TYPES = frozenset(
     {ModuleType.VALVE, ModuleType.INSTRUMENT, ModuleType.POSDES})

@@ -753,3 +753,36 @@ def test_a_value_with_two_bad_arguments_reports_the_first_it_reads(build, reason
     with pytest.raises(ValueError) as info:
         build()
     assert type(info.value) is ValueError and str(info.value) == reason
+
+
+_S = LineStyle()
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: Segment(1, 2), "p1: expected a Point, got int"),
+    (lambda: Segment(_P, (1.0, 1.0)), "p2: expected a Point, got tuple"),
+    (lambda: Segment(_P, _Q, "solid"), "style: expected a LineStyle, got str"),
+    (lambda: Polyline([1, 2]), "points: expected a Point, got int"),
+    (lambda: Polyline([_P, [1.0, 1.0]]), "points: expected a Point, got list"),
+    (lambda: Polyline([_P, _Q], False, None), "style: expected a LineStyle, got NoneType"),
+    (lambda: Arc(None, 1, 0, 90), "center: expected a Point, got NoneType"),
+    (lambda: Arc(_P, 1, 0, 90, LineType.SOLID), "style: expected a LineStyle, got LineType"),
+    (lambda: Circle(Point(0, 0), 1, "x"), "style: expected a LineStyle, got str"),
+    (lambda: Circle((0, 0), 1, _S), "center: expected a Point, got tuple"),
+    (lambda: Text((0, 0), 2.5, 0.0, "x"), "anchor: expected a Point, got tuple"),
+    (lambda: Text(_P, 2.5, 0.0, "x", 0), "style: expected a LineStyle, got int"),
+    (lambda: Rect("a", "b"), "min: expected a Point, got str"),
+    (lambda: Rect(_P, (5.0, 5.0)), "max: expected a Point, got tuple"),
+    (lambda: ZoneGrid((0, 0), 10, 10, 10, 10), "origin: expected a Point, got tuple"),
+    (lambda: Axis("a"), "origin: expected a Point, got str"),
+    (lambda: Axis([0.0, 0.0], 90.0), "origin: expected a Point, got list"),
+], ids=["Segment-p1", "Segment-p2", "Segment-style", "Polyline-points",
+        "Polyline-one-point", "Polyline-style", "Arc-center", "Arc-style",
+        "Circle-style", "Circle-center", "Text-anchor", "Text-style", "Rect-min",
+        "Rect-max", "ZoneGrid-origin", "Axis-origin", "Axis-list-origin"])
+def test_a_value_refuses_a_point_or_style_of_another_class(build, reason):
+    # Each of these once built, and was refused only later: by a bare
+    # AttributeError, or by a load of the file a save had written.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == reason

@@ -227,6 +227,17 @@ def test_params_validation():
         _params(scale_mm_per_m=0.0)
 
 
+@pytest.mark.parametrize("kw, reason", [
+    ({"rods": (1,)}, "rods: expected a Rod, got int"),
+    ({"rods": (Rod(0, 0, 20), (30, 0, 12))}, "rods: expected a Rod, got tuple"),
+    ({"plan_origin": (0.0, 0.0)}, "plan_origin: expected a Point, got tuple"),
+], ids=["int-rod", "tuple-rod", "tuple-origin"])
+def test_params_refuse_a_rod_or_origin_of_another_class(kw, reason):
+    with pytest.raises(ValueError) as info:
+        _params(**kw)
+    assert type(info.value) is ValueError and str(info.value) == reason
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: Rod("5", True, "20"), id="rod-text-and-bool"),
     pytest.param(lambda: Rod(0.0, 0.0, True), id="rod-bool-height"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,23 @@ def test_record_keys_must_be_text(record):
             "leader_from": (0, 0), "shelf_at": (1, 1), "position_text": "1",
             "spec_props": record})
     assert str(info.value) == "property 'spec_props': record keys must be strings"
+
+
+def test_a_record_value_that_is_not_json_is_named_in_the_refusal():
+    with pytest.raises(SchemaViolation) as info:
+        validate_props(ModuleType.POSDES, {
+            "leader_from": (0, 0), "shelf_at": (1, 1), "position_text": "1",
+            "spec_props": {"a": object()}})
+    assert re.fullmatch(r"property 'spec_props': value <object object at 0x[0-9a-f]+> "
+                        r"is not serialisable", str(info.value))
+
+
+def test_an_axis_record_without_an_origin_is_refused():
+    with pytest.raises(SchemaViolation) as info:
+        validate_props(ModuleType.USER, {
+            "elements": [{"kind": "segment", "p1": [0, 0], "p2": [1, 1]}],
+            "attach": [{"angle_deg": 0}]})
+    assert str(info.value) == "property 'attach': bad axis: no 'origin'"
 
 
 def test_validation_is_idempotent():

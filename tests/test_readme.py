@@ -1,8 +1,9 @@
-"""The README's console session runs as shown.
+"""The README's examples run as shown.
 
-Each ``$ modraft ...`` command of the ``console`` block in README.md runs
-through ``cli.main`` in a fresh directory, in order, with ``\\``
-continuations joined; its stdout must be the lines printed under it, up to
+The ``python`` blocks of README.md run in order, in one namespace. Each
+``$ modraft ...`` command of its ``console`` block runs through
+``cli.main`` in a fresh directory, in order, with ``\\`` continuations
+joined; its stdout must be the lines printed under it, up to
 the next command (blank lines between commands only separate them).
 """
 
@@ -29,6 +30,15 @@ def console_session() -> "list[tuple[list[str], str]]":
         elif line:
             session[-1][1].append(f"{line}\n")
     return [(argv, "".join(out)) for argv, out in session]
+
+
+def test_the_readme_python_examples_run():
+    text = README.read_text(encoding="utf-8")
+    blocks = [part.split("\n```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_the_readme_console_session_prints_what_it_shows(tmp_path, monkeypatch,

@@ -482,6 +482,14 @@ def test_overflowing_viewport_is_a_kernel_error(vp):
         render_svg(d, Rect.from_bounds(*vp))
 
 
+def test_render_svg_refuses_a_viewport_too_wide_to_measure():
+    # The library's own check, apart from the CLI's --viewport parser.
+    d = Drawing.new(Rect.from_bounds(0, 0, 10, 10))
+    with pytest.raises(KernelError) as info:
+        render_svg(d, Rect(Point(-1e308, 0.0), Point(1e308, 1.0)))
+    assert str(info.value) == "viewport width and height must be finite"
+
+
 def test_one_cell_grid_and_items_beyond_the_grid():
     d = Drawing.new(Rect.from_bounds(0, 0, 100, 100),
                     ZoneGrid(Point(0, 0), 100.0, 100.0, 1, 1))

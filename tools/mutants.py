@@ -2,8 +2,8 @@
 
 Each entry names a file under ``src/``, an exact snippet in it, the
 replacement that puts the fault in, and the test files that must fail with
-it. For each entry the tool copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory, applies that one patch there
+it. For each entry the tool copies ``src/``, ``tests/``, ``pyproject.toml``
+and ``README.md`` into a temporary directory, applies that one patch there
 and runs pytest on the named files, which must end with failing tests (pytest
 exit code 1). The same files must pass on an unpatched copy first.
 
@@ -57,10 +57,19 @@ MUTANTS = [
            "src/modraft/geometry.py",
            "_TEXT_ANGLE(self, norm_deg(angle_deg))", "_TEXT_ANGLE(self, angle_deg)",
            ("tests/test_geometry.py",)),
-    Mutant("add_element without its writer call",
-           "src/modraft/persistence.py",
-           "            _element_text(element)\n", "            pass\n",
-           ("tests/test_persistence.py",)),
+    Mutant("a ZoneGrid without its origin check",
+           "src/modraft/geometry.py",
+           "        if not isinstance(origin, Point):\n"
+           "            raise _not_of_class(origin=origin)\n", "",
+           ("tests/test_geometry.py",)),
+    Mutant("a Polyline without its point check",
+           "src/modraft/geometry.py",
+           "            if not isinstance(p, Point):\n", "            if False:\n",
+           ("tests/test_geometry.py",)),
+    Mutant("geometry.__all__ without Rect",
+           "src/modraft/geometry.py",
+           '    "Rect", "ZoneGrid",\n', '    "ZoneGrid",\n',
+           ("tests/test_readme.py",)),
     Mutant("the plain-JSON writer without its Point branch",
            "src/modraft/geometry.py",
            "    if isinstance(value, Point):\n        return [value.x, value.y]\n", "",
@@ -123,6 +132,21 @@ MUTANTS = [
            "    if type(own_axis_index) is not int or",
            "    if not isinstance(own_axis_index, int) or",
            ("tests/test_module_core.py",)),
+    Mutant("a record value that is not JSON is kept",
+           "src/modraft/properties.py",
+           '    raise ValueError(f"value {value!r} is not serialisable")\n',
+           "    return value\n",
+           ("tests/test_properties.py",)),
+    Mutant("an axis record without an origin is not refused by name",
+           "src/modraft/properties.py",
+           "        if \"origin\" not in value:\n"
+           "            raise ValueError(\"bad axis: no 'origin'\")\n", "",
+           ("tests/test_properties.py",)),
+    Mutant("render_svg takes a viewport too wide to measure",
+           "src/modraft/render.py",
+           "    if not (math.isfinite(vp.width) and math.isfinite(vp.height)):\n",
+           "    if False:\n",
+           ("tests/test_render.py",)),
 ]
 
 
@@ -130,7 +154,8 @@ def _copy_tree(into: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, into / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, into / name)
 
 
 def _pytest(tree: Path, tests: tuple[str, ...]) -> int:
